@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.params import DEFAULT_MACHINE
 from repro.schemes.registry import make_scheme, scheme_names
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.sim.trace import Trace
 from repro.sim.workloads import get_workload
 from repro.util.proc import peak_rss_bytes
@@ -49,7 +49,7 @@ def bench_scheme(name: str, mapping: MemoryMapping, trace: Trace,
         for _ in range(repeats):
             scheme = make_scheme(name, mapping, machine)
             start = time.perf_counter()
-            simulate(scheme, trace, engine=engine)
+            run_trace(scheme, trace, engine=engine)
             best = min(best, time.perf_counter() - start)
         timings[engine] = best
         snapshots[engine] = scheme.stats.snapshot()

@@ -5,13 +5,14 @@ checker per (rule, file) pair and drives two phases over the whole
 file set:
 
 1. **collect** — every checker sees its file and may stash cross-file
-   facts in :attr:`ProjectContext.shared` (e.g. which APIs carry a
-   ``DeprecationWarning``, which scheme classes the registry builds);
+   facts in :attr:`ProjectContext.shared`;
 2. **check** — every checker walks its AST and reports findings,
    reading whatever the collect phase gathered.
 
-Rules therefore get whole-project knowledge (class hierarchies,
-deprecation sets) while staying simple single-file visitors.
+Rules therefore get whole-project knowledge while staying simple
+single-file visitors; class hierarchies, the call graph and the
+registered schemes live in the shared :mod:`repro.checks.dataflow`
+model.
 """
 
 from __future__ import annotations

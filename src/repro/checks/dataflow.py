@@ -9,7 +9,8 @@ rules the three project-wide structures those contracts need:
 
 * a **symbol table** — every module's imports (including
   function-local ones), module-level functions, classes and their
-  methods, resolved across files by scoped path;
+  methods, resolved across files by scoped path, plus the scheme
+  classes ``schemes/registry.py`` constructs;
 * an approximate **call graph** — ``self.m()`` resolved over the class
   chain, bare and dotted names resolved through the import table,
   ``super().m()`` resolved to the next chain link;
@@ -101,6 +102,7 @@ class ClassModel:
     module: str
     relpath: str
     lineno: int
+    node: ast.ClassDef
     bases: list[str] = field(default_factory=list)
     methods: dict[str, FunctionModel] = field(default_factory=dict)
     class_attrs: dict[str, ast.expr | None] = field(default_factory=dict)
@@ -353,9 +355,11 @@ class ProjectDataflow:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleModel] = {}
         #: class name -> defining ClassModel (names are unique in this
-        #: codebase; last definition wins on a clash, like the existing
-        #: per-rule class maps).
+        #: codebase; last definition wins on a clash).
         self.classes: dict[str, ClassModel] = {}
+        #: Class names ``schemes/registry.py`` calls: the registered
+        #: schemes the scheme rules hold to the full contract.
+        self.registered: set[str] = set()
 
     # -- construction ---------------------------------------------------
 
@@ -369,6 +373,11 @@ class ProjectDataflow:
     def _add_file(self, ctx: FileContext) -> None:
         module = ModuleModel(scoped_path=ctx.scoped_path, relpath=ctx.relpath)
         self.modules[ctx.scoped_path] = module
+        if ctx.scoped_path == "schemes/registry.py":
+            self.registered.update(
+                node.func.id for node in ast.walk(ctx.tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name))
         for stmt in ctx.tree.body:
             if isinstance(stmt, ast.Import):
                 for alias in stmt.names:
@@ -392,7 +401,7 @@ class ProjectDataflow:
     def _scan_class(self, node: ast.ClassDef, ctx: FileContext) -> ClassModel:
         model = ClassModel(
             name=node.name, module=ctx.scoped_path, relpath=ctx.relpath,
-            lineno=node.lineno,
+            lineno=node.lineno, node=node,
             bases=[b for b in map(dotted_name, node.bases) if b],
         )
         for stmt in node.body:
@@ -431,12 +440,18 @@ class ProjectDataflow:
                 return self.modules[candidate]
         return None
 
-    def chain(self, class_name: str) -> list[ClassModel]:
-        """The class and its first-base ancestry, as far as it resolves."""
+    def chain(
+        self, class_name: str, stop: str | None = None
+    ) -> list[ClassModel]:
+        """The class and its first-base ancestry, as far as it resolves.
+
+        With ``stop`` the chain ends just before that class, so a
+        root's own (abstract) methods never count as defined.
+        """
         chain: list[ClassModel] = []
         seen: set[str] = set()
         name = class_name
-        while name in self.classes and name not in seen:
+        while name in self.classes and name not in seen and name != stop:
             seen.add(name)
             model = self.classes[name]
             chain.append(model)

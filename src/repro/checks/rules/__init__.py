@@ -6,8 +6,6 @@ and ``description``, implement ``visit_*``/``handle_*`` methods (and
 ``ALL_CHECKERS``.  ``docs/api_tour.md`` §13 walks through an example.
 """
 
-from repro.checks.rules.clone_contract import CloneContractChecker
-from repro.checks.rules.deprecation import DeprecationChecker
 from repro.checks.rules.determinism import DeterminismChecker
 from repro.checks.rules.dtype_hygiene import DtypeHygieneChecker
 from repro.checks.rules.fork_safety import ForkSafetyChecker
@@ -21,13 +19,11 @@ from repro.checks.rules.tracked_bytecode import tracked_bytecode_findings
 ALL_CHECKERS = [
     DeterminismChecker,
     SchemeContractChecker,
-    CloneContractChecker,
     FrozenMutationChecker,
     ForkSafetyChecker,
     TagSafetyChecker,
     SharedAliasingChecker,
     DtypeHygieneChecker,
-    DeprecationChecker,
 ]
 
 __all__ = ["ALL_CHECKERS", "tracked_bytecode_findings"]

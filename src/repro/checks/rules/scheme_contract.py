@@ -28,9 +28,9 @@ full TLB flush.  Three ways a scheme silently breaks this:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 
-from repro.checks.base import Checker, FileContext, dotted_name
+from repro.checks.base import Checker, dotted_name
+from repro.checks.dataflow import get_dataflow
 
 _ROOT_CLASS = "TranslationScheme"
 
@@ -41,20 +41,6 @@ _GUARDED_METHODS = {"__init__", "rebuild", "reselect_distance",
                     "_on_mapping_update"}
 
 
-@dataclass
-class ClassInfo:
-    name: str
-    bases: list[str]
-    methods: set[str] = field(default_factory=set)
-    class_attrs: set[str] = field(default_factory=set)
-    relpath: str = ""
-    lineno: int = 0
-
-
-def _in_schemes(ctx: FileContext) -> bool:
-    return ctx.scoped_path.startswith("schemes/")
-
-
 class SchemeContractChecker(Checker):
     rule = "scheme-contract"
     description = (
@@ -62,76 +48,21 @@ class SchemeContractChecker(Checker):
         "_on_mapping_update contract or missing required hooks"
     )
 
-    # -- collect: class map + registry-constructed names ----------------
-
-    def _shared(self) -> dict:
-        return self.project.shared.setdefault(
-            self.rule, {"classes": {}, "registered": set()})
-
-    def collect(self) -> None:
-        if not _in_schemes(self.ctx):
-            return
-        shared = self._shared()
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                info = ClassInfo(
-                    name=node.name,
-                    bases=[b for b in map(dotted_name, node.bases) if b],
-                    relpath=self.ctx.relpath,
-                    lineno=node.lineno,
-                )
-                for stmt in node.body:
-                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        info.methods.add(stmt.name)
-                    elif isinstance(stmt, ast.Assign):
-                        for target in stmt.targets:
-                            if isinstance(target, ast.Name):
-                                info.class_attrs.add(target.id)
-                    elif (isinstance(stmt, ast.AnnAssign)
-                          and isinstance(stmt.target, ast.Name)):
-                        info.class_attrs.add(stmt.target.id)
-                shared["classes"][node.name] = info
-        if self.ctx.scoped_path == "schemes/registry.py":
-            for node in ast.walk(self.ctx.tree):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                    shared["registered"].add(node.func.id)
-
-    # -- chain helpers --------------------------------------------------
-
-    def _chain(self, name: str) -> list[ClassInfo]:
-        """The class and its in-package bases, root-class exclusive."""
-        classes = self._shared()["classes"]
-        chain: list[ClassInfo] = []
-        seen: set[str] = set()
-        while name in classes and name not in seen and name != _ROOT_CLASS:
-            seen.add(name)
-            info = classes[name]
-            chain.append(info)
-            name = info.bases[0].split(".")[-1] if info.bases else ""
-        return chain
-
-    def _is_scheme(self, name: str) -> bool:
-        """True when the chain reaches TranslationScheme (exclusive)."""
-        chain = self._chain(name)
-        return bool(chain) and any(
-            b.split(".")[-1] == _ROOT_CLASS
-            for info in chain for b in info.bases
-        )
-
-    # -- check ----------------------------------------------------------
-
     def check(self) -> None:
-        if not _in_schemes(self.ctx):
+        if not self.ctx.scoped_path.startswith("schemes/"):
             return
+        self.flow = get_dataflow(self.project)
         super().check()
 
     def handle_class(self, node: ast.ClassDef) -> None:
-        shared = self._shared()
-        if node.name not in shared["registered"] or not self._is_scheme(node.name):
+        if (node.name not in self.flow.registered
+                or not self.flow.chain_reaches(node.name, _ROOT_CLASS)):
             return
-        chain = self._chain(node.name)
-        defined = {m for info in chain for m in info.methods}
-        attrs = {a for info in chain for a in info.class_attrs}
+        # The chain stops before the root, so TranslationScheme's own
+        # abstract methods never count as implemented.
+        chain = self.flow.chain(node.name, stop=_ROOT_CLASS)
+        defined = {m for model in chain for m in model.methods}
+        attrs = {a for model in chain for a in model.class_attrs}
         for hook in ("access", "_translate"):
             if hook not in defined:
                 self.report(
@@ -156,7 +87,7 @@ class SchemeContractChecker(Checker):
         if (cls is None or len(self.func_stack) > 1
                 or not any(stmt is node for stmt in cls.body)
                 or cls.name == _ROOT_CLASS
-                or not self._is_scheme(cls.name)):
+                or not self.flow.chain_reaches(cls.name, _ROOT_CLASS)):
             return
         if node.name == "_on_mapping_update":
             self._check_update_hook(node)

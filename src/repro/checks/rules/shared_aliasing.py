@@ -1,16 +1,27 @@
-"""Rule ``shared-aliasing``: prototype-shared state mutates only behind
-privatisation choke points.
+"""Rule ``shared-aliasing``: clones share views, they never rebuild or
+mutate them.
 
-``clone_fresh`` copies the prototype's ``__dict__`` wholesale, so every
-attribute *not* rebound by ``_reset_clone`` (or replaced outright by
-``clone_fresh`` itself — l1, pwc, stats) is shared by reference between
-the prototype and every clone.  PR 9's ``clone-contract`` rule polices
-what ``_reset_clone`` may do; this rule is its cross-file
-generalisation: it computes, per scheme, the set of shared attributes
-and then checks that no method anywhere in the class hierarchy
-*mutates* one in place outside the privatisation choke points.
+The fleet constructs one *prototype* scheme per mapping key and hands
+every tenant a :meth:`~repro.schemes.base.TranslationScheme.clone_fresh`
+copy.  ``clone_fresh`` copies the prototype's ``__dict__`` wholesale, so
+every attribute *not* rebound by ``_reset_clone`` (or replaced outright
+by ``clone_fresh`` itself — l1, pwc, stats) is shared by reference
+between the prototype and every clone.  Three ways the discipline
+erodes:
 
-The distinction that makes this checkable is **bind vs mutate**:
+1. a registered scheme (or its base chain) never defines
+   ``_reset_clone`` — its access paths then mutate structures shared
+   with the prototype and every sibling clone;
+2. a ``_reset_clone`` override rebuilds mapping-derived state: it
+   touches ``self.mapping``/``frozen``, calls a ``_build_*`` helper, or
+   invokes one of the known expensive constructors — paying per tenant
+   the O(mapping) cost the prototype exists to amortise.  The
+   prototype-side hook ``_prepare_share`` is exempt: its job *is*
+   forcing those lazy builds, once, before the first clone;
+3. some method anywhere in the class hierarchy *mutates* a shared
+   attribute in place outside the privatisation choke points.
+
+The distinction that makes the third checkable is **bind vs mutate**:
 
 * a bind (``self.directory = AnchorDirectory.build(...)``) severs the
   alias — the prototype and the other clones keep the old object — and
@@ -37,15 +48,30 @@ from __future__ import annotations
 
 import ast
 
-from repro.checks.base import Checker
+from repro.checks.base import Checker, dotted_name
 from repro.checks.findings import Finding
 from repro.checks.dataflow import (
+    ClassModel,
     FunctionModel,
     ProjectDataflow,
     get_dataflow,
 )
 
 _ROOT_CLASS = "TranslationScheme"
+
+#: Mapping-derived builders a clone must inherit, never re-run.  Matched
+#: against the head and tail of the dotted call name, so both
+#: ``AnchorDirectory.build(...)`` and ``self.promote_huge_pages(...)``
+#: are caught.
+_EXPENSIVE_BUILDERS = {
+    "promote_huge_pages",
+    "promote_giga_pages",
+    "RangeTable",
+    "AnchorDirectory",
+    "SortedMembership",
+    "sorted_arrays",
+    "partition_regions",
+}
 
 #: Attributes ``clone_fresh`` itself replaces on every clone, plus the
 #: identity fields a clone legitimately keeps writing through.
@@ -66,8 +92,9 @@ _CHOKE_PREFIXES = ("rebuild", "_build", "_own")
 class SharedAliasingChecker(Checker):
     rule = "shared-aliasing"
     description = (
-        "in-place mutation of prototype-shared scheme state outside a "
-        "privatisation choke point"
+        "clone that rebuilds mapping-derived state, or in-place mutation "
+        "of prototype-shared scheme state outside a privatisation choke "
+        "point"
     )
 
     def _reported(self) -> set:
@@ -77,26 +104,65 @@ class SharedAliasingChecker(Checker):
         if not self.ctx.scoped_path.startswith("schemes/"):
             return
         flow = get_dataflow(self.project)
-        registered = self._registered(flow)
         module = flow.modules.get(self.ctx.scoped_path)
         if module is None:
             return
         for cls in module.classes.values():
-            if (cls.name not in registered
-                    or not flow.chain_reaches(cls.name, _ROOT_CLASS)):
+            if not flow.chain_reaches(cls.name, _ROOT_CLASS):
                 continue
-            self._check_class(flow, cls.name)
+            reset = cls.methods.get("_reset_clone")
+            if reset is not None:
+                self._check_reset_clone(cls, reset)
+            if cls.name in flow.registered:
+                self._check_defines_reset(flow, cls)
+                self._check_class(flow, cls.name)
 
-    def _registered(self, flow: ProjectDataflow) -> set[str]:
-        names: set[str] = set()
-        for ctx in self.project.files:
-            if ctx.scoped_path != "schemes/registry.py":
-                continue
-            for node in ast.walk(ctx.tree):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)):
-                    names.add(node.func.id)
-        return names
+    # -- what _reset_clone must and must not do -------------------------
+
+    def _check_defines_reset(
+        self, flow: ProjectDataflow, cls: ClassModel
+    ) -> None:
+        # Root-exclusive: the base class's default never counts.
+        chain = flow.chain(cls.name, stop=_ROOT_CLASS)
+        if not any("_reset_clone" in model.methods for model in chain):
+            self.report(
+                cls.node,
+                f"registered scheme '{cls.name}' never defines "
+                "'_reset_clone': clones alias the prototype's mutable "
+                "hardware (L2 arrays, predictors, resident caches) and "
+                "tenants bleed state into each other",
+                hint="override _reset_clone() to recreate every structure "
+                     "the access paths mutate; mapping-derived views stay "
+                     "shared",
+            )
+
+    def _check_reset_clone(self, cls: ClassModel, fn: FunctionModel) -> None:
+        for sub in ast.walk(fn.node):
+            if isinstance(sub, ast.Attribute) and sub.attr in ("mapping", "frozen"):
+                self.report(
+                    sub,
+                    f"'{cls.name}._reset_clone' touches the mapping: "
+                    "clones must inherit mapping-derived state from the "
+                    "prototype, not re-derive it per tenant",
+                    hint="build it once in __init__/_prepare_share and "
+                         "share it by reference",
+                )
+            elif isinstance(sub, ast.Call):
+                parts = (dotted_name(sub.func) or "").split(".")
+                builder = next(
+                    (p for p in (parts[0], parts[-1])
+                     if p in _EXPENSIVE_BUILDERS), None)
+                if builder is not None or parts[-1].startswith("_build"):
+                    self.report(
+                        sub,
+                        f"'{cls.name}._reset_clone' calls "
+                        f"'{builder or parts[-1]}': rebuilding "
+                        "mapping-derived state per clone defeats the "
+                        "prototype amortisation",
+                        hint="force the build on the prototype in "
+                             "_prepare_share; _reset_clone only recreates "
+                             "per-tenant hardware",
+                    )
 
     # -- shared-set computation -----------------------------------------
 

@@ -238,8 +238,7 @@ def context_switches(
     seed: int | None = None,
 ) -> Report:
     """Walks under time slicing: flush-on-switch vs tagged TLBs."""
-    from repro.sim.multiprog import ProcessRun
-    from repro.sim.tenants import run_timeshared
+    from repro.sim.tenants import ProcessRun, run_timeshared
 
     def build_runs(scheme_name: str):
         runs = []

@@ -98,7 +98,7 @@ class AnchorScheme(TranslationScheme):
         self._dir_shared = False
 
     # ------------------------------------------------------------------
-    # Prototype cloning (clone-contract)
+    # Prototype cloning (share-don't-rebuild)
     # ------------------------------------------------------------------
 
     def _prepare_share(self) -> None:

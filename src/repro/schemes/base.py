@@ -192,7 +192,7 @@ class TranslationScheme(abc.ABC):
         :meth:`_reset_clone` runs on the *clone* and recreates every
         structure the access paths mutate (L2 arrays, predictors,
         resident-state caches).  Anything not reset is shared and must
-        be treated as read-only — the ``clone-contract`` check rule
+        be treated as read-only — the ``shared-aliasing`` check rule
         enforces the share-don't-rebuild discipline.
 
         Sharing survives mapping mutations: ``_synced_version`` rides

@@ -4,7 +4,10 @@ One :class:`SimService` owns the expensive state — a warm
 ``ProcessPoolExecutor``, the content-addressed :class:`ResultStore`,
 and the shared :class:`TraceStore` — and serves any number of clients
 over a newline-delimited-JSON TCP protocol.  Each line is one JSON
-object.
+object.  A line that does not parse to an object gets an ``error``
+envelope and the connection keeps serving; a line longer than the
+stream limit (64 KiB) gets an ``error`` envelope and the connection
+is closed, since the rest of that line cannot be framed.
 
 Client operations::
 
@@ -198,7 +201,20 @@ class SimService:
     ) -> None:
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readline()
+                except ValueError:  # the line overran the reader's limit
+                    await self._send(writer, {
+                        "event": "error", "error": "request line too long",
+                    })
+                    # Consume the rest of the line before hanging up:
+                    # closing with unread input resets the connection,
+                    # which can destroy the answer before it is read.
+                    while True:
+                        chunk = await reader.read(1 << 16)
+                        if not chunk or b"\n" in chunk:
+                            break
+                    break
                 if not raw:
                     break
                 try:
@@ -207,6 +223,12 @@ class SimService:
                     await self._send(
                         writer, {"event": "error", "error": "malformed JSON"}
                     )
+                    continue
+                if not isinstance(message, dict):
+                    await self._send(writer, {
+                        "event": "error",
+                        "error": "request must be a JSON object",
+                    })
                     continue
                 op = message.get("op")
                 if op == "submit":

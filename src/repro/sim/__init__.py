@@ -3,7 +3,7 @@
 from repro.sim.stats import TranslationStats
 from repro.sim.trace import Trace
 from repro.sim.workloads import WORKLOADS, Workload, workload_names
-from repro.sim.engine import SimulationResult, run_trace, simulate
+from repro.sim.engine import SimulationResult, run_trace
 from repro.sim.api import (
     SimReply,
     SimRequest,
@@ -11,21 +11,15 @@ from repro.sim.api import (
     execute_request,
     simulate_request,
 )
-from repro.sim.multiprog import ProcessRun, simulate_multiprogrammed
 from repro.sim.tenants import (
     FleetResult,
+    ProcessRun,
     TenantFleet,
     TenantSpec,
     run_timeshared,
     simulate_fleet,
 )
-from repro.sim.runner import (
-    JobSpec,
-    Orchestrator,
-    ResultStore,
-    RunSummary,
-    execute_job,
-)
+from repro.sim.runner import Orchestrator, ResultStore, RunSummary
 
 __all__ = [
     "TranslationStats",
@@ -35,22 +29,18 @@ __all__ = [
     "workload_names",
     "SimulationResult",
     "run_trace",
-    "simulate",
     "SimReply",
     "SimRequest",
     "TenancyConfig",
     "execute_request",
     "simulate_request",
-    "ProcessRun",
-    "simulate_multiprogrammed",
     "FleetResult",
+    "ProcessRun",
     "TenantFleet",
     "TenantSpec",
     "run_timeshared",
     "simulate_fleet",
-    "JobSpec",
     "Orchestrator",
     "ResultStore",
     "RunSummary",
-    "execute_job",
 ]

@@ -1,10 +1,7 @@
 """The unified simulation API: ``SimRequest`` in, ``SimReply`` out.
 
-Before this module existed the repo had three parallel front doors —
-``simulate()`` for one scheme/trace pair, ``simulate_multiprogrammed()``
-for time-shared processes, and ``JobSpec``/``execute_job`` for the
-orchestrated matrix — each with its own argument conventions.  Every
-entry point now normalises to one frozen, declarative
+Every request-level entry point — the orchestrated matrix, the
+service, the CLI — normalises to one frozen, declarative
 :class:`SimRequest`:
 
 * ``kind="simulate"`` — one (workload, scenario, scheme) cell;
@@ -19,9 +16,8 @@ requests always collide, any field perturbation changes the key, and
 the key is byte-for-byte identical however the request is executed
 (in-process, on the orchestrator's pool, or through the service).  New
 fields (``engine``, ``tenancy``) enter the hashed description only
-when they differ from their defaults, so every key minted by the old
-``JobSpec`` remains valid: existing result caches carry over
-unchanged.
+when they differ from their defaults, so every key minted before they
+existed remains valid: existing result caches carry over unchanged.
 
 :func:`execute_request` is the one picklable entry point; the
 orchestrator's workers and the service's process pool both call it.
@@ -222,9 +218,8 @@ class SimRequest:
         """The canonical content of this request (what ``key`` hashes).
 
         ``engine`` and ``tenancy`` are emitted only when non-default,
-        which keeps the hash byte-for-byte identical to the keys the
-        pre-``SimRequest`` ``JobSpec`` minted — existing result caches
-        stay valid.
+        which keeps the hash byte-for-byte identical to the keys minted
+        before those fields existed — existing result caches stay valid.
         """
         payload = {
             "format": CACHE_FORMAT,

@@ -38,9 +38,10 @@ since they hold by construction for every caller):
 
 * every occurrence of a key uses the same set index (true here because
   the set index is always derived from the key);
-* ``value_of(key)`` returns the value the scalar path would have
-  stored for ``key`` — true because shootdowns keep resident TLB
-  values consistent with the current OS mapping.
+* ``value_of(key)`` returns the value the scalar path would have left
+  stored for ``key`` at the end of the block — for a key the block
+  never accesses, its resident value (true because shootdowns keep
+  resident TLB values consistent with the current OS mapping).
 """
 
 from __future__ import annotations
@@ -225,6 +226,12 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     order.  Mutates ``tlb`` to its final state and returns a boolean
     hit array.
 
+    Final values follow one rule on every path: each key of the current
+    address space resident after the block holds ``value_of(key)``,
+    hits included.  A hit therefore refreshes the stored value, which
+    is what schemes whose scalar probe can hit the array, find its slot
+    uncovered, and rebuild the entry in place (CoLT, cluster) rely on.
+
     When the array carries a nonzero address-space tag (``tlb.tag``),
     the incoming keys are packed with that tag exactly as the scalar
     ``lookup``/``insert`` methods pack theirs, so tagged lookups stay
@@ -253,15 +260,13 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
         key = max_key
         bucket = buckets[int(set_indices[0]) & mask]
         hits[:] = True
-        value = bucket.get(key)
-        if value is not None:
-            del bucket[key]          # promote, keeping the resident value
-            bucket[key] = value
+        if key in bucket:
+            del bucket[key]          # promote
         else:
             hits[0] = False
             if len(bucket) >= ways:
                 del bucket[next(iter(bucket))]
-            bucket[key] = value_of(key & KEY_MASK if tag else key)
+        bucket[key] = value_of(key & KEY_MASK if tag else key)
         return hits
 
     # Synthetic prefix: replaying the resident entries (LRU -> MRU)
@@ -313,8 +318,6 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
                 for k in (recency + min_key).tolist():
                     key = int(k)
                     if tag and key >> TAG_SHIFT != tag:
-                        bucket[key] = resident[key]
-                    elif key in resident:
                         bucket[key] = resident[key]
                     else:
                         bucket[key] = value_of(

@@ -1,23 +1,19 @@
 """Process-parallel experiment orchestration with a content-addressed cache.
 
 The paper's evaluation is a (workload x scenario x scheme x seed) matrix;
-this module turns each cell into a declarative :class:`JobSpec`, hashes
-the spec to a content-addressed key, and runs the cache misses through a
-:class:`Orchestrator` — a ``ProcessPoolExecutor`` wrapper with per-job
-timeout, bounded retry, and a failure ledger, so one crashed cell
-degrades to a reported gap instead of killing the whole report.
+each cell is a declarative :class:`~repro.sim.api.SimRequest` whose
+content-addressed ``key()`` names its result, and this module runs the
+cache misses through a :class:`Orchestrator` — a ``ProcessPoolExecutor``
+wrapper with per-job timeout, bounded retry, and a failure ledger, so
+one crashed cell degrades to a reported gap instead of killing the
+whole report.
 
 The moving parts:
 
-* :class:`JobSpec` — everything that determines a cell's result
-  (workload, scenario, scheme, seed, trace length, epoch length,
-  machine configuration).  ``key()`` is a SHA-256 over the canonical
-  JSON of those fields, so equal specs always collide and any field
-  perturbation changes the key.
 * :class:`ResultStore` — a directory of ``<key>.json`` files holding
   ``SimulationResult.to_dict()`` payloads.  Corrupted or truncated
   files are treated as misses, never as errors.
-* :func:`execute_job` — the picklable worker entry point.  Workers
+* the worker side of :func:`~repro.sim.api.execute_request` — workers
   memoise mappings and traces per (workload, scenario, seed) with a
   digest guard, so the many schemes of one cell column share one
   mapping build without risking cross-job aliasing.
@@ -43,14 +39,12 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from warnings import warn
 
 import numpy as np
 
 from repro.errors import CellFailedError, OrchestrationError
 from repro.sim.api import (
     CACHE_FORMAT,
-    DISTANCE_SELECT,
     STATIC_IDEAL,
     SimReply,
     SimRequest,
@@ -66,8 +60,6 @@ from repro.sim.trace import Trace
 from repro.sim.trace_store import TraceStore
 from repro.sim.workloads import get_workload
 from repro.util.proc import peak_rss_bytes
-from repro.vmos.contiguity import contiguity_histogram
-from repro.vmos.distance import select_distance
 from repro.vmos.mapping import MemoryMapping
 from repro.vmos.scenarios import build_mapping
 
@@ -78,14 +70,12 @@ __all__ = [
     "SimReply",
     "execute_request",
     "simulate_request",
-    "JobSpec",
     "ResultStore",
     "TraceStore",
     "configure_trace_store",
     "JobFailure",
     "RunSummary",
     "Orchestrator",
-    "execute_job",
     "simulate_spec",
     "combine_summaries",
     "digest_payload",
@@ -124,29 +114,6 @@ def trace_digest(trace: Trace) -> str:
     sha.update(np.ascontiguousarray(trace.vpns).tobytes())
     sha.update(f"|{trace.instructions}|{trace.name}".encode("utf-8"))
     return sha.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Job specification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JobSpec(SimRequest):
-    """Deprecated alias of :class:`repro.sim.api.SimRequest`.
-
-    Same fields, same canonical description, same content keys — any
-    cache entry minted under a ``JobSpec`` resolves for the equivalent
-    ``SimRequest`` and vice versa.  Construct ``SimRequest`` directly;
-    this name only survives for external callers.
-    """
-
-    def __post_init__(self) -> None:
-        warn(
-            "JobSpec is deprecated; construct repro.sim.api.SimRequest",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +206,8 @@ _WORKER_TRACE_STORE: TraceStore | None = None
 def configure_trace_store(root: str | Path | None) -> TraceStore | None:
     """Point this process's job execution at a shared trace store.
 
-    With a store configured, :func:`execute_job` memory-maps traces the
+    With a store configured, :func:`~repro.sim.api.execute_request`
+    memory-maps traces the
     orchestrator generated instead of rebuilding them.  Called in the
     parent by the orchestrator and in each pool worker via the executor
     initializer (fork inherits the parent's setting, but spawned workers
@@ -316,16 +284,6 @@ def simulate_spec(
         epoch_references=spec.epoch_references,
         engine=spec.engine,
     )
-
-
-def execute_job(spec: SimRequest) -> dict:
-    """Deprecated alias of :func:`repro.sim.api.execute_request`."""
-    warn(
-        "execute_job() is deprecated; use repro.sim.api.execute_request()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_request(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +709,7 @@ class Orchestrator:
                             time.monotonic() - job_started, attempts + 1,
                         )
 
-                expired: list[tuple[JobSpec, int]] = []
+                expired: list[tuple[SimRequest, int]] = []
                 if self.timeout is not None and not done:
                     now = time.monotonic()
                     for future, (spec, attempts, started) in list(

@@ -1,11 +1,11 @@
-"""Fleet-scale multi-tenant time-sharing (datacenter consolidation).
+"""Multi-tenant time-sharing, from a few processes to datacenter fleets.
 
-:mod:`repro.sim.multiprog` models a handful of processes sharing one
-core.  This module scales that model to *thousands* of tenants — the
-consolidation regime where the paper's per-process anchor-distance
-register (§3.1) earns its keep — without ever holding thousands of
-traces or TLB replicas in memory.  Three scheduling policies bracket
-the design space:
+:func:`run_timeshared` round-robins a handful of processes on one
+core; :func:`simulate_fleet` scales the same scheduler to *thousands*
+of tenants — the consolidation regime where the paper's per-process
+anchor-distance register (§3.1) earns its keep — without ever holding
+thousands of traces or TLB replicas in memory.  Three scheduling
+policies bracket the design space:
 
 * ``"flush"`` — classic x86 without PCID: every switch-in starts from
   cold TLBs (the paper's native-kernel assumption in §3.3);
@@ -50,8 +50,8 @@ from repro.hw.anchor_tlb import AnchorL2TLB
 from repro.hw.l1 import L1TLB
 from repro.hw.range_tlb import RangeTLB
 from repro.hw.tlb import TAG_BITS, SetAssociativeTLB
-from repro.sim.multiprog import MultiProgramResult, ProcessRun
 from repro.sim.stats import COUNTER_FIELDS, TranslationStats
+from repro.sim.trace import Trace
 from repro.sim.trace_store import TraceStore
 from repro.util.proc import peak_rss_bytes
 from repro.util.rng import spawn_rng
@@ -251,6 +251,36 @@ def run_schedule(
     return previous
 
 
+@dataclass
+class ProcessRun:
+    """One time-shared process: a scheme bound to its trace."""
+
+    name: str
+    scheme: object                #: a TranslationScheme
+    trace: Trace
+    position: int = 0
+
+    @property
+    def finished(self) -> bool:
+        return self.position >= len(self.trace)
+
+
+@dataclass
+class MultiProgramResult:
+    """Outcome of a :func:`run_timeshared` run."""
+
+    stats: dict[str, TranslationStats] = field(default_factory=dict)
+    switches: int = 0
+    flushes: int = 0
+    #: Per-process scheduling slices actually executed (non-empty only).
+    slices: dict[str, int] = field(default_factory=dict)
+    #: Per-process references actually executed.
+    executed: dict[str, int] = field(default_factory=dict)
+
+    def total_walks(self) -> int:
+        return sum(s.walks for s in self.stats.values())
+
+
 def run_timeshared(
     runs: list[ProcessRun],
     quantum: int = 5_000,
@@ -258,11 +288,12 @@ def run_timeshared(
 ) -> MultiProgramResult:
     """Round-robin ``ProcessRun``s in ``quantum``-reference time slices.
 
-    The replacement for the deprecated
-    :func:`repro.sim.multiprog.simulate_multiprogrammed`, with the
-    empty-slice accounting drift fixed (see :func:`run_schedule`).
-    ``flush_on_switch=False`` keeps each process's per-scheme state
-    (the ideally partitioned tagged TLB of the legacy module).
+    ``flush_on_switch=True`` is classic x86 without PCID: the incoming
+    process starts every quantum with cold TLBs (§3.3).
+    ``flush_on_switch=False`` keeps each process's per-scheme state —
+    an ideally partitioned tagged TLB.  Comparing the two shows how much
+    of each scheme's benefit survives time slicing: coverage schemes
+    refill faster after a flush, because one entry re-covers a window.
     """
     if quantum <= 0:
         raise ValueError("quantum must be positive")

@@ -26,8 +26,7 @@ from repro.mem.physmem import PhysicalMemory
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.schemes import make_scheme
 from repro.sim.engine import SimulationResult, run_trace
-from repro.sim.multiprog import MultiProgramResult, ProcessRun
-from repro.sim.tenants import run_timeshared
+from repro.sim.tenants import MultiProgramResult, ProcessRun, run_timeshared
 from repro.sim.workloads import Workload, get_workload
 from repro.util.rng import spawn_rng
 from repro.vmos.compaction import CompactionResult, compact

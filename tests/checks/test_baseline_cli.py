@@ -244,7 +244,7 @@ class TestCli:
         code, out = self.run("--list-rules")
         assert code == 0
         for rule in ("determinism", "scheme-contract", "frozen-mutation",
-                     "dtype-hygiene", "deprecation", "tracked-bytecode"):
+                     "dtype-hygiene", "shared-aliasing", "tracked-bytecode"):
             assert rule in out
 
     def test_unknown_rule_is_usage_error(self, tmp_path):

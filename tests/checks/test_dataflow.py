@@ -43,6 +43,9 @@ class TestSymbolTable:
     def test_chain_crosses_modules(self, flow):
         chain = [c.name for c in flow.chain("DerivedScheme")]
         assert chain == ["DerivedScheme", "BaseScheme"]
+        # stop= ends the chain before the named root.
+        stopped = flow.chain("DerivedScheme", stop="BaseScheme")
+        assert [c.name for c in stopped] == ["DerivedScheme"]
         assert flow.chain_reaches("DerivedScheme", "BaseScheme")
         assert not flow.chain_reaches("BaseScheme", "DerivedScheme")
 
@@ -53,6 +56,14 @@ class TestSymbolTable:
         assert inherited.qualname == "BaseScheme.access_block"
         assert inherited.module == "schemes/base.py"
         assert flow.resolve_method("DerivedScheme", "no_such") is None
+
+    def test_registered_schemes_come_from_the_registry(self, flow):
+        # dataflowroot has no schemes/registry.py; cloneroot's registry
+        # constructs three schemes (Helper is never registered).
+        assert flow.registered == set()
+        _, clone_flow = flow_for("cloneroot")
+        assert clone_flow.registered == {
+            "ForgetfulScheme", "RebuildingScheme", "CleanCloneScheme"}
 
     def test_function_resolution_through_imports(self, flow):
         base = flow.modules["schemes/base.py"]

@@ -7,8 +7,8 @@ from repro import (
     get_workload,
     make_scheme,
     quick_compare,
+    run_trace,
     scheme_names,
-    simulate,
 )
 
 
@@ -38,7 +38,7 @@ class TestManualPipeline:
         app = get_workload("milc")
         mapping = build_mapping(app.vmas(), "high", seed=9)
         trace = app.make_trace(3000, seed=9)
-        result = simulate(make_scheme("anchor-dyn", mapping), trace)
+        result = run_trace(make_scheme("anchor-dyn", mapping), trace)
         assert result.stats.accesses == 3000
         assert result.anchor_distance is not None
         result.stats.check_conservation()
@@ -48,6 +48,6 @@ class TestManualPipeline:
         mapping = build_mapping(app.vmas(), "demand", seed=4)
         trace = app.make_trace(2500, seed=4)
         for name in scheme_names(include_extras=True):
-            result = simulate(make_scheme(name, mapping), trace)
+            result = run_trace(make_scheme(name, mapping), trace)
             result.stats.check_conservation()
             assert result.stats.accesses == 2500

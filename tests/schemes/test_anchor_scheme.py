@@ -4,7 +4,7 @@ import pytest
 
 from repro.mem.frames import FrameRange
 from repro.schemes.anchor_scheme import AnchorScheme
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.vmos.mapping import MemoryMapping
 
 
@@ -120,7 +120,7 @@ class TestStats:
         rng = np.random.default_rng(0)
         vpns = rng.integers(0, 96, 2000).tolist()
         scheme = AnchorScheme(two_chunk_mapping, distance=16)
-        stats = simulate(scheme, make_trace(vpns)).stats
+        stats = run_trace(scheme, make_trace(vpns)).stats
         stats.check_conservation()
         assert stats.accesses == 2000
 
@@ -133,6 +133,6 @@ class TestStats:
         vpns = rng.integers(0, 96, 3000).tolist()
         base = BaselineScheme(two_chunk_mapping, tiny_machine)
         anchor = AnchorScheme(two_chunk_mapping, tiny_machine, distance=16)
-        simulate(base, make_trace(vpns))
-        simulate(anchor, make_trace(vpns))
+        run_trace(base, make_trace(vpns))
+        run_trace(anchor, make_trace(vpns))
         assert anchor.stats.walks < base.stats.walks

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PageFaultError
 from repro.schemes.baseline import BaselineScheme
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 
 
 class TestBaseline:
@@ -47,12 +47,12 @@ class TestBaseline:
     def test_run_conserves_stats(self, contiguous_mapping, make_trace):
         scheme = BaselineScheme(contiguous_mapping)
         trace = make_trace([0x1000 + (i % 64) for i in range(500)])
-        stats = simulate(scheme, trace).stats
+        stats = run_trace(scheme, trace).stats
         assert stats.accesses == 500
         stats.check_conservation()
 
     def test_run_is_removed(self, contiguous_mapping):
-        # The deprecated run() shim was deleted; simulate() is the API.
+        # The deprecated run() shim was deleted; run_trace() is the API.
         scheme = BaselineScheme(contiguous_mapping)
         assert not hasattr(scheme, "run")
 

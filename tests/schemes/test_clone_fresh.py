@@ -1,4 +1,4 @@
-"""Differential suite for the prototype-clone contract (clone-contract).
+"""Differential suite for prototype cloning (``clone_fresh``).
 
 ``TranslationScheme.clone_fresh()`` powers the fleet's prototype-cloned
 scheme construction: one prototype per mapping key pays the expensive

@@ -17,7 +17,7 @@ import pytest
 from repro.errors import PageFaultError
 from repro.params import MachineConfig, TLBGeometry
 from repro.schemes.registry import make_scheme, scheme_names
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.sim.trace import Trace
 from repro.vmos.mapping import MemoryMapping
 from repro.vmos.vma import VMA
@@ -64,16 +64,16 @@ class TestMappingVersionSync:
     @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
     @pytest.mark.parametrize("engine", ("scalar", "batched"))
     def test_remap_visible_to_simulation(self, scheme_name, engine):
-        """A mutation between two simulate() calls must be honoured by
+        """A mutation between two run_trace() calls must be honoured by
         the next epoch (both engines resync at epoch boundaries)."""
         mapping = make_mapping()
         scheme = make_scheme(scheme_name, mapping, TINY)
         warm = Trace(np.arange(0x1000, 0x1000 + 256, dtype=np.int64), 768, "w")
-        simulate(scheme, warm, epoch_references=128, engine=engine)
+        run_trace(scheme, warm, epoch_references=128, engine=engine)
         mapping.unmap_page(0x1020)
         mapping.map_page(0x1020, 0x77777)
         probe = Trace(np.full(16, 0x1020, dtype=np.int64), 48, "p")
-        simulate(scheme, probe, epoch_references=8, engine=engine)
+        run_trace(scheme, probe, epoch_references=8, engine=engine)
         assert scheme.translate(0x1020) == 0x77777
 
     @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)

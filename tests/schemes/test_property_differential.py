@@ -10,7 +10,7 @@ its own pure ``translate``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mem.frames import FrameRange
@@ -46,6 +46,15 @@ def random_mapping(draw):
             mapping.set_protection(vpn + size // 2, 1, 0b01)
         vpn += size + draw(st.integers(0, 30))
         pfn_cursor += size
+    return mapping
+
+
+def split_line_mapping():
+    """vpn 0-3 -> pfn 100-103 and vpn 4-7 -> pfn 200-203: one PTE line
+    (and one cluster) holding two contiguity runs."""
+    mapping = MemoryMapping()
+    mapping.map_run(0, FrameRange(100, 4))
+    mapping.map_run(4, FrameRange(200, 4))
     return mapping
 
 
@@ -143,6 +152,11 @@ class TestRandomMappingDifferential:
            asid=st.integers(1, 7),
            cuts=st.lists(st.integers(1, 119), max_size=4, unique=True))
     @settings(max_examples=20, deadline=None)
+    # One-reference chunks: 5 hits the array entry 0 built but is not
+    # covered by it, so the walk must replace the entry in place — the
+    # next chunk's probe of 6 is then a coalesced hit, not a walk.
+    @example(data=(split_line_mapping(), [0, 5, 6]), pwc=False, asid=1,
+             cuts=[1, 2])
     def test_batched_matches_scalar_tagged_chunked(
             self, scheme_name, data, pwc, asid, cuts):
         """Tag-safe schemes under a nonzero ASID, with the trace split at

@@ -7,7 +7,7 @@ from repro.params import GIGA_PAGE_PAGES
 from repro.schemes.base import promote_giga_pages
 from repro.schemes.registry import make_scheme
 from repro.schemes.thp import THPScheme
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.vmos.mapping import MemoryMapping
 
 
@@ -85,5 +85,5 @@ class TestTHP1GScheme:
     def test_conservation(self, giga_friendly, make_trace):
         scheme = THPScheme(giga_friendly, use_giga=True)
         vpns = [GIGA_PAGE_PAGES + i * 977 for i in range(200)]
-        simulate(scheme, make_trace(vpns))
+        run_trace(scheme, make_trace(vpns))
         scheme.stats.check_conservation()

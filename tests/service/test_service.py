@@ -8,6 +8,8 @@ same code path as ``anchor-tlb serve`` / ``anchor-tlb submit``.
 from __future__ import annotations
 
 import concurrent.futures
+import json
+import socket
 import time
 
 import pytest
@@ -202,6 +204,38 @@ class TestFailureHandling:
                     service_thread.host,
                     service_thread.port,
                 )
+
+    @pytest.mark.parametrize("line, error", [
+        (b"[1, 2]", "JSON object"),
+        (b"3", "JSON object"),
+        (b"null", "JSON object"),
+        (b'"x"', "JSON object"),
+        (b'{"op": "status", "pad": "' + b"x" * 200_000 + b'"}', "too long"),
+    ], ids=["list", "number", "null", "string", "oversize"])
+    def test_bad_line_answered_not_dropped(self, line, error):
+        """A line that is valid JSON but no object keeps the connection
+        serving; an oversize line is answered, then the server hangs up.
+        Either way the service itself keeps serving new connections."""
+        oversize = error == "too long"
+        with ServiceThread() as service_thread:
+            host, port = service_thread.host, service_thread.port
+            with socket.create_connection((host, port), timeout=30) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(line + b"\n")
+                stream.flush()
+                envelope = json.loads(stream.readline())
+                if not oversize:
+                    stream.write(b'{"op": "status"}\n')
+                    stream.flush()
+                after = stream.readline()
+            fresh = status(host, port)
+        assert envelope["event"] == "error"
+        assert error in envelope["error"]
+        if oversize:
+            assert after == b""                      # connection closed
+        else:
+            assert json.loads(after)["event"] == "status"
+        assert fresh["event"] == "status"
 
 
 class TestBackpressure:

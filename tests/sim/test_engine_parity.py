@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.params import DEFAULT_MACHINE
 from repro.schemes.base import TranslationScheme
 from repro.schemes.registry import make_scheme, scheme_names
-from repro.sim.engine import DEFAULT_EPOCH_REFERENCES, SimulationResult, simulate
+from repro.sim.engine import DEFAULT_EPOCH_REFERENCES, SimulationResult, run_trace
 from repro.sim.trace import Trace
 from repro.vmos.scenarios import build_mapping
 from repro.vmos.vma import AllocationSite, layout_vmas
@@ -75,7 +75,7 @@ def hw_state(scheme):
 
 def run_engine(scheme_name, mapping, trace, machine, engine, epoch):
     scheme = make_scheme(scheme_name, mapping, machine)
-    result = simulate(scheme, trace, epoch_references=epoch, engine=engine)
+    result = run_trace(scheme, trace, epoch_references=epoch, engine=engine)
     return scheme, result
 
 
@@ -148,7 +148,7 @@ class TestGoldenParity:
         mapping = build_mapping(parity_vmas(), "demand", seed=37)
         trace = mapped_trace(mapping, 4000, seed=41)
         scheme = make_scheme(scheme_name, mapping, machine)
-        simulate(scheme, trace, epoch_references=1000, engine="batched")
+        run_trace(scheme, trace, epoch_references=1000, engine="batched")
         assert calls == []
 
     @pytest.mark.parametrize("scheme_name", sorted(OPTIMIZED))
@@ -168,7 +168,7 @@ class TestGoldenParity:
         for engine in ("scalar", "batched"):
             scheme = make_scheme(scheme_name, mapping, tiny_machine)
             with pytest.raises(PageFaultError):
-                simulate(scheme, trace, epoch_references=400, engine=engine)
+                run_trace(scheme, trace, epoch_references=400, engine=engine)
             outputs[engine] = (scheme.stats.snapshot(), hw_state(scheme))
         assert outputs["batched"] == outputs["scalar"]
 
@@ -214,8 +214,8 @@ class TestGoldenParity:
         for engine in ("scalar", "batched"):
             scheme = make_scheme(scheme_name, mapping, machine)
             scheme.set_asid(5)
-            result = simulate(scheme, trace, epoch_references=2500,
-                              engine=engine)
+            result = run_trace(scheme, trace, epoch_references=2500,
+                               engine=engine)
             outputs[engine] = (
                 scheme.stats.snapshot(), result.epoch_stats, hw_state(scheme))
         assert outputs["batched"] == outputs["scalar"]
@@ -258,12 +258,12 @@ class TestEngineAPI:
     def test_unknown_engine_rejected(self, contiguous_mapping, make_trace):
         scheme = make_scheme("base", contiguous_mapping, DEFAULT_MACHINE)
         with pytest.raises(ValueError):
-            simulate(scheme, make_trace([0x1000]), engine="vectorised")
+            run_trace(scheme, make_trace([0x1000]), engine="vectorised")
 
     def test_epoch_stats_snapshots(self, contiguous_mapping, make_trace):
         scheme = make_scheme("base", contiguous_mapping, DEFAULT_MACHINE)
         trace = make_trace([0x1000 + (i % 256) for i in range(900)])
-        result = simulate(scheme, trace, epoch_references=300)
+        result = run_trace(scheme, trace, epoch_references=300)
         assert len(result.epoch_stats) == 3
         assert result.epoch_stats[-1] == scheme.stats.snapshot()
         assert [s["accesses"] for s in result.epoch_stats] == [300, 600, 900]
@@ -273,7 +273,7 @@ class TestEngineAPI:
 
     def test_result_round_trip(self, contiguous_mapping, make_trace):
         scheme = make_scheme("base", contiguous_mapping, DEFAULT_MACHINE)
-        result = simulate(
+        result = run_trace(
             scheme, make_trace([0x1000, 0x1001] * 50), epoch_references=40)
         payload = result.to_dict()
         rebuilt = SimulationResult.from_dict(payload)
@@ -283,7 +283,7 @@ class TestEngineAPI:
 
     def test_stats_round_trip(self, contiguous_mapping, make_trace):
         scheme = make_scheme("base", contiguous_mapping, DEFAULT_MACHINE)
-        simulate(scheme, make_trace([0x1000 + i for i in range(80)]))
+        run_trace(scheme, make_trace([0x1000 + i for i in range(80)]))
         payload = scheme.stats.to_dict()
         from repro.sim.stats import TranslationStats
 

@@ -1,4 +1,4 @@
-"""Tests for multi-programmed simulation with context switches."""
+"""Tests for time-shared multi-programmed simulation (``run_timeshared``)."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ import pytest
 from repro.mem.frames import FrameRange
 from repro.schemes.anchor_scheme import AnchorScheme
 from repro.schemes.baseline import BaselineScheme
-from repro.sim.multiprog import (
-    MultiProgramResult,
-    ProcessRun,
-    simulate_multiprogrammed,
-)
+from repro.sim.tenants import MultiProgramResult, ProcessRun, run_timeshared
 from repro.sim.trace import Trace
 from repro.vmos.mapping import MemoryMapping
 
@@ -27,21 +23,20 @@ def make_process(name, pages=256, length=2000, seed=0, scheme_cls=BaselineScheme
 class TestScheduling:
     def test_all_accesses_executed(self):
         runs = [make_process("a", seed=1), make_process("b", seed=2)]
-        result = simulate_multiprogrammed(runs, quantum=300)
+        result = run_timeshared(runs, quantum=300)
         assert result.stats["a"].accesses == 2000
         assert result.stats["b"].accesses == 2000
 
     def test_switch_and_flush_counts(self):
         runs = [make_process("a", seed=1), make_process("b", seed=2)]
-        result = simulate_multiprogrammed(runs, quantum=500)
+        result = run_timeshared(runs, quantum=500)
         # 2000 refs / 500 per quantum = 4 quanta each, interleaved.
         assert result.switches == 7
         assert result.flushes == result.switches
 
     def test_no_flush_mode(self):
         runs = [make_process("a", seed=1), make_process("b", seed=2)]
-        result = simulate_multiprogrammed(runs, quantum=500,
-                                          flush_on_switch=False)
+        result = run_timeshared(runs, quantum=500, flush_on_switch=False)
         assert result.flushes == 0
         assert result.switches == 7
 
@@ -50,32 +45,32 @@ class TestScheduling:
             make_process("short", length=700, seed=1),
             make_process("long", length=2100, seed=2),
         ]
-        result = simulate_multiprogrammed(runs, quantum=400)
+        result = run_timeshared(runs, quantum=400)
         assert result.stats["short"].accesses == 700
         assert result.stats["long"].accesses == 2100
 
     def test_single_process_never_flushes(self):
-        result = simulate_multiprogrammed([make_process("solo")], quantum=100)
+        result = run_timeshared([make_process("solo")], quantum=100)
         assert result.switches == 0 and result.flushes == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_multiprogrammed([], quantum=10)
+            run_timeshared([], quantum=10)
         with pytest.raises(ValueError):
-            simulate_multiprogrammed([make_process("a")], quantum=0)
+            run_timeshared([make_process("a")], quantum=0)
         with pytest.raises(ValueError):
-            simulate_multiprogrammed(
+            run_timeshared(
                 [make_process("a"), make_process("a")], quantum=10
             )
 
 
 class TestFlushCosts:
     def test_flushing_increases_walks(self):
-        flushed = simulate_multiprogrammed(
+        flushed = run_timeshared(
             [make_process("a", seed=1), make_process("b", seed=2)],
             quantum=250,
         )
-        tagged = simulate_multiprogrammed(
+        tagged = run_timeshared(
             [make_process("a", seed=1), make_process("b", seed=2)],
             quantum=250,
             flush_on_switch=False,
@@ -91,14 +86,14 @@ class TestFlushCosts:
                 make_process("b", seed=2, scheme_cls=scheme_cls, **kwargs),
             ]
 
-        base = simulate_multiprogrammed(pair(BaselineScheme), quantum=250)
-        anchor = simulate_multiprogrammed(
+        base = run_timeshared(pair(BaselineScheme), quantum=250)
+        anchor = run_timeshared(
             pair(AnchorScheme, distance=64), quantum=250
         )
         assert anchor.total_walks() < 0.5 * base.total_walks()
 
     def test_result_type(self):
-        result = simulate_multiprogrammed([make_process("a")])
+        result = run_timeshared([make_process("a")])
         assert isinstance(result, MultiProgramResult)
 
 
@@ -133,7 +128,7 @@ class TestAnchorDistanceRegister:
         distances = {run.name: run.scheme.distance for run in runs}
         assert distances["big"] >= 1024
         assert distances["small"] <= 8
-        simulate_multiprogrammed(runs, quantum=250)
+        run_timeshared(runs, quantum=250)
         # The registers survived every switch + flush.
         for run in runs:
             assert run.scheme.distance == distances[run.name]

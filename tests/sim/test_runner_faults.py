@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.runner import JobSpec, Orchestrator, ResultStore
+from repro.sim.api import SimRequest
+from repro.sim.runner import Orchestrator, ResultStore
 
 FLAG_ENV = "REPRO_TEST_FAULT_FLAG"
 
@@ -27,20 +28,20 @@ FLAG_ENV = "REPRO_TEST_FAULT_FLAG"
 LEDGER_ENV = "ANCHOR_TLB_LEDGER_DIR"
 
 
-def spec_of(scheme: str = "base") -> JobSpec:
-    return JobSpec(workload="sphinx3", scenario="medium", scheme=scheme,
-                   references=100, seed=1)
+def spec_of(scheme: str = "base") -> SimRequest:
+    return SimRequest(workload="sphinx3", scenario="medium", scheme=scheme,
+                      references=100, seed=1)
 
 
-def _ok_job(spec: JobSpec) -> dict:
+def _ok_job(spec: SimRequest) -> dict:
     return {"ok": spec.scheme}
 
 
-def _raise_job(spec: JobSpec) -> dict:
+def _raise_job(spec: SimRequest) -> dict:
     raise ValueError(f"injected fault for {spec.scheme}")
 
 
-def _flaky_job(spec: JobSpec) -> dict:
+def _flaky_job(spec: SimRequest) -> dict:
     flag = Path(os.environ[FLAG_ENV])
     if flag.exists():
         return {"ok": spec.scheme}
@@ -48,7 +49,7 @@ def _flaky_job(spec: JobSpec) -> dict:
     raise ValueError("injected first-attempt fault")
 
 
-def _die_job(spec: JobSpec) -> dict:
+def _die_job(spec: SimRequest) -> dict:
     flag = Path(os.environ[FLAG_ENV])
     if flag.exists():
         return {"ok": spec.scheme}
@@ -56,7 +57,7 @@ def _die_job(spec: JobSpec) -> dict:
     os._exit(17)  # kill the worker without cleanup
 
 
-def _hang_job(spec: JobSpec) -> dict:
+def _hang_job(spec: SimRequest) -> dict:
     time.sleep(8)  # far past every timeout used below
     return {"ok": spec.scheme}
 
@@ -89,7 +90,7 @@ class TestSerialFaults:
         assert list(results.values()) == [{"ok": "base"}]
 
     def test_failure_does_not_poison_other_jobs(self):
-        def one_bad(spec: JobSpec) -> dict:
+        def one_bad(spec: SimRequest) -> dict:
             if spec.scheme == "bad":
                 raise ValueError("injected")
             return {"ok": spec.scheme}
@@ -148,11 +149,11 @@ class TestPoolFaults:
 
 # Pool job functions must be module-level for pickling; the closures in
 # the tests above are rebound here under stable names.
-def _always_die(spec: JobSpec) -> dict:
+def _always_die(spec: SimRequest) -> dict:
     os._exit(17)
 
 
-def _hang_one(spec: JobSpec) -> dict:
+def _hang_one(spec: SimRequest) -> dict:
     if spec.scheme == "hang":
         time.sleep(8)
     return {"ok": spec.scheme}

@@ -26,7 +26,7 @@ import pytest
 
 from repro.params import DEFAULT_MACHINE
 from repro.schemes.registry import make_scheme
-from repro.sim.engine import simulate
+from repro.sim.engine import run_trace
 from repro.sim.workloads import get_workload, workload_names
 from repro.vmos.scenarios import build_mapping
 
@@ -83,7 +83,7 @@ class TestEngineSourceParity:
         mapping = build_mapping(
             get_workload(workload_name).vmas(), "demand", seed=SEED)
         scheme = make_scheme(scheme_name, mapping, machine)
-        result = simulate(scheme, trace, epoch_references=epoch, engine=engine)
+        result = run_trace(scheme, trace, epoch_references=epoch, engine=engine)
         return (scheme.stats.snapshot(), result.epoch_stats,
                 hw_state(scheme), result.to_dict())
 
@@ -127,8 +127,8 @@ class TestFig7StreamingSmoke:
             anchor = make_scheme("anchor-dyn", mapping, DEFAULT_MACHINE)
             # Tiny epoch: the streaming source is pulled 20 chunks at a
             # time and peak engine memory is O(250 references).
-            base_result = simulate(base, trace, epoch_references=250)
-            anchor_result = simulate(anchor, trace, epoch_references=250)
+            base_result = run_trace(base, trace, epoch_references=250)
+            anchor_result = run_trace(anchor, trace, epoch_references=250)
             outputs[label] = (
                 base_result.to_dict(),
                 anchor_result.to_dict(),

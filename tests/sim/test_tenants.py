@@ -10,8 +10,8 @@ from repro.mem.frames import FrameRange
 from repro.schemes.anchor_scheme import AnchorScheme
 from repro.schemes.baseline import BaselineScheme
 from repro.schemes.registry import make_scheme
-from repro.sim.multiprog import ProcessRun
 from repro.sim.tenants import (
+    ProcessRun,
     ScheduleCounters,
     TenantFleet,
     TenantRun,
@@ -134,7 +134,7 @@ class TestRunSchedule:
 
 
 class TestRunTimeshared:
-    """run_timeshared() preserves the legacy multiprog contract."""
+    """run_timeshared(): switch, flush and slice accounting."""
 
     def test_legacy_switch_counts(self):
         runs = [make_process("a", seed=1), make_process("b", seed=2)]

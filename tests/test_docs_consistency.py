@@ -1,10 +1,11 @@
 """Guard rails: the documentation's claims stay true of the code.
 
 DESIGN.md and docs/paper_mapping.md name modules, schemes and
-experiments; these tests fail if a rename or removal silently breaks
-the documented inventory.
+experiments, and the README and API tour teach imports; these tests
+fail if a rename or removal silently breaks the documented inventory.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -22,6 +23,32 @@ def referenced_modules(text: str) -> set[str]:
         # dotted path first, then its parent.
         names.add(match)
     return names
+
+
+def fenced_repro_imports(text: str) -> list[str]:
+    """``from repro... import ...`` statements inside fenced code blocks
+    (a parenthesised import is joined across its lines)."""
+    statements: list[str] = []
+    inside = False
+    pending = ""
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            inside = not inside
+            continue
+        if not inside:
+            continue
+        if pending:
+            pending += " " + line.split("#")[0].strip()
+            if ")" in line:
+                statements.append(pending)
+                pending = ""
+        elif re.match(r"\s*from repro(\.\w+)* import ", line):
+            statement = line.split("#")[0].strip()
+            if statement.endswith("("):
+                pending = statement
+            else:
+                statements.append(statement)
+    return statements
 
 
 class TestDesignInventory:
@@ -63,6 +90,26 @@ class TestPaperMapping:
         text = (ROOT / "docs" / "paper_mapping.md").read_text()
         for path in set(re.findall(r"`(examples/[\w./]+\.py)`", text)):
             assert (ROOT / path).exists(), path
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/api_tour.md"])
+def test_fenced_repro_imports_resolve(doc):
+    """Docs can never teach a name the package no longer exports."""
+    statements = fenced_repro_imports((ROOT / doc).read_text())
+    assert statements, f"no fenced repro imports found in {doc}"
+    missing = []
+    for statement in statements:
+        node = ast.parse(statement).body[0]
+        assert isinstance(node, ast.ImportFrom), statement
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            if hasattr(module, alias.name):
+                continue
+            try:  # a submodule, e.g. ``from repro.experiments import fig9``
+                importlib.import_module(f"{node.module}.{alias.name}")
+            except ImportError:
+                missing.append(f"{doc}: {statement} ({alias.name})")
+    assert not missing, missing
 
 
 class TestReadme:

@@ -47,8 +47,7 @@ class TestMappingBasics:
         assert list(m.items()) == [(1, 10), (5, 50)]
 
     def test_as_dict_shim_is_gone(self):
-        # Deprecated in PR 1, internal callers removed in PR 3, shim
-        # deleted in PR 5; the deprecation lint would flag it forever.
+        # The deprecated shim was deleted once no caller was left.
         assert not hasattr(MemoryMapping, "as_dict")
 
 
