@@ -50,8 +50,7 @@ def result_digest(payload: dict) -> str:
 def bench_cell(fleet: TenantFleet, args: argparse.Namespace, *,
                shards: int, workers: int,
                trace_store: TraceStore | None,
-               result_store: ResultStore | None = None,
-               profile_dir: str | None = None) -> dict:
+               result_store: ResultStore | None = None) -> dict:
     start = time.perf_counter()
     result = simulate_fleet(
         fleet,
@@ -63,7 +62,6 @@ def bench_cell(fleet: TenantFleet, args: argparse.Namespace, *,
         workers=workers,
         trace_store=trace_store,
         result_store=result_store,
-        profile_dir=profile_dir,
     )
     wall = time.perf_counter() - start
     return {
@@ -102,9 +100,6 @@ def main() -> None:
                         help="shard count for the sweep cells")
     parser.add_argument("--workers", default="0,2,4,8",
                         help="comma-separated worker counts to sweep")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile every shard of the final sweep "
-                             "cell into benchmarks/profiles/")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_fleet.json")
@@ -162,15 +157,9 @@ def main() -> None:
 
         sweep = []
         baseline_digest: str | None = None
-        profile_dir = None
-        for index, workers in enumerate(worker_counts):
-            if args.profile and index == len(worker_counts) - 1:
-                profile_dir = str(
-                    Path(__file__).resolve().parent / "profiles"
-                )
+        for workers in worker_counts:
             cell = bench_cell(fleet, args, shards=args.shards,
-                              workers=workers, trace_store=store,
-                              profile_dir=profile_dir)
+                              workers=workers, trace_store=store)
             cell["speedup_vs_serial"] = round(
                 serial["wall_seconds"] / cell["wall_seconds"], 2)
             if workers == 0:

@@ -1,9 +1,9 @@
 """Rule ``fork-safety``: what crosses a process pool must survive it.
 
-The orchestrator (``sim/runner.py``), the sharded fleet
-(``sim/tenants.py``) and the service (``service/server.py``) all push
-work through ``ProcessPoolExecutor``.  Two classes of bug are invisible
-to per-file review:
+The orchestrator (``sim/runner.py``, which also runs the sharded
+fleet's shards) and the service (``service/server.py``) both push work
+through ``ProcessPoolExecutor``.  Two classes of bug are invisible to
+per-file review:
 
 1. **Unpicklable callables.**  A submitted callable is pickled *by
    reference* — module + qualname — so lambdas, closures and bound

@@ -7,9 +7,12 @@ shard pool, and prints a one-object JSON summary (and, with ``--out``,
 the full ``FleetResult`` payload) for scripts to consume.
 
 With ``--cache-dir`` the run is resumable: each shard's outcome lands
-content-addressed in a :class:`ResultStore`, so re-invoking the same
-command — after a crash, or with more workers — recomputes only the
-shards that never finished.
+in a :class:`ResultStore` under its ``kind="fleet-shard"`` request key,
+so re-invoking the same command — after a crash, or with more workers —
+recomputes only the shards that never finished.  To profile a run,
+execute every shard in one process under cProfile:
+``python -m cProfile -o fleet.prof -m repro.experiments.cli fleet ...
+--workers 0``.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ def fleet_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-dir", default=None,
                         help="root for the shared trace store and the "
                              "per-shard result cache (resumable runs)")
-    parser.add_argument("--profile-dir", default=None,
-                        help="write one cProfile dump per shard here")
     parser.add_argument("--out", default=None,
                         help="write the full FleetResult payload here")
     args = parser.parse_args(argv)
@@ -112,7 +113,6 @@ def fleet_main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         trace_store=trace_store,
         result_store=result_store,
-        profile_dir=args.profile_dir,
     )
     wall = time.perf_counter() - started
 

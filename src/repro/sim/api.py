@@ -8,7 +8,10 @@ service, the CLI — normalises to one frozen, declarative
 * ``kind="distances"`` — the Algorithm 1 distance selection for a
   mapping (no simulation);
 * ``kind="fleet"`` — a multi-tenant consolidation run
-  (:mod:`repro.sim.tenants`), parameterised by :class:`TenancyConfig`.
+  (:mod:`repro.sim.tenants`), parameterised by :class:`TenancyConfig`;
+* ``kind="fleet-shard"`` — one shard of such a run (``tenancy.shard``):
+  the unit :func:`~repro.sim.tenants.simulate_fleet` hands to the
+  orchestrator, so shards share its pool, retries and result store.
 
 ``SimRequest.key()`` is a SHA-256 over the canonical JSON of the
 fields that determine the result — and nothing else — so equal
@@ -49,6 +52,7 @@ from repro.sim.stats import canonical_json
 
 __all__ = [
     "CACHE_FORMAT",
+    "FLEET_KINDS",
     "STATIC_IDEAL",
     "DISTANCE_SELECT",
     "SimRequest",
@@ -67,6 +71,9 @@ STATIC_IDEAL = "anchor-ideal"
 #: Scheme slot used by ``kind="distances"`` requests (Table 6 needs the
 #: Algorithm 1 selection per mapping, not a simulation).
 DISTANCE_SELECT = "-"
+
+#: The request kinds parameterised by a :class:`TenancyConfig`.
+FLEET_KINDS = ("fleet", "fleet-shard")
 
 #: Bump to invalidate every existing cache entry on a format change.
 #: 2: trace generation moved to the chunk-invariant streaming pipeline
@@ -109,12 +116,14 @@ def _machine_from_dict(data: dict) -> MachineConfig:
 
 @dataclass(frozen=True)
 class TenancyConfig:
-    """Multi-tenant parameters of a ``kind="fleet"`` request.
+    """Multi-tenant parameters of a ``kind="fleet"`` or ``"fleet-shard"``
+    request.
 
     ``workloads``/``scenarios`` default to the request's own
     workload/scenario cell when empty; ``references`` and ``seed``
     always come from the request itself, so a fleet request stays one
-    coherent content-addressed object.
+    coherent content-addressed object.  ``shard`` names one of the
+    ``shards`` partitions and is set only on ``"fleet-shard"`` requests.
     """
 
     tenants: int
@@ -130,12 +139,13 @@ class TenancyConfig:
     shards: int = 1
     trace_variants: int = 0
     workers: int = 0
+    shard: int | None = None
 
     def describe(self) -> dict:
         """Canonical (hashed) content of this config.
 
-        ``shards`` and ``trace_variants`` enter the hash only when
-        non-default, so every pre-sharding fleet key survives verbatim.
+        ``shards``, ``trace_variants`` and ``shard`` enter the hash only
+        when non-default, so every pre-sharding fleet key survives verbatim.
         ``workers`` never enters: a shard's outcome is byte-identical
         under any worker count, so the worker count is an execution
         knob (see :class:`SimRequest`), not result content.
@@ -156,6 +166,8 @@ class TenancyConfig:
             payload["shards"] = self.shards
         if self.trace_variants != 0:
             payload["trace_variants"] = self.trace_variants
+        if self.shard is not None:
+            payload["shard"] = self.shard
         return payload
 
     def to_dict(self) -> dict:
@@ -182,6 +194,7 @@ class TenancyConfig:
             shards=int(data.get("shards", 1)),
             trace_variants=int(data.get("trace_variants", 0)),
             workers=int(data.get("workers", 0)),
+            shard=None if data.get("shard") is None else int(data["shard"]),
         )
 
 
@@ -202,7 +215,7 @@ class SimRequest:
     epoch_references: int | None = DEFAULT_EPOCH_REFERENCES
     ideal_subsample: int = 1
     machine: MachineConfig = DEFAULT_MACHINE
-    kind: str = "simulate"          #: "simulate", "distances", or "fleet"
+    kind: str = "simulate"  #: "simulate", "distances", "fleet", "fleet-shard"
     engine: str = "batched"         #: "batched" or "scalar"
     tenancy: TenancyConfig | None = None
 
@@ -212,6 +225,9 @@ class SimRequest:
             return f"{self.workload}/{self.scenario}/distances"
         if self.kind == "fleet" and self.tenancy is not None:
             return f"fleet/{self.scheme}x{self.tenancy.tenants}"
+        if self.kind == "fleet-shard" and self.tenancy is not None:
+            return (f"fleet/{self.scheme}x{self.tenancy.tenants}"
+                    f"/shard{self.tenancy.shard}of{self.tenancy.shards}")
         return f"{self.workload}/{self.scenario}/{self.scheme}"
 
     def describe(self) -> dict:
@@ -319,14 +335,14 @@ def fleet_for(request: SimRequest) -> "Any":
     """The :class:`~repro.sim.tenants.TenantFleet` a fleet request names.
 
     One construction point keeps the request → fleet translation
-    identical everywhere it is needed (execution, parent-side trace
-    pre-generation, benchmarks).
+    identical everywhere it is needed (execution, shards, parent-side
+    trace pre-generation, benchmarks).
     """
     from repro.sim.tenants import TenantFleet
 
     tenancy = request.tenancy
-    if request.kind != "fleet" or tenancy is None:
-        raise OrchestrationError('fleet_for needs kind="fleet" with tenancy')
+    if request.kind not in FLEET_KINDS or tenancy is None:
+        raise OrchestrationError('fleet_for needs a fleet kind with tenancy')
     return TenantFleet(
         size=tenancy.tenants,
         workloads=tenancy.workloads or (request.workload,),
@@ -356,21 +372,32 @@ def execute_request(request: SimRequest) -> dict:
         mapping = runner._mapping_for(request)
         distance = select_distance(contiguity_histogram(mapping))
         return {"distance": int(distance)}
-    if request.kind == "fleet":
-        from repro.sim.tenants import simulate_fleet
+    if request.kind in FLEET_KINDS:
+        from repro.sim.tenants import simulate_fleet, simulate_shard
 
         tenancy = request.tenancy
         if tenancy is None:
-            raise OrchestrationError('kind="fleet" requires a tenancy config')
-        fleet = fleet_for(request)
+            raise OrchestrationError(
+                f'kind="{request.kind}" requires a tenancy config')
+        if request.kind == "fleet" and tenancy.shard is not None:
+            raise OrchestrationError(
+                'kind="fleet" takes no shard; send kind="fleet-shard"')
+        if request.kind == "fleet-shard" and not (
+            tenancy.shard is not None and 0 <= tenancy.shard < tenancy.shards
+        ):
+            raise OrchestrationError(
+                f"fleet-shard needs 0 <= shard < {tenancy.shards}, "
+                f"got {tenancy.shard}")
         # Zero-copy traces only make sense when the fleet's distinct
         # trace set is bounded (trace_variants); otherwise a store
         # would persist one file per tenant.
         store = (
             runner._WORKER_TRACE_STORE if tenancy.trace_variants > 0 else None
         )
+        if request.kind == "fleet-shard":
+            return simulate_shard(request, store)
         result = simulate_fleet(
-            fleet,
+            fleet_for(request),
             scheme=request.scheme,
             machine=request.machine,
             policy=tenancy.policy,

@@ -19,7 +19,10 @@ The moving parts:
   mapping build without risking cross-job aliasing.
 * :class:`Orchestrator` — runs specs serially (``workers=0``) or on a
   process pool, returning payloads plus a :class:`RunSummary`
-  (computed / cached / retried / failed counts and the ledger).
+  (computed / cached / retried / failed counts and the ledger).  It is
+  the one batch executor: the sharded fleet
+  (:func:`repro.sim.tenants.simulate_fleet`) runs its shards on it as
+  ``kind="fleet-shard"`` requests.
 
 Determinism: job results are bit-identical between the serial and
 parallel paths because every stochastic input is derived from the spec
@@ -45,6 +48,7 @@ import numpy as np
 from repro.errors import CellFailedError, OrchestrationError
 from repro.sim.api import (
     CACHE_FORMAT,
+    FLEET_KINDS,
     STATIC_IDEAL,
     SimReply,
     SimRequest,
@@ -514,19 +518,24 @@ class Orchestrator:
         generated_before = store.generated
         seconds_before = store.generation_seconds
         done: set[str] = set()
+        fleets: set[object] = set()
         for spec in pending:
             if (
-                spec.kind == "fleet"
+                spec.kind in FLEET_KINDS
                 and spec.tenancy is not None
                 and spec.tenancy.trace_variants > 0
             ):
                 # A bounded-trace-pool fleet reads zero-copy from the
                 # store; pre-generate its distinct traces here so every
-                # shard worker mmap-hits.
+                # shard worker mmap-hits — once per fleet, however many
+                # of its shard requests are pending.
                 from repro.sim.api import fleet_for
                 from repro.sim.tenants import prepare_fleet_traces
 
-                prepare_fleet_traces(fleet_for(spec), store)
+                fleet = fleet_for(spec)
+                if fleet not in fleets:
+                    fleets.add(fleet)
+                    prepare_fleet_traces(fleet, store)
                 continue
             if spec.kind != "simulate":
                 continue

@@ -33,6 +33,13 @@ Anchor schemes under ``"tagged"`` do **not** re-run distance selection
 mid-run: each tenant keeps the distance picked from its mapping at
 admission, which is precisely the per-process diversity the hybrid
 design exists to serve.
+
+A fleet splits into deterministic shards (:func:`shard_assignments`),
+each an independent subfleet.  :func:`simulate_fleet` sends every shard
+as a ``kind="fleet-shard"`` :class:`~repro.sim.api.SimRequest` to the
+:class:`~repro.sim.runner.Orchestrator` — the one pool, retry policy
+and result store all requests share — and :func:`simulate_shard` is
+what a worker runs for one of them.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from __future__ import annotations
 import itertools
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -56,6 +63,9 @@ from repro.sim.trace_store import TraceStore
 from repro.util.proc import peak_rss_bytes
 from repro.util.rng import spawn_rng
 from repro.vmos.distance import DistanceRegisterFile
+
+if TYPE_CHECKING:
+    from repro.sim.api import SimRequest
 
 #: Recognised context-switch policies (see module docstring).
 POLICIES = ("flush", "partitioned", "tagged")
@@ -172,6 +182,19 @@ class _Dispatch:
         self.version: int | None = None
 
 
+def _check_schedule(
+    quantum: int, policy: str, storm_every: int, storm_quantum: int
+) -> None:
+    if quantum <= 0:
+        raise ValueError("quantum must be positive")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    if storm_every < 0:
+        raise ValueError("storm_every must be >= 0")
+    if storm_every > 0 and storm_quantum <= 0:
+        raise ValueError("storm_quantum must be positive when storms are on")
+
+
 def run_schedule(
     members: Iterable[TenantRun],
     *,
@@ -200,14 +223,7 @@ def run_schedule(
     Returns the last tenant that actually ran (feed it back in as
     ``previous`` to continue the timeline across waves).
     """
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if storm_every < 0:
-        raise ValueError("storm_every must be >= 0")
-    if storm_every > 0 and storm_quantum <= 0:
-        raise ValueError("storm_quantum must be positive when storms are on")
+    _check_schedule(quantum, policy, storm_every, storm_quantum)
     if counters is None:
         counters = ScheduleCounters()
 
@@ -345,19 +361,6 @@ class TenantSpec:
     mapping_variant: int = 0
 
 
-def _normalise_weights(
-    weights: tuple[float, ...] | None, count: int, label: str
-) -> np.ndarray | None:
-    if weights is None:
-        return None
-    if len(weights) != count:
-        raise ValueError(f"{label} must have {count} entries, got {len(weights)}")
-    array = np.asarray(weights, dtype=np.float64)
-    if np.any(array < 0) or array.sum() <= 0:
-        raise ValueError(f"{label} must be non-negative and sum > 0")
-    return array / array.sum()
-
-
 @dataclass(frozen=True)
 class TenantFleet:
     """A distribution over the workload x scenario matrix.
@@ -382,8 +385,6 @@ class TenantFleet:
     references: int = 10_000
     seed: int | None = None
     mapping_variants: int = 1
-    workload_weights: tuple[float, ...] | None = None
-    scenario_weights: tuple[float, ...] | None = None
     trace_variants: int = 0
 
     def __post_init__(self) -> None:
@@ -399,10 +400,6 @@ class TenantFleet:
             raise ValueError("mapping_variants must be positive")
         if self.trace_variants < 0:
             raise ValueError("trace_variants must be >= 0")
-        _normalise_weights(self.workload_weights, len(self.workloads),
-                           "workload_weights")
-        _normalise_weights(self.scenario_weights, len(self.scenarios),
-                           "scenario_weights")
 
     def sample_arrays(self) -> dict[str, np.ndarray]:
         """The fleet's sampled columns, drawn in one vectorised pass.
@@ -413,14 +410,8 @@ class TenantFleet:
         unbounded sampling.
         """
         rng = spawn_rng(self.seed, "fleet", self.size)
-        w_idx = rng.choice(
-            len(self.workloads), size=self.size,
-            p=_normalise_weights(self.workload_weights, len(self.workloads),
-                                 "workload_weights"))
-        s_idx = rng.choice(
-            len(self.scenarios), size=self.size,
-            p=_normalise_weights(self.scenario_weights, len(self.scenarios),
-                                 "scenario_weights"))
+        w_idx = rng.choice(len(self.workloads), size=self.size)
+        s_idx = rng.choice(len(self.scenarios), size=self.size)
         variants = rng.integers(0, self.mapping_variants, size=self.size)
         seeds = rng.integers(0, 2**31 - 1, size=self.size)
         if self.trace_variants:
@@ -520,6 +511,13 @@ def shard_assignments(
     return (h % np.uint64(shards)).astype(np.int64)
 
 
+def _require_tag_safe(scheme: Any, name: str) -> None:
+    if not scheme.tag_safe_block:
+        raise ValueError(
+            f"scheme {name!r} cannot share tagged TLBs (tag_safe_block is False)"
+        )
+
+
 class _AsidAllocator:
     """Cycling 1..(2^bits - 1) ASID namespace with shootdown-on-reuse.
 
@@ -614,39 +612,14 @@ class FleetResult:
         return payload
 
 
-#: Bump when the per-shard outcome payload or shard semantics change
-#: (versioned separately from the request cache, like the trace store).
-SHARD_CACHE_FORMAT = 1
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything one shard needs, picklable for pool dispatch.
-
-    Deliberately *excludes* the member indices: the worker recomputes
-    :func:`shard_assignments` from the fleet (a pure function), so a
-    million-tenant partition never rides the pickle stream.
-    """
-
-    fleet: TenantFleet
-    shard: int
-    shards: int
-    scheme: str
-    machine: MachineConfig
-    policy: str
-    quantum: int
-    active_pool: int
-    storm_every: int
-    storm_quantum: int
-    asid_bits: int
-    keep_details: bool
-    trace_root: str | None = None
-    profile_dir: str | None = None
+#: Fleets of at most this many tenants keep per-tenant rows and the
+#: distance-register dump in their result; larger ones keep totals only.
+DETAIL_LIMIT = 64
 
 
 @dataclass
 class _ShardOutcome:
-    """One shard's result, JSON-safe for the content-addressed store."""
+    """One shard's result: the payload of a ``kind="fleet-shard"`` request."""
 
     shard: int
     tenants: int
@@ -664,170 +637,60 @@ class _ShardOutcome:
     registers: dict[str, int]
     per_tenant: list[dict[str, Any]] | None
     peak_rss_bytes: int
-    phase_seconds: dict[str, float] = field(default_factory=dict)
+    phase_seconds: dict[str, float]
 
     def to_dict(self) -> dict[str, Any]:
-        payload = {
-            "format": SHARD_CACHE_FORMAT,
-            "shard": self.shard,
-            "tenants": self.tenants,
-            "executed": self.executed,
-            "stats": dict(self.stats),
-            "switches": self.switches,
-            "flushes": self.flushes,
-            "rounds": self.rounds,
-            "storm_rounds": self.storm_rounds,
-            "waves": self.waves,
-            "asid_recycles": self.asid_recycles,
-            "distance_saves": self.distance_saves,
-            "distance_restores": self.distance_restores,
-            "groups": {k: dict(v) for k, v in sorted(self.groups.items())},
-            "registers": {k: self.registers[k] for k in sorted(self.registers)},
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "phase_seconds": {
-                k: self.phase_seconds[k] for k in sorted(self.phase_seconds)
-            },
-        }
-        if self.per_tenant is not None:
-            payload["per_tenant"] = self.per_tenant
-        return payload
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> _ShardOutcome | None:
-        """Rehydrate a cached payload; anything malformed is a miss."""
-        if not isinstance(data, dict) or data.get("format") != SHARD_CACHE_FORMAT:
-            return None
-        try:
-            return cls(
-                shard=int(data["shard"]),
-                tenants=int(data["tenants"]),
-                executed=int(data["executed"]),
-                stats={k: int(v) for k, v in data["stats"].items()},
-                switches=int(data["switches"]),
-                flushes=int(data["flushes"]),
-                rounds=int(data["rounds"]),
-                storm_rounds=int(data["storm_rounds"]),
-                waves=int(data["waves"]),
-                asid_recycles=int(data["asid_recycles"]),
-                distance_saves=int(data["distance_saves"]),
-                distance_restores=int(data["distance_restores"]),
-                groups={
-                    k: {f: int(n) for f, n in v.items()}
-                    for k, v in data["groups"].items()
-                },
-                registers={k: int(v) for k, v in data["registers"].items()},
-                per_tenant=data.get("per_tenant"),
-                peak_rss_bytes=int(data["peak_rss_bytes"]),
-                # Optional (older cached payloads predate phase timing);
-                # a cache hit legitimately reports zero compute time.
-                phase_seconds={
-                    k: float(v)
-                    for k, v in data.get("phase_seconds", {}).items()
-                },
-            )
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None
+    def from_dict(cls, data: dict[str, Any]) -> _ShardOutcome:
+        return cls(**data)
 
 
-def _shard_key(task: _ShardTask) -> str:
-    """Content key of one shard's outcome (for the result store)."""
-    import hashlib
+def simulate_shard(
+    request: SimRequest, trace_store: TraceStore | None
+) -> dict[str, Any]:
+    """Run one ``kind="fleet-shard"`` request: the wave scheduler, scoped
+    to one shard's subfleet.
 
-    from repro.sim.api import machine_digest  # deferred: api imports us
-    from repro.sim.stats import canonical_json
-
-    fleet = task.fleet
-    payload = {
-        "kind": "fleet-shard",
-        "format": SHARD_CACHE_FORMAT,
-        "fleet": {
-            "size": fleet.size,
-            "workloads": list(fleet.workloads),
-            "scenarios": list(fleet.scenarios),
-            "references": fleet.references,
-            "seed": fleet.seed,
-            "mapping_variants": fleet.mapping_variants,
-            "workload_weights": (
-                list(fleet.workload_weights)
-                if fleet.workload_weights is not None else None
-            ),
-            "scenario_weights": (
-                list(fleet.scenario_weights)
-                if fleet.scenario_weights is not None else None
-            ),
-            "trace_variants": fleet.trace_variants,
-        },
-        "shard": task.shard,
-        "shards": task.shards,
-        "scheme": task.scheme,
-        "machine": machine_digest(task.machine),
-        "policy": task.policy,
-        "quantum": task.quantum,
-        "active_pool": task.active_pool,
-        "storm_every": task.storm_every,
-        "storm_quantum": task.storm_quantum,
-        "asid_bits": task.asid_bits,
-        "keep_details": task.keep_details,
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def _run_shard(task: _ShardTask) -> _ShardOutcome:
-    """Simulate one shard (top-level so pool workers can pickle it)."""
-    if task.profile_dir is None:
-        return _simulate_shard(task)
-    import cProfile
-    from pathlib import Path
-
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        outcome = _simulate_shard(task)
-    finally:
-        profile.disable()
-    directory = Path(task.profile_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    profile.dump_stats(directory / f"shard_{task.shard:04d}.prof")
-    return outcome
-
-
-def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
-    """The wave scheduler, scoped to one shard's subfleet.
-
-    This is the former ``simulate_fleet`` body: the shard owns a private
-    shared hierarchy, ASID namespace, distance-register file, and storm
-    schedule, so its outcome depends only on *its* member sequence —
-    never on sibling shards or the process it ran in.
+    The shard owns a private shared hierarchy, ASID namespace,
+    distance-register file, and storm schedule, so its outcome depends
+    only on *its* member sequence — never on sibling shards or the
+    process it ran in.  ``trace_store``, when given, serves the
+    tenants' traces zero-copy.
     """
     # Deferred: the scheme registry imports every scheme module, and
     # workloads/scenarios pull the pattern generators — none of which
     # this module needs at import time.
     from repro.schemes.registry import make_scheme
+    from repro.sim.api import fleet_for
     from repro.sim.workloads import get_workload
     from repro.vmos.scenarios import build_mapping
 
-    fleet = task.fleet
-    scheme = task.scheme
-    machine = task.machine
-    policy = task.policy
+    tenancy = request.tenancy
+    assert tenancy is not None and tenancy.shard is not None
+    fleet = fleet_for(request)
+    scheme = request.scheme
+    machine = request.machine
+    policy = tenancy.policy
+    keep_details = fleet.size <= DETAIL_LIMIT
 
     counters = ScheduleCounters()
     registers = DistanceRegisterFile()
     total = TranslationStats(latency=machine.latency)
     groups: dict[str, dict[str, int]] = {}
-    per_tenant: list[dict[str, Any]] | None = [] if task.keep_details else None
+    per_tenant: list[dict[str, Any]] | None = [] if keep_details else None
 
     mappings: dict[tuple[str, str, int], Any] = {}
     prototypes: dict[tuple[str, str, int], Any] = {}
     shared: dict[str, Any] | None = None
     allocator: _AsidAllocator | None = None
-    chunk = max(task.quantum, task.storm_quantum, 1024)
-    store = TraceStore(task.trace_root) if task.trace_root else None
+    chunk = max(tenancy.quantum, tenancy.storm_quantum, 1024)
     phases = {"mapping": 0.0, "scheme": 0.0, "kernel": 0.0}
 
     arrays = fleet.sample_arrays()
-    assignment = shard_assignments(fleet, task.shards, arrays)
-    members_of_shard = np.flatnonzero(assignment == task.shard)
+    assignment = shard_assignments(fleet, tenancy.shards, arrays)
+    members_of_shard = np.flatnonzero(assignment == tenancy.shard)
 
     def mapping_for(spec: TenantSpec) -> Any:
         key = (spec.workload, spec.scenario, spec.mapping_variant)
@@ -881,8 +744,8 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
         falls back to streaming generation (bit-identical by the
         chunk-invariance contract).
         """
-        if store is not None:
-            stored = store.get(
+        if trace_store is not None:
+            stored = trace_store.get(
                 TraceStore.key(spec.workload, spec.references, spec.seed)
             )
             if stored is not None:
@@ -941,7 +804,7 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
                 # and contend for its few fully associative slots.
                 shared["range_tlb"] = RangeTLB(rtlb.capacity)
                 structures.append(shared["range_tlb"])
-            allocator = _AsidAllocator(structures, bits=task.asid_bits)
+            allocator = _AsidAllocator(structures, bits=tenancy.asid_bits)
         s.l1 = shared["l1"]
         if s.pwc is not None and "pwc" in shared:
             s.pwc = shared["pwc"]
@@ -963,18 +826,15 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
     executed_total = 0
     pending = fleet.specs_for(members_of_shard, arrays)
     while True:
-        batch = list(itertools.islice(pending, task.active_pool))
+        batch = list(itertools.islice(pending, tenancy.active_pool))
         if not batch:
             break
         waves += 1
         members: list[TenantRun] = []
         for spec in batch:
             scheme_obj = scheme_for(spec)
-            if policy == "tagged" and not scheme_obj.tag_safe_block:
-                raise ValueError(
-                    f"scheme {scheme!r} cannot share tagged TLBs "
-                    "(tag_safe_block is False)"
-                )
+            if policy == "tagged":
+                _require_tag_safe(scheme_obj, scheme)
             member = TenantRun(
                 name=spec.name,
                 scheme=scheme_obj,
@@ -993,10 +853,10 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
         kernel_start = time.perf_counter()
         previous = run_schedule(
             members,
-            quantum=task.quantum,
+            quantum=tenancy.quantum,
             policy=policy,
-            storm_every=task.storm_every,
-            storm_quantum=task.storm_quantum,
+            storm_every=tenancy.storm_every,
+            storm_quantum=tenancy.storm_quantum,
             counters=counters,
             registers=registers,
             previous=previous,
@@ -1028,7 +888,7 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
         # the shared hardware survive into the next wave.
 
     return _ShardOutcome(
-        shard=task.shard,
+        shard=tenancy.shard,
         tenants=int(members_of_shard.shape[0]),
         executed=executed_total,
         stats=total.snapshot(),
@@ -1041,11 +901,11 @@ def _simulate_shard(task: _ShardTask) -> _ShardOutcome:
         distance_saves=registers.saves,
         distance_restores=registers.restores,
         groups=groups,
-        registers=registers.to_dict() if task.keep_details else {},
+        registers=registers.to_dict() if keep_details else {},
         per_tenant=per_tenant,
         peak_rss_bytes=peak_rss_bytes(),
-        phase_seconds=dict(phases),
-    )
+        phase_seconds=phases,
+    ).to_dict()
 
 
 def _merge_shards(
@@ -1055,7 +915,6 @@ def _merge_shards(
     policy: str,
     shards: int,
     outcomes: list[_ShardOutcome],
-    keep_details: bool,
 ) -> FleetResult:
     """Fold per-shard outcomes into one :class:`FleetResult`.
 
@@ -1068,7 +927,9 @@ def _merge_shards(
     total = TranslationStats(latency=machine.latency)
     groups: dict[str, dict[str, int]] = {}
     registers: dict[str, int] = {}
-    per_tenant: list[dict[str, Any]] | None = [] if keep_details else None
+    per_tenant: list[dict[str, Any]] | None = (
+        [] if fleet.size <= DETAIL_LIMIT else None
+    )
     merged = FleetResult(
         tenants=fleet.size, scheme=scheme, policy=policy,
         executed=0, stats=total, shards=shards,
@@ -1147,108 +1008,87 @@ def simulate_fleet(
     storm_every: int = 0,
     storm_quantum: int = 0,
     asid_bits: int = TAG_BITS,
-    keep_per_tenant: int = 64,
     shards: int = 1,
     workers: int = 0,
     trace_store: TraceStore | str | None = None,
     result_store: Any | None = None,
-    profile_dir: str | None = None,
 ) -> FleetResult:
     """Time-share a whole :class:`TenantFleet`, shard by shard.
 
     The fleet is first deterministically partitioned by
     :func:`shard_assignments`; each shard is an independent subfleet —
     its own wave schedule, shared tagged hierarchy, ASID namespace,
-    distance-register file, and storm cadence — simulated serially when
-    ``workers=0`` or across a ``ProcessPoolExecutor`` when
-    ``workers>0``, then merged order-independently.  The two execution
-    modes produce byte-identical :meth:`FleetResult.to_dict` payloads
-    at any shard count; ``shards=1, workers=0`` is exactly the legacy
-    single-core wave scheduler.
+    distance-register file, and storm cadence — sent as one
+    ``kind="fleet-shard"`` :class:`~repro.sim.api.SimRequest` to an
+    :class:`~repro.sim.runner.Orchestrator`: in-process when
+    ``workers=0`` or ``shards=1``, else on a pool of
+    ``min(workers, shards)`` processes with the orchestrator's retries
+    and dead-worker recovery.  Outcomes merge order-independently, so
+    every worker count produces byte-identical
+    :meth:`FleetResult.to_dict` payloads at any shard count;
+    ``shards=1, workers=0`` is exactly the single-core wave scheduler.
 
-    ``trace_store`` (a :class:`TraceStore` or its root path) serves
-    tenant traces zero-copy via mmap — pair it with
-    :func:`prepare_fleet_traces` and a ``fleet.trace_variants`` bound
-    so the store holds a practical number of distinct files.
-    ``result_store`` (any ``get(key)->dict|None`` / ``put(key, dict)``
-    object, e.g. :class:`repro.sim.runner.ResultStore`) caches each
-    shard's outcome content-addressed, making re-runs and resumed
-    million-tenant passes ~free.  ``profile_dir`` drops one cProfile
-    dump per shard (``shard_NNNN.prof``) for the profile pass.
+    ``trace_store`` (a :class:`TraceStore` or its root path) serves the
+    traces of a fleet with ``trace_variants`` zero-copy via mmap; the
+    orchestrator pre-generates them in this process first.
+    ``result_store`` (a :class:`repro.sim.runner.ResultStore`) caches
+    each shard's outcome under its request key, making re-runs and
+    resumed million-tenant passes ~free.  Bad knobs raise
+    ``ValueError`` before any shard runs; a shard that fails all its
+    attempts raises :class:`~repro.errors.OrchestrationError`.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    from repro.errors import OrchestrationError
+    from repro.schemes.registry import make_scheme
+    from repro.sim.api import SimRequest, TenancyConfig
+    from repro.sim.runner import Orchestrator
+    from repro.vmos.mapping import MemoryMapping
+
+    _check_schedule(quantum, policy, storm_every, storm_quantum)
     if active_pool <= 0:
         raise ValueError("active_pool must be positive")
     if shards <= 0:
         raise ValueError("shards must be positive")
     if workers < 0:
         raise ValueError("workers must be >= 0")
+    # Built on an empty mapping (well under a millisecond), the scheme
+    # rejects an unknown name here rather than inside every shard.
+    probe = make_scheme(scheme, MemoryMapping(), machine)
+    if policy == "tagged":
+        _AsidAllocator([], bits=asid_bits)  # rejects out-of-range bits
+        _require_tag_safe(probe, scheme)
 
-    trace_root: str | None
-    if isinstance(trace_store, TraceStore):
-        trace_root = str(trace_store.root)
-    elif trace_store is not None:
-        trace_root = str(trace_store)
-    else:
-        trace_root = None
-
-    keep_details = fleet.size <= keep_per_tenant
-    tasks = [
-        _ShardTask(
-            fleet=fleet, shard=shard, shards=shards, scheme=scheme,
-            machine=machine, policy=policy, quantum=quantum,
-            active_pool=active_pool, storm_every=storm_every,
-            storm_quantum=storm_quantum, asid_bits=asid_bits,
-            keep_details=keep_details, trace_root=trace_root,
-            profile_dir=profile_dir,
+    tenancy = TenancyConfig(
+        tenants=fleet.size, policy=policy, quantum=quantum,
+        active_pool=active_pool, storm_every=storm_every,
+        storm_quantum=storm_quantum, mapping_variants=fleet.mapping_variants,
+        asid_bits=asid_bits, workloads=tuple(fleet.workloads),
+        scenarios=tuple(fleet.scenarios), shards=shards,
+        trace_variants=fleet.trace_variants,
+    )
+    requests = [
+        SimRequest(
+            workload=fleet.workloads[0], scenario=fleet.scenarios[0],
+            scheme=scheme, references=fleet.references, seed=fleet.seed,
+            machine=machine, kind="fleet-shard",
+            tenancy=replace(tenancy, shard=shard),
         )
         for shard in range(shards)
     ]
-
-    outcomes: dict[int, _ShardOutcome] = {}
-    pending: list[_ShardTask] = []
-    keys: dict[int, str] = {}
-    for task in tasks:
-        if result_store is not None:
-            keys[task.shard] = _shard_key(task)
-            cached = result_store.get(keys[task.shard])
-            if cached is not None:
-                outcome = _ShardOutcome.from_dict(cached)
-                if outcome is not None and outcome.shard == task.shard:
-                    outcomes[task.shard] = outcome
-                    continue
-        pending.append(task)
-
-    def record(shard: int, outcome: _ShardOutcome) -> None:
-        # Persist immediately: a crash mid-fleet must not discard the
-        # shards that already finished (million-tenant resumability).
-        outcomes[shard] = outcome
-        if result_store is not None:
-            result_store.put(keys[shard], outcome.to_dict())
-
-    if workers > 0 and len(pending) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        context = multiprocessing.get_context("fork")
-        pool_size = min(workers, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=context
-        ) as pool:
-            futures = {
-                pool.submit(_run_shard, task): task.shard for task in pending
-            }
-            for future in as_completed(futures):
-                record(futures[future], future.result())
-    else:
-        for task in pending:
-            record(task.shard, _run_shard(task))
+    orchestrator = Orchestrator(
+        workers=min(workers, shards) if shards > 1 else 0,
+        store=result_store, trace_store=trace_store,
+    )
+    payloads, summary = orchestrator.run(requests)
+    if summary.failures:
+        failure = summary.failures[0]
+        raise OrchestrationError(
+            f"{failure.label} failed after {failure.attempts} attempts: "
+            f"{failure.error}")
 
     merge_start = time.perf_counter()
     result = _merge_shards(
         fleet, scheme, machine, policy, shards,
-        list(outcomes.values()), keep_details,
+        [_ShardOutcome.from_dict(payloads[r.key()]) for r in requests],
     )
     result.phase_seconds["merge"] = time.perf_counter() - merge_start
     return result

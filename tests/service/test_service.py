@@ -150,6 +150,33 @@ class TestByteIdentity:
         assert served.payload == direct
         assert served.payload["shards"] == 3
 
+    def test_fleet_shard_request_through_service(self):
+        """One shard travels the wire like any request: the served
+        payload is the in-process one, and a duplicate is a cache hit."""
+        request = request_of(
+            references=800, kind="fleet-shard",
+            tenancy=TenancyConfig(tenants=6, quantum=200, active_pool=2,
+                                  shards=3, shard=1),
+        )
+        direct = execute_request(request)
+        with ServiceThread() as service_thread:
+            host, port = service_thread.host, service_thread.port
+            served, _ = submit_and_wait(request, host, port)
+            again, envelopes = submit_and_wait(request, host, port)
+            metrics = status(host, port)["metrics"]
+
+        def content(payload):
+            # Timing and RSS are per-process telemetry, not result.
+            return {k: v for k, v in payload.items()
+                    if k not in ("phase_seconds", "peak_rss_bytes")}
+
+        assert served.key == request.key()
+        assert content(served.payload) == content(direct)
+        assert served.payload["shard"] == 1
+        assert again == served
+        assert envelopes[-1]["cached"] is True
+        assert metrics["computed"] == 1 and metrics["cache_hits"] == 1
+
 
 class TestPersistentCache:
     def test_results_survive_service_restart(self, tmp_path):
@@ -204,6 +231,24 @@ class TestFailureHandling:
                     service_thread.host,
                     service_thread.port,
                 )
+
+    @pytest.mark.parametrize("kind, shard", [
+        ("fleet", 0), ("fleet-shard", None), ("fleet-shard", 3),
+    ], ids=["fleet-with-shard", "shard-missing", "shard-past-end"])
+    def test_misplaced_shard_answered_with_error(self, kind, shard):
+        request = request_of(
+            references=800, kind=kind,
+            tenancy=TenancyConfig(tenants=6, quantum=200, active_pool=2,
+                                  shards=3, shard=shard),
+        )
+        with ServiceThread() as service_thread:
+            host, port = service_thread.host, service_thread.port
+            envelopes = list(submit(request, host, port))
+            fresh = status(host, port)
+        assert envelopes[-1]["event"] == "error"
+        assert "shard" in envelopes[-1]["error"]
+        assert fresh["event"] == "status"
+        assert fresh["metrics"]["errors"] == 1
 
     @pytest.mark.parametrize("line, error", [
         (b"[1, 2]", "JSON object"),

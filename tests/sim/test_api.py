@@ -59,6 +59,12 @@ class TestKeyCompatibility:
         assert request_of().key() == (
             "a0e4f504da22acd530a485992f4ca66b1b81160b6f65144a0a2bd5c930fa76fb")
 
+    def test_default_fleet_request_key_is_pinned(self):
+        """The fleet twin of the pin above: adding ``shard`` (and the
+        ``"fleet-shard"`` kind) must leave every fleet key unchanged."""
+        assert fleet_request().key() == (
+            "a55ae509254d25435fcd0f7fc7cbf6aa7540e622a298578f3c761f1c72d0c44d")
+
     def test_non_default_engine_and_tenancy_perturb_key(self):
         base = request_of()
         assert request_of(engine="scalar").key() != base.key()
@@ -129,6 +135,14 @@ class TestWireForm:
         assert clone.tenancy.workers == 8
         assert clone.tenancy.shards == 4
         assert clone.tenancy.trace_variants == 3
+        shard = fleet_request(
+            kind="fleet-shard",
+            tenancy=TenancyConfig(tenants=4, quantum=200, active_pool=2,
+                                  shards=4, shard=2))
+        clone = SimRequest.from_dict(shard.to_dict())
+        assert clone == shard
+        assert clone.tenancy.shard == 2
+        assert clone.key() == shard.key() != fleet_request().key()
 
     def test_from_dict_accepts_pre_sharding_payloads(self):
         """Wire payloads minted before the sharding fields existed must
@@ -173,6 +187,19 @@ class TestExecuteRequest:
     def test_fleet_without_tenancy_rejected(self):
         with pytest.raises(OrchestrationError, match="tenancy"):
             execute_request(request_of(kind="fleet"))
+
+    @pytest.mark.parametrize("kind, shard", [
+        ("fleet", 0), ("fleet-shard", None), ("fleet-shard", -1),
+        ("fleet-shard", 2),
+    ], ids=["fleet-with-shard", "shard-missing", "shard-negative",
+            "shard-past-end"])
+    def test_misplaced_shard_rejected(self, kind, shard):
+        request = fleet_request(
+            kind=kind,
+            tenancy=TenancyConfig(tenants=4, quantum=200, active_pool=2,
+                                  shards=2, shard=shard))
+        with pytest.raises(OrchestrationError, match="shard"):
+            execute_request(request)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(OrchestrationError, match="kind"):

@@ -156,6 +156,26 @@ class TestFleetTracePreparation:
         assert store.generation_count() == len(distinct)
         assert len(store) == len(distinct)
 
+    def test_shard_requests_prepare_their_fleet_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Every shard request names the same fleet: the parent must
+        sample and prepare it once, not once per shard."""
+        from repro.sim import tenants
+
+        prepared = []
+        real = tenants.prepare_fleet_traces
+        monkeypatch.setattr(
+            tenants, "prepare_fleet_traces",
+            lambda fleet, store: prepared.append(fleet) or real(fleet, store))
+        fleet = tenants.TenantFleet(size=12, workloads=("gups",),
+                                    references=400, seed=9, trace_variants=2)
+        result = tenants.simulate_fleet(fleet, quantum=200, active_pool=2,
+                                        shards=4,
+                                        trace_store=str(tmp_path / "traces"))
+        assert result.executed == 12 * 400
+        assert prepared == [fleet]
+
     def test_unbounded_fleet_skips_the_store(self, tmp_path):
         """trace_variants=0 means one seed per tenant — pre-generating
         would write a file per tenant, so the store must stay empty."""

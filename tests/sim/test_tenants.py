@@ -259,20 +259,11 @@ class TestFleet:
         assert first == second
         assert len({t.name for t in first}) == 32
 
-    def test_fleet_weights(self):
-        fleet = TenantFleet(size=64, workloads=("gups", "mcf"),
-                            scenarios=("medium",), references=1000, seed=9,
-                            workload_weights=(1.0, 0.0))
-        assert all(t.workload == "gups" for t in fleet.tenants())
-
     def test_fleet_validation(self):
         with pytest.raises(ValueError):
             TenantFleet(size=0, workloads=("gups",))
         with pytest.raises(ValueError):
             TenantFleet(size=2, workloads=())
-        with pytest.raises(ValueError):
-            TenantFleet(size=2, workloads=("gups",),
-                        workload_weights=(0.5, 0.5))
 
     def test_simulate_fleet_deterministic(self):
         fleet = TenantFleet(size=12, workloads=("gups",),

@@ -13,10 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.errors import OrchestrationError
+from repro.sim import tenants
 from repro.sim.runner import ResultStore
 from repro.sim.tenants import (
     TenantFleet,
@@ -25,6 +28,12 @@ from repro.sim.tenants import (
     simulate_fleet,
 )
 from repro.sim.trace_store import TraceStore
+
+#: Environment variable naming the flag file that makes an injected
+#: fault fire once across processes.
+FLAG_ENV = "REPRO_TEST_FAULT_FLAG"
+
+_SIMULATE_SHARD = tenants.simulate_shard
 
 
 def fleet_of(size=24, references=1500, seed=11, **overrides):
@@ -168,17 +177,17 @@ class TestShardResultCache:
         # runner and rely purely on the cache.
         import repro.sim.tenants as tenants_mod
 
-        def boom(task):
+        def boom(request, trace_store):
             raise AssertionError("shard recomputed despite warm cache")
 
-        original = tenants_mod._run_shard
-        tenants_mod._run_shard = boom
+        original = tenants_mod.simulate_shard
+        tenants_mod.simulate_shard = boom
         try:
             warm = simulate_fleet(fleet, scheme="base", quantum=400,
                                   active_pool=4, shards=4, workers=0,
                                   result_store=store)
         finally:
-            tenants_mod._run_shard = original
+            tenants_mod.simulate_shard = original
         assert payload_bytes(first) == payload_bytes(warm)
 
     def test_cache_key_separates_configs(self, tmp_path):
@@ -204,15 +213,65 @@ class TestShardResultCache:
         assert payload_bytes(first) == payload_bytes(again)
 
 
-class TestProfilePass:
-    def test_profile_dir_gets_one_dump_per_shard(self, tmp_path):
-        fleet = fleet_of(size=6, references=400)
-        simulate_fleet(fleet, scheme="base", quantum=200, active_pool=2,
-                       shards=3, workers=0,
-                       profile_dir=str(tmp_path / "profiles"))
-        dumps = sorted(p.name for p in (tmp_path / "profiles").iterdir())
-        assert dumps == ["shard_0000.prof", "shard_0001.prof",
-                         "shard_0002.prof"]
+def _no_shard_may_run(request, trace_store):
+    raise AssertionError("a shard ran")
+
+
+def _die_on_first_attempt_of_shard_one(request, trace_store):
+    """Kill the worker running shard 1, once (the flag file remembers
+    across processes); every other call simulates normally."""
+    flag = Path(os.environ[FLAG_ENV])
+    if request.tenancy.shard == 1 and not flag.exists():
+        flag.touch()
+        os._exit(17)
+    return _SIMULATE_SHARD(request, trace_store)
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("knobs, message", [
+        (dict(quantum=0), "quantum"),
+        (dict(storm_every=-1), "storm_every"),
+        (dict(storm_every=2, storm_quantum=0), "storm_quantum"),
+        (dict(asid_bits=0), "asid bits"),
+        (dict(scheme="no-such-scheme"), "unknown scheme"),
+        (dict(scheme="anchor-region"), "tag_safe_block"),
+    ], ids=["quantum", "storm-every", "storm-quantum", "asid-bits",
+            "unknown-scheme", "tag-unsafe"])
+    def test_bad_knobs_raise_before_any_shard_runs(
+        self, knobs, message, monkeypatch
+    ):
+        """Each error is a ValueError from the caller's process, not an
+        OrchestrationError after retried shards."""
+        monkeypatch.setattr(tenants, "simulate_shard", _no_shard_may_run)
+        call = dict(scheme="base", policy="tagged", quantum=200,
+                    active_pool=2, shards=2, workers=0)
+        call.update(knobs)
+        with pytest.raises(ValueError, match=message):
+            simulate_fleet(fleet_of(size=4, references=400), **call)
+
+    def test_failed_shard_raises_with_its_label(self, monkeypatch):
+        monkeypatch.setattr(tenants, "simulate_shard", _no_shard_may_run)
+        with pytest.raises(OrchestrationError, match="shard0of2.*a shard ran"):
+            simulate_fleet(fleet_of(size=4, references=400), scheme="base",
+                           quantum=200, active_pool=2, shards=2, workers=0)
+
+
+class TestShardFaults:
+    def test_killed_worker_is_recovered(self, tmp_path, monkeypatch):
+        """A shard worker that dies mid-shard is retried on a rebuilt
+        pool: the run returns the serial bytes and stores every shard."""
+        fleet = fleet_of(size=12, references=600)
+        knobs = dict(scheme="base", quantum=300, active_pool=3, shards=3)
+        serial = simulate_fleet(fleet, workers=0, **knobs)
+        monkeypatch.setenv(FLAG_ENV, str(tmp_path / "flag"))
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(tenants, "simulate_shard",
+                            _die_on_first_attempt_of_shard_one)
+        store = ResultStore(tmp_path / "shards")
+        pooled = simulate_fleet(fleet, workers=2, result_store=store, **knobs)
+        assert (tmp_path / "flag").exists()
+        assert payload_bytes(pooled) == payload_bytes(serial)
+        assert len(store) == 3
 
 
 #: sha256 over ``payload_bytes`` of the 1k gate recipe below, pinned
