@@ -27,7 +27,8 @@ import numpy as np
 
 from repro import sanitize
 from repro.errors import PageFaultError
-from repro.params import DEFAULT_MACHINE, HUGE_PAGE_PAGES, MachineConfig
+from repro.params import (
+    DEFAULT_MACHINE, GIGA_PAGE_PAGES, HUGE_PAGE_PAGES, MachineConfig)
 from repro.hw.l1 import L1TLB
 from repro.hw.pwc import PageWalkCache
 from repro.sim.stats import TranslationStats
@@ -291,6 +292,14 @@ class TranslationScheme(abc.ABC):
         """Scheme-specific translation; caller has synced the mapping."""
 
 
+def _promote(
+    mapping: MemoryMapping, window: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    frozen = mapping.frozen()
+    bases, pfns = frozen.promotable(window)
+    return dict(zip(bases.tolist(), pfns.tolist())), frozen.page_dict(bases, window)
+
+
 def promote_giga_pages(
     mapping: MemoryMapping,
 ) -> tuple[dict[int, int], dict[int, int]]:
@@ -300,21 +309,7 @@ def promote_giga_pages(
     VPN to its base PFN; ``rest`` holds everything else (still eligible
     for 2 MiB promotion).
     """
-    giga_pages = HUGE_PAGE_PAGES * 512
-    giga: dict[int, int] = {}
-    for chunk in mapping.chunks():
-        if (chunk.pfn - chunk.vpn) % giga_pages:
-            continue
-        lo = (chunk.vpn + giga_pages - 1) & ~(giga_pages - 1)
-        hi = chunk.end_vpn & ~(giga_pages - 1)
-        for gvpn in range(lo, hi, giga_pages):
-            giga[gvpn] = chunk.pfn + (gvpn - chunk.vpn)
-    rest = {
-        vpn: pfn
-        for vpn, pfn in mapping.items()
-        if (vpn & ~(giga_pages - 1)) not in giga
-    }
-    return giga, rest
+    return _promote(mapping, GIGA_PAGE_PAGES)
 
 
 def promote_huge_pages(mapping: MemoryMapping) -> tuple[dict[int, int], dict[int, int]]:
@@ -325,17 +320,4 @@ def promote_huge_pages(mapping: MemoryMapping) -> tuple[dict[int, int], dict[int
     Promotion requires a full 512-page run whose VA and PA share the
     2 MiB alignment phase.
     """
-    huge: dict[int, int] = {}
-    for chunk in mapping.chunks():
-        if (chunk.pfn - chunk.vpn) % HUGE_PAGE_PAGES:
-            continue
-        lo = (chunk.vpn + HUGE_PAGE_PAGES - 1) & ~(HUGE_PAGE_PAGES - 1)
-        hi = chunk.end_vpn & ~(HUGE_PAGE_PAGES - 1)
-        for hvpn in range(lo, hi, HUGE_PAGE_PAGES):
-            huge[hvpn] = chunk.pfn + (hvpn - chunk.vpn)
-    small = {
-        vpn: pfn
-        for vpn, pfn in mapping.items()
-        if (vpn & ~(HUGE_PAGE_PAGES - 1)) not in huge
-    }
-    return huge, small
+    return _promote(mapping, HUGE_PAGE_PAGES)

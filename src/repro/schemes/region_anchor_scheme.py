@@ -62,9 +62,9 @@ class RegionAnchorScheme(TranslationScheme):
                 from repro.vmos.contiguity import contiguity_histogram
                 from repro.vmos.distance import select_distance
 
-                vpns = [vpn for vpn, _ in mapping.items()]
+                vpns = mapping.frozen().vpns
                 regions = [AnchorRegion(
-                    vpns[0], vpns[-1] + 1,
+                    int(vpns[0]), int(vpns[-1]) + 1,
                     select_distance(contiguity_histogram(mapping)),
                 )]
         elif len(regions) > capacity:
@@ -75,18 +75,10 @@ class RegionAnchorScheme(TranslationScheme):
 
     def _build_directories(self) -> None:
         """Per-region coverage plans over the region's slice of the map."""
-        mapping = self.mapping
-        self._directories: list[AnchorDirectory] = []
-        self._dlogs: list[int] = []
-        for region in self.regions:
-            slice_mapping = MemoryMapping(vmas=list(mapping.vmas))
-            for vpn, pfn in mapping.items():
-                if region.start_vpn <= vpn < region.end_vpn:
-                    slice_mapping.map_page(vpn, pfn, mapping.protection_of(vpn))
-            self._directories.append(
-                AnchorDirectory.build(slice_mapping, region.distance)
-            )
-            self._dlogs.append(region.distance.bit_length() - 1)
+        self._directories = AnchorDirectory.build_regions(
+            self.mapping,
+            [(r.start_vpn, r.end_vpn, r.distance) for r in self.regions])
+        self._dlogs = [r.distance.bit_length() - 1 for r in self.regions]
         self._block_cache = None
 
     def _on_mapping_update(self, frozen) -> None:

@@ -12,13 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PageFaultError
-from repro.params import DEFAULT_MACHINE, MachineConfig
+from repro.params import DEFAULT_MACHINE, GIGA_PAGE_PAGES, MachineConfig
 from repro.hw.tlb import SetAssociativeTLB
-from repro.schemes.base import (
-    TranslationScheme,
-    promote_giga_pages,
-    promote_huge_pages,
-)
+from repro.schemes.base import TranslationScheme, promote_huge_pages
 from repro.sim.lru import SortedMembership, collapse_runs, simulate_block
 from repro.vmos.mapping import MemoryMapping
 
@@ -64,16 +60,16 @@ class THPScheme(TranslationScheme):
 
     def _build_promotions(self) -> None:
         """(Re-)derive the promotion maps from the current mapping."""
-        mapping = self.mapping
+        self._huge, self._small = promote_huge_pages(self.mapping)
+        self._giga: dict[int, int] = {}
         if self.use_giga:
-            self._giga, rest = promote_giga_pages(mapping)
-            partial = MemoryMapping(vmas=list(mapping.vmas))
-            for vpn, pfn in sorted(rest.items()):
-                partial.map_page(vpn, pfn, mapping.protection_of(vpn))
-            self._huge, self._small = promote_huge_pages(partial)
-        else:
-            self._giga = {}
-            self._huge, self._small = promote_huge_pages(mapping)
+            bases, pfns = self.mapping.frozen().promotable(GIGA_PAGE_PAGES)
+            self._giga = dict(zip(bases.tolist(), pfns.tolist()))
+            # A 1 GiB page replaces the 2 MiB windows inside it.
+            self._huge = {
+                hvpn: pfn for hvpn, pfn in self._huge.items()
+                if hvpn & -GIGA_PAGE_PAGES not in self._giga
+            }
         self._memberships: tuple[SortedMembership, ...] | None = None
 
     def _on_mapping_update(self, frozen) -> None:

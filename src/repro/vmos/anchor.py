@@ -23,7 +23,10 @@ DESIGN.md §3).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.params import (
     HUGE_PAGE_PAGES,
@@ -34,7 +37,7 @@ from repro.params import (
 )
 from repro.errors import MappingError
 from repro.vmos.mapping import DEFAULT_PROT as _DEFAULT_PROT
-from repro.vmos.mapping import MemoryMapping
+from repro.vmos.mapping import MemoryMapping, expand_ranges, promotion_windows
 from repro.vmos.page_table import PageTable
 
 
@@ -69,68 +72,70 @@ class AnchorDirectory:
         enable_thp: bool = True,
     ) -> "AnchorDirectory":
         """Plan coverage of ``mapping`` at ``distance``."""
-        directory = cls(distance=distance)
-        huge = directory.huge
-        for chunk in mapping.chunks():
-            # 2 MiB promotion requires VA and PA to share alignment phase.
-            phase_ok = enable_thp and (chunk.pfn - chunk.vpn) % HUGE_PAGE_PAGES == 0
-            if phase_ok:
-                promote_lo = align_up(chunk.vpn, HUGE_PAGE_PAGES)
-                promote_hi = align_down(chunk.end_vpn, HUGE_PAGE_PAGES)
-                if distance >= HUGE_PAGE_PAGES:
-                    # Anchors (coverage >= 2 MiB) own everything from the
-                    # first d-aligned VPN onward; promote only the head.
-                    anchor_lo = align_up(chunk.vpn, distance)
-                    promote_hi = min(promote_hi, anchor_lo)
-                for hvpn in range(promote_lo, promote_hi, HUGE_PAGE_PAGES):
-                    huge[hvpn] = chunk.pfn + (hvpn - chunk.vpn)
-        # Pages outside promoted windows keep their 4 KiB leaves.
-        small = directory.small
-        for vpn, pfn in mapping.items():
-            if align_down(vpn, HUGE_PAGE_PAGES) not in huge:
-                small[vpn] = pfn
-                prot = mapping.protection_of(vpn)
-                if prot != _DEFAULT_PROT:
-                    directory.protections[vpn] = prot
-        directory._compute_anchor_contiguity()
-        return directory
+        frozen = mapping.frozen()
+        stop = int(frozen.vpns[-1]) + 1 if len(frozen) else 0
+        return cls.build_regions(mapping, [(0, stop, distance)], enable_thp)[0]
+
+    @classmethod
+    def build_regions(
+        cls,
+        mapping: MemoryMapping,
+        regions: Iterable[tuple[int, int, int]],
+        enable_thp: bool = True,
+    ) -> list["AnchorDirectory"]:
+        """One plan per ``(start_vpn, end_vpn, distance)`` region, each
+        as if the region's pages were a mapping of their own.
+
+        Everything comes from the :class:`FrozenMapping` columns: a
+        region takes a ``searchsorted`` slice of the chunk columns,
+        clipped to its bounds, and of the sorted pages.
+        """
+        frozen = mapping.frozen()
+        chunk_end = frozen.chunk_vpn + frozen.chunk_pages
+        keys = sorted(frozen.page_table)
+        protections = sorted(mapping._prot.items())
+        directories = []
+        for lo, hi, distance in regions:
+            directory = cls(distance=distance)
+            first = np.searchsorted(chunk_end, lo, side="right")
+            last = np.searchsorted(frozen.chunk_vpn, hi)
+            vpn = np.maximum(frozen.chunk_vpn[first:last], lo)
+            pfn = frozen.chunk_pfn[first:last] + (vpn - frozen.chunk_vpn[first:last])
+            end = np.minimum(chunk_end[first:last], hi)
+            # Each chunk keeps 4 KiB leaves on [vpn, head) and [tail, end).
+            head = tail = end
+            windows = np.empty(0, dtype=np.int64)
+            if enable_thp:
+                # Anchors (coverage >= 2 MiB when d >= 512) own everything
+                # from the first d-aligned VPN on; promote only the head.
+                cap = (-(-vpn // distance) * distance
+                       if distance >= HUGE_PAGE_PAGES else None)
+                windows, window_pfns, head, tail = promotion_windows(
+                    vpn, pfn, end, HUGE_PAGE_PAGES, cap)
+                directory.huge = dict(zip(windows.tolist(), window_pfns.tolist()))
+            # Chunks are maximal, so these pieces are the maximal leaf
+            # runs.  Every d-aligned leaf of a run is an anchor; its
+            # contiguity runs to the end of the run, capped at 16 bits.
+            run_lo = np.stack((vpn, tail), axis=1).ravel()
+            run_hi = np.stack((head, end), axis=1).ravel()
+            anchors, owner = expand_ranges(
+                -(-run_lo // distance) * distance, run_hi, distance)
+            directory.anchor_contiguity = dict(zip(
+                anchors.tolist(),
+                np.minimum(run_hi[owner] - anchors, MAX_CONTIGUITY).tolist()))
+            page_lo, page_hi = np.searchsorted(frozen.vpns, (lo, hi)).tolist()
+            directory.small = frozen.page_dict(
+                windows, HUGE_PAGE_PAGES, page_lo, page_hi, keys)
+            huge = directory.huge
+            directory.protections = {
+                v: prot for v, prot in protections
+                if lo <= v < hi and align_down(v, HUGE_PAGE_PAGES) not in huge
+            }
+            directories.append(directory)
+        return directories
 
     def _protection_of(self, vpn: int) -> int:
         return self.protections.get(vpn, _DEFAULT_PROT)
-
-    def _compute_anchor_contiguity(self) -> None:
-        """Set contiguity counts on every d-aligned 4 KiB leaf.
-
-        Contiguity is the length of the physically contiguous,
-        permission-homogeneous run of 4 KiB leaves starting at the
-        anchor (huge-promoted pages break the run: their leaves no
-        longer exist; a protection change breaks it per §3.3).
-        """
-        self.anchor_contiguity.clear()
-        distance = self.distance
-        # Walk 4 KiB leaves in VPN order, building maximal runs.
-        run_start = prev_vpn = prev_pfn = None
-        run_prot = None
-        runs: list[tuple[int, int]] = []  # (start_vpn, length)
-        for vpn in sorted(self.small):
-            pfn = self.small[vpn]
-            prot = self._protection_of(vpn)
-            if (
-                run_start is not None
-                and vpn == prev_vpn + 1
-                and pfn == prev_pfn + 1
-                and prot == run_prot
-            ):
-                prev_vpn, prev_pfn = vpn, pfn
-            else:
-                if run_start is not None:
-                    runs.append((run_start, prev_vpn - run_start + 1))
-                run_start, prev_vpn, prev_pfn = vpn, vpn, pfn
-                run_prot = prot
-        if run_start is not None:
-            runs.append((run_start, prev_vpn - run_start + 1))
-        for start, length in runs:
-            self._set_anchors_in_run(start, start + length)
 
     def _set_anchors_in_run(self, start: int, end: int) -> None:
         first_anchor = align_up(start, self.distance)

@@ -11,6 +11,7 @@ histogram, and ground-truth translation for the differential tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class FrozenMapping:
     both:
 
     * **chunks** — maximal VA/PA-contiguous runs *split at protection
-      changes*, identical to :meth:`MemoryMapping.chunks` (what RMM's
-      range table and the anchor directory see);
+      changes*, the only chunk decomposition: :meth:`MemoryMapping.chunks`
+      is a view of it (what RMM's range table and the anchor directory
+      see);
     * **runs** — maximal VA/PA-contiguous runs ignoring protection
       (what CoLT/cluster fill logic sees: ``build_colt_entry`` inspects
       raw PTE adjacency only).
@@ -74,6 +76,7 @@ class FrozenMapping:
         "run_pfn",
         "run_pages",
         "_contiguous",
+        "_chunks",
     )
 
     def __init__(self, mapping: "MemoryMapping") -> None:
@@ -81,42 +84,73 @@ class FrozenMapping:
         #: Direct reference to the live page table (no copy).  Safe to
         #: read only while ``mapping.version == self.version``; any
         #: mutation bumps the version and invalidates this view.
-        self.page_table = mapping._map
-        count = len(mapping._map)
-        vpns = np.fromiter(mapping._map.keys(), dtype=np.int64, count=count)
-        pfns = np.fromiter(mapping._map.values(), dtype=np.int64, count=count)
+        self.page_table = table = mapping._map
+        count = len(table)
+        vpns = np.fromiter(table.keys(), dtype=np.int64, count=count)
+        pfns = np.fromiter(table.values(), dtype=np.int64, count=count)
         order = np.argsort(vpns)
-        self.vpns = vpns[order]
-        self.pfns = pfns[order]
+        self.vpns = vpns = vpns[order]
+        self.pfns = pfns = pfns[order]
         self._contiguous = bool(
-            count and int(self.vpns[-1]) - int(self.vpns[0]) + 1 == count
+            count and int(vpns[-1]) - int(vpns[0]) + 1 == count
         )
-        chunks = mapping.chunks()
-        self.chunk_vpn = np.fromiter(
-            (c.vpn for c in chunks), dtype=np.int64, count=len(chunks))
-        self.chunk_pfn = np.fromiter(
-            (c.pfn for c in chunks), dtype=np.int64, count=len(chunks))
-        self.chunk_pages = np.fromiter(
-            (c.pages for c in chunks), dtype=np.int64, count=len(chunks))
-        # Protection-blind adjacency runs over the sorted page arrays.
-        if count:
-            boundary = np.empty(count, dtype=bool)
-            boundary[0] = True
-            np.not_equal(self.vpns[1:], self.vpns[:-1] + 1, out=boundary[1:])
-            boundary[1:] |= self.pfns[1:] != self.pfns[:-1] + 1
-            starts = np.flatnonzero(boundary)
-            self.run_vpn = self.vpns[starts]
-            self.run_pfn = self.pfns[starts]
-            self.run_pages = np.diff(np.append(starts, count))
-        else:
-            self.run_vpn = self.vpns
-            self.run_pfn = self.pfns
-            self.run_pages = self.vpns
+        # Runs break on a VPN or PFN gap; chunks also where the
+        # protection changes, which only ``_prot`` entries can cause.
+        boundary = np.ones(count, dtype=bool)
+        np.not_equal(vpns[1:], vpns[:-1] + 1, out=boundary[1:])
+        boundary[1:] |= pfns[1:] != pfns[:-1] + 1
+        self.run_vpn, self.run_pfn, self.run_pages = _runs(vpns, pfns, boundary)
+        self.chunk_vpn, self.chunk_pfn, self.chunk_pages = (
+            self.run_vpn, self.run_pfn, self.run_pages)
+        if mapping._prot:
+            prot = np.full(count, DEFAULT_PROT, dtype=np.int64)
+            marked = np.fromiter(mapping._prot, dtype=np.int64)
+            prot[np.searchsorted(vpns, marked)] = list(mapping._prot.values())
+            boundary[1:] |= prot[1:] != prot[:-1]
+            self.chunk_vpn, self.chunk_pfn, self.chunk_pages = _runs(
+                vpns, pfns, boundary)
+        self._chunks: list[Chunk] | None = None
         if sanitize.enabled():
             # Write-guard mode: the snapshot is complete, seal every
             # column so a stray in-place store traps at the faulting
             # line instead of corrupting all sharers of this view.
             sanitize.seal_mapping_columns(self)
+
+    def chunks(self) -> list[Chunk]:
+        """The chunk columns as :class:`Chunk` objects (built once)."""
+        if self._chunks is None:
+            self._chunks = list(map(
+                Chunk, self.chunk_vpn.tolist(), self.chunk_pfn.tolist(),
+                self.chunk_pages.tolist()))
+        return self._chunks
+
+    def promotable(self, window: int) -> tuple[np.ndarray, np.ndarray]:
+        """Base VPNs and PFNs of the promotable ``window``-page windows."""
+        end = self.chunk_vpn + self.chunk_pages
+        return promotion_windows(
+            self.chunk_vpn, self.chunk_pfn, end, window)[:2]
+
+    def page_dict(
+        self,
+        windows: np.ndarray,
+        window: int,
+        lo: int = 0,
+        hi: int | None = None,
+        keys: list[int] | None = None,
+    ) -> dict[int, int]:
+        """The live page table over ``vpns[lo:hi]``, ascending, minus the
+        pages in the ``window``-page windows at ascending ``windows``.
+
+        Keys and values are the table's own int objects, not fresh ones
+        from ``tolist()``; ``keys`` passes ``sorted(page_table)`` along.
+        """
+        table = self.page_table
+        kept = (sorted(table) if keys is None else keys)[lo:hi]
+        if windows.size:
+            heads = self.vpns[lo:hi] & -window
+            slot = np.minimum(np.searchsorted(windows, heads), windows.size - 1)
+            kept = list(compress(kept, (windows[slot] != heads).tolist()))
+        return dict(zip(kept, map(table.__getitem__, kept)))
 
     def __len__(self) -> int:
         return self.vpns.shape[0]
@@ -194,7 +228,6 @@ class MemoryMapping:
     vmas: list[VMA] = field(default_factory=list)
     _map: dict[int, int] = field(default_factory=dict)
     _prot: dict[int, int] = field(default_factory=dict)
-    _chunks_cache: list[Chunk] | None = field(default=None, repr=False)
     #: Monotonic mutation counter.  Every map/unmap/mprotect bumps it;
     #: compiled views (:class:`FrozenMapping`, scheme-side snapshots)
     #: carry the version they were built from and must be refreshed
@@ -209,7 +242,6 @@ class MemoryMapping:
     # ------------------------------------------------------------------
 
     def _mutated(self) -> None:
-        self._chunks_cache = None
         self.version += 1
 
     def map_page(self, vpn: int, pfn: int, prot: int = DEFAULT_PROT) -> None:
@@ -221,9 +253,18 @@ class MemoryMapping:
         self._mutated()
 
     def map_run(self, vpn: int, frames: FrameRange, prot: int = DEFAULT_PROT) -> None:
-        """Map ``frames.count`` consecutive VPNs to a contiguous run."""
-        for i in range(frames.count):
-            self.map_page(vpn + i, frames.start + i, prot)
+        """Map ``frames.count`` consecutive VPNs to a contiguous run.
+
+        All or nothing: a run overlapping a mapped page maps nothing.
+        """
+        vpns = range(vpn, vpn + frames.count)
+        if not self._map.keys().isdisjoint(vpns):
+            taken = next(v for v in vpns if v in self._map)
+            raise MappingError(f"vpn {taken:#x} already mapped")
+        self._map.update(zip(vpns, range(frames.start, frames.end)))
+        if prot != DEFAULT_PROT:
+            self._prot.update(dict.fromkeys(vpns, prot))
+        self._mutated()
 
     def unmap_page(self, vpn: int) -> int:
         try:
@@ -238,15 +279,18 @@ class MemoryMapping:
         """mprotect: change the protection of ``pages`` pages at ``vpn``.
 
         Per §3.3, this splits any coalesced coverage at the boundaries —
-        the chunk structure changes even though the frames do not.
+        the chunk structure changes even though the frames do not.  All
+        or nothing: a range with an unmapped page changes nothing.
         """
-        for i in range(pages):
-            if vpn + i not in self._map:
-                raise MappingError(f"vpn {vpn + i:#x} not mapped")
-            if prot == DEFAULT_PROT:
-                self._prot.pop(vpn + i, None)
-            else:
-                self._prot[vpn + i] = prot
+        vpns = range(vpn, vpn + pages)
+        missing = next((v for v in vpns if v not in self._map), None)
+        if missing is not None:
+            raise MappingError(f"vpn {missing:#x} not mapped")
+        if prot == DEFAULT_PROT:
+            for v in vpns:
+                self._prot.pop(v, None)
+        else:
+            self._prot.update(dict.fromkeys(vpns, prot))
         self._mutated()
 
     def protection_of(self, vpn: int) -> int:
@@ -298,34 +342,10 @@ class MemoryMapping:
         """Maximal runs contiguous in both VA and PA, ascending by VPN.
 
         A run also ends where the page protection changes (§3.3): such
-        pages must not be served by a coalesced entry.
+        pages must not be served by a coalesced entry.  A view of the
+        :class:`FrozenMapping` chunk columns, built once per version.
         """
-        if self._chunks_cache is None:
-            chunks: list[Chunk] = []
-            prot = self._prot
-            start_vpn = start_pfn = prev_vpn = prev_pfn = None
-            run_prot = None
-            for vpn, pfn in sorted(self._map.items()):
-                page_prot = prot.get(vpn, DEFAULT_PROT)
-                if (
-                    start_vpn is not None
-                    and vpn == prev_vpn + 1
-                    and pfn == prev_pfn + 1
-                    and page_prot == run_prot
-                ):
-                    prev_vpn, prev_pfn = vpn, pfn
-                else:
-                    if start_vpn is not None:
-                        chunks.append(
-                            Chunk(start_vpn, start_pfn, prev_vpn - start_vpn + 1)
-                        )
-                    start_vpn, start_pfn = vpn, pfn
-                    prev_vpn, prev_pfn = vpn, pfn
-                    run_prot = page_prot
-            if start_vpn is not None:
-                chunks.append(Chunk(start_vpn, start_pfn, prev_vpn - start_vpn + 1))
-            self._chunks_cache = chunks
-        return self._chunks_cache
+        return self.frozen().chunks()
 
     def chunk_covering(self, vpn: int) -> Chunk | None:
         """The chunk containing ``vpn``, or None if unmapped."""
@@ -333,6 +353,50 @@ class MemoryMapping:
             if chunk.vpn <= vpn < chunk.end_vpn:
                 return chunk
         return None
+
+
+def _runs(
+    vpns: np.ndarray, pfns: np.ndarray, boundary: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(vpn, pfn, pages)`` columns of the runs starting at ``boundary``."""
+    starts = np.flatnonzero(boundary)
+    return vpns[starts], pfns[starts], np.diff(np.append(starts, vpns.size))
+
+
+def expand_ranges(
+    starts: np.ndarray, stops: np.ndarray, step: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``range(start, stop, step)`` of the pairs, concatenated,
+    and the pair index of each value (empty ranges add nothing)."""
+    counts = (np.maximum(stops - starts, 0) + step - 1) // step
+    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    rank = np.arange(owner.size, dtype=np.int64) - (np.cumsum(counts) - counts)[owner]
+    return starts[owner] + rank * step, owner
+
+
+def promotion_windows(
+    vpn: np.ndarray,
+    pfn: np.ndarray,
+    end: np.ndarray,
+    window: int,
+    cap: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The promotable ``window``-page windows of chunks ``[vpn, end)``
+    at ``pfn``: aligned, wholly inside the chunk (and below ``cap``),
+    with VA and PA sharing the window's alignment phase.
+
+    Returns ``(bases, base_pfns, head, tail)``: each window's base VPN
+    and PFN, ascending, and per chunk the promoted span ``[head,
+    tail)``, or ``head == tail == end`` when nothing is promoted.
+    """
+    head = -(-vpn // window) * window
+    tail = end // window * window
+    if cap is not None:
+        tail = np.minimum(tail, cap)
+    ok = ((pfn - vpn) % window == 0) & (tail > head)
+    head, tail = np.where(ok, head, end), np.where(ok, tail, end)
+    bases, owner = expand_ranges(head, tail, window)
+    return bases, bases + (pfn - vpn)[owner], head, tail
 
 
 def cluster_slot_offsets(

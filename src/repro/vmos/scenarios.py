@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mem.frames import FrameRange
 from repro.mem.physmem import PhysicalMemory
 from repro.params import SCENARIO_ORDER, SCENARIO_RANGES
 from repro.util.rng import spawn_rng
@@ -53,8 +54,7 @@ def _place_chunk(
     """Map one chunk phase-aligned at/after ``pfn_cursor``; return new cursor."""
     phase = _chunk_phase(pages)
     pfn = pfn_cursor + ((vpn % phase) - (pfn_cursor % phase)) % phase
-    for i in range(pages):
-        mapping.map_page(vpn + i, pfn + i)
+    mapping.map_run(vpn, FrameRange(pfn, pages))
     return pfn + pages + 1  # guard frame prevents accidental adjacency
 
 

@@ -46,6 +46,41 @@ class TestMappingBasics:
         m.map_page(1, 10)
         assert list(m.items()) == [(1, 10), (5, 50)]
 
+    def test_map_run_bumps_version_once(self):
+        m = MemoryMapping()
+        m.map_run(0, FrameRange(100, 64))
+        assert m.version == 1
+        m.map_run(64, FrameRange(900, 8), prot=0b01)
+        assert m.version == 2
+        assert [m.protection_of(v) for v in (63, 64, 71)] == [0b11, 0b01, 0b01]
+
+    def test_overlapping_map_run_maps_nothing(self):
+        m = MemoryMapping()
+        m.map_run(10, FrameRange(100, 8))
+        m.set_protection(12, 2, 0b01)
+        chunks, frozen = list(m.chunks()), m.frozen()
+        table, prot, version = dict(m._map), dict(m._prot), m.version
+        # Each run's free prefix ([4, 10) and [6, 10)) stays unmapped.
+        with pytest.raises(MappingError, match="0xa already mapped"):
+            m.map_run(4, FrameRange(500, 8))
+        with pytest.raises(MappingError, match="0xa already mapped"):
+            m.map_run(6, FrameRange(500, 8), prot=0b101)
+        assert m._map == table and list(m._map) == list(table)
+        assert m._prot == prot and m.version == version
+        assert m.chunks() == chunks and m.frozen() is frozen
+        assert not any(v in m for v in range(4, 10))
+
+    def test_equality_ignores_derived_views(self):
+        a, b = MemoryMapping(), MemoryMapping()
+        for m in (a, b):
+            m.map_run(0, FrameRange(100, 8))
+        assert a == b
+        a.chunks()
+        a.frozen()
+        assert a == b and b == a
+        b.map_page(8, 108)
+        assert a != b
+
     def test_as_dict_shim_is_gone(self):
         # The deprecated shim was deleted once no caller was left.
         assert not hasattr(MemoryMapping, "as_dict")

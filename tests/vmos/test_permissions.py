@@ -37,6 +37,30 @@ class TestMappingProtections:
         with pytest.raises(MappingError):
             mapping.set_protection(63, 2, PROT_R)
 
+    def test_failed_set_protection_changes_nothing(self):
+        m = MemoryMapping()
+        m.map_run(0, FrameRange(100, 8))
+        assert [(c.vpn, c.pages) for c in m.chunks()] == [(0, 8)]
+        frozen, version = m.frozen(), m.version
+        with pytest.raises(MappingError, match="0x8 not mapped"):
+            m.set_protection(6, 4, PROT_R)
+        assert m._prot == {} and m.version == version
+        assert m._map == {v: 100 + v for v in range(8)}
+        assert [(c.vpn, c.pages) for c in m.chunks()] == [(0, 8)]
+        assert m.frozen() is frozen
+        # The valid prefix alone applies and splits the chunk.
+        m.set_protection(6, 2, PROT_R)
+        assert [(c.vpn, c.pages) for c in m.chunks()] == [(0, 6), (6, 2)]
+
+    def test_failed_revert_keeps_existing_protections(self, mapping):
+        mapping.set_protection(60, 4, PROT_R)
+        version = mapping.version
+        with pytest.raises(MappingError):
+            mapping.set_protection(60, 8, DEFAULT_PROT)
+        assert mapping._prot == dict.fromkeys(range(60, 64), PROT_R)
+        assert mapping.version == version
+        assert [c.pages for c in mapping.chunks()] == [60, 4]
+
     def test_map_with_protection(self):
         m = MemoryMapping()
         m.map_page(0, 10)
