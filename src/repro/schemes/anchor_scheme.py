@@ -443,9 +443,10 @@ class AnchorScheme(TranslationScheme):
         forced = (stale & (anchored | (unanch & (mk - avpn < r_ct)))) | sk_res
         # A forced row replays its full scalar flow, which can touch
         # both its anchor set and its small-key set — contaminate both.
-        # Sets holding drifted entries always replay: the kernel would
-        # rebuild their final state through value_of — *current* values
-        # — silently refreshing what the scalar machine keeps stale.
+        # Sets holding drifted entries always replay: the kernel stores
+        # value_of — the *current* value — for every key it accesses,
+        # hits included, while the scalar machine keeps a hit's stale
+        # value.
         bad_sets = np.unique(np.concatenate([
             aidx[cand | (forced & small_m)],
             (mk & imask)[forced & small_m],
@@ -460,11 +461,11 @@ class AnchorScheme(TranslationScheme):
             row_bad = np.zeros(m, dtype=bool)
             weak_only = row_bad
 
-        # Batched main stream over the clean sets only.  value_of
-        # resolves by *key* (not row) because the kernel also calls it
-        # for resident prefix entries surviving into the final state of
-        # a touched set; the drift check above guarantees every such
-        # key still resolves to its resident value.
+        # Batched main stream over the clean sets only.  The kernel
+        # asks value_of about each accessed key that survives into the
+        # final state, once per key rather than per row; the drift
+        # check above guarantees a key that hits a resident entry
+        # resolves to that entry's value.
         clean = ~row_bad
         small_dir = directory.small
         anchor_cont = directory.anchor_contiguity

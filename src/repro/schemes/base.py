@@ -120,8 +120,10 @@ class TranslationScheme(abc.ABC):
         snapshots, then call ``super()._on_mapping_update(frozen)`` (or
         :meth:`flush` directly) — resident TLB entries may translate
         through frames the OS just remapped, and
-        :func:`repro.sim.lru.simulate_block`'s ``value_of`` contract
-        requires resident values to match the current mapping.
+        :func:`repro.sim.lru.simulate_block` stores ``value_of`` — the
+        current mapping — for every key a block hits, where the scalar
+        path keeps the resident value; the two agree only while resident
+        values match the current mapping.
         """
         self.flush()
 

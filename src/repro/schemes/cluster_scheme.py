@@ -282,14 +282,12 @@ class ClusterScheme(TranslationScheme):
         cpc = strong_pc[clean]
         c_offs = strong_offs[clean]
         # Last build per vcluster wins, like the walks.  Entries are
-        # materialised lazily: value_of only runs for the handful of
-        # keys surviving into the final state, not per access.
+        # materialised lazily: value_of only runs for the block's own
+        # keys that survive into the final state, not per access.
         last_row = dict(zip(cvc.tolist(), range(cvc.shape[0])))
 
         def c_value_of(vc: int) -> ClusterEntry:
-            j = last_row.get(vc)
-            if j is None:
-                return snapshot[vc | tag_base]
+            j = last_row[vc]
             return ClusterEntry(
                 vc, int(cpc[j]) << _CLUSTER_SHIFT,
                 tuple(int(o) if o >= 0 else None for o in c_offs[j]))

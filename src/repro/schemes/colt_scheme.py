@@ -118,10 +118,10 @@ class ColtScheme(TranslationScheme):
         ent_pages = ent_end - ent_start
         ent_pfn = frozen.run_pfn[run] + (ent_start - run_start)
 
-        # Entries resident before the block: needed as values for lines
-        # the block never walks and for coverage checks on first probes.
-        # Snapshot keys are as stored — tag-packed — so every lookup
-        # below packs the array's current tag.
+        # Entries resident before the block, for the coverage checks on
+        # first probes (the kernel asks value_of only about the block's
+        # own lines).  Snapshot keys are as stored — tag-packed — so
+        # every lookup below packs the array's current tag.
         tag_base = self.l2.tag << TAG_SHIFT
         snapshot = {
             key: entry
@@ -134,10 +134,7 @@ class ColtScheme(TranslationScheme):
         ))
 
         def value_of(line: int) -> ColtEntry:
-            args = built.get(line)
-            if args is None:
-                return snapshot[line | tag_base]
-            return ColtEntry(*args)
+            return ColtEntry(*built[line])
 
         array_hit = simulate_block(self.l2, lines, lines, value_of)
         prev = previous_occurrence(lines)

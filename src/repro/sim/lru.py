@@ -12,8 +12,8 @@ recently accessed distinct keys of its set at that point.
 :func:`simulate_block` exploits that to resolve a whole block of
 accesses with numpy instead of one Python call per reference:
 
-1. replay the array's current entries as a synthetic prefix so the
-   window logic sees the pre-block state;
+1. replay the resident entries of the sets the block touches as a
+   synthetic prefix so the window logic sees the pre-block state;
 2. group the stream by set and link each access to the previous
    occurrence of its key (two packed non-stable sorts — equivalent to
    stable argsorts because the packed values are unique, and several
@@ -30,25 +30,32 @@ accesses with numpy instead of one Python call per reference:
    page-walk caches' PD level off the exact resolver;
 4. resolve the few remaining accesses with an exact per-access
    distinct-count walk;
-5. rebuild each set's final content — the last ``ways`` distinct keys
-   in recency order — directly into the array's dicts.
+5. select each touched set's final content — its last ``ways``
+   distinct keys — in one pass over the ``prev`` links, and write it
+   back as a delta: resident entries that were evicted or re-accessed
+   leave their set's dict, keys last accessed in the block enter at
+   MRU in recency order, and every other entry keeps its value and
+   its place.
+
+A call therefore costs its block plus the resident entries of the sets
+it touches; sets the block never touches are neither read nor written.
 
 Preconditions (asserted by the parity suite rather than at runtime,
 since they hold by construction for every caller):
 
 * every occurrence of a key uses the same set index (true here because
   the set index is always derived from the key);
-* ``value_of(key)`` returns the value the scalar path would have left
-  stored for ``key`` at the end of the block — for a key the block
-  never accesses, its resident value (true because shootdowns keep
-  resident TLB values consistent with the current OS mapping).
+* ``value_of(key)`` returns the value the scalar path would insert for
+  ``key`` on a miss.  It is asked only about keys the block accesses.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from repro.hw.tlb import KEY_MASK, TAG_SHIFT
+from repro.hw.tlb import TAG_SHIFT
 
 __all__ = [
     "SortedMembership",
@@ -223,23 +230,27 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
 
     Equivalent to ``lookup(set, key)`` followed by
     ``insert(set, key, value_of(key))`` on a miss, for every position in
-    order.  Mutates ``tlb`` to its final state and returns a boolean
-    hit array.
+    order.  Mutates ``tlb``'s per-set dicts in place to their final
+    state and returns a boolean hit array.
 
-    Final values follow one rule on every path: each key of the current
-    address space resident after the block holds ``value_of(key)``,
-    hits included.  A hit therefore refreshes the stored value, which
-    is what schemes whose scalar probe can hit the array, find its slot
-    uncovered, and rebuild the entry in place (CoLT, cluster) rely on.
+    Final values follow one rule on every path — the single-key path,
+    the fully associative scatter probe and the general path: each key
+    the block accesses that is resident afterwards holds
+    ``value_of(key)``, hits included, and the keys sit at MRU in order
+    of last access.  Every other entry keeps its value and its relative
+    order, and ``value_of`` is asked about no other key.  A hit
+    therefore refreshes the stored value, which is what schemes whose
+    scalar probe can hit the array, find its slot uncovered, and
+    rebuild the entry in place (CoLT, cluster) rely on.
 
     When the array carries a nonzero address-space tag (``tlb.tag``),
     the incoming keys are packed with that tag exactly as the scalar
     ``lookup``/``insert`` methods pack theirs, so tagged lookups stay
     vectorised: other tenants' resident entries never match (their keys
     differ in the high bits) but still occupy ways and age through LRU —
-    the shared-TLB contention.  Foreign-tag entries surviving into the
-    final state keep their *resident* values (captured before the block)
-    because ``value_of`` can only resolve the current tenant's keys.
+    the shared-TLB contention.  The block never accesses them, so they
+    keep their values under any tag, 0 included; ``value_of`` sees the
+    caller's untagged keys.
     """
     n = keys.shape[0]
     hits = np.zeros(n, dtype=bool)
@@ -249,6 +260,7 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     ways = tlb.ways
     mask = tlb.index_mask
     tag = getattr(tlb, "tag", 0)
+    raw_keys = keys
     if tag:
         keys = keys | np.int64(tag << TAG_SHIFT)
 
@@ -266,30 +278,31 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
             hits[0] = False
             if len(bucket) >= ways:
                 del bucket[next(iter(bucket))]
-        bucket[key] = value_of(key & KEY_MASK if tag else key)
+        bucket[key] = value_of(int(raw_keys[0]))
         return hits
 
-    # Synthetic prefix: replaying the resident entries (LRU -> MRU)
-    # into an empty array reproduces the current state exactly, so the
-    # windowed logic below needs no special initial-state handling.
-    pre_keys: list[int] = []
-    pre_sets: list[int] = []
-    pre_values: dict[int, object] = {}
-    for index, bucket in enumerate(buckets):
-        if bucket:
-            pre_keys.extend(bucket)
-            pre_sets.extend([index] * len(bucket))
-            if tag:
-                pre_values.update(bucket)
-    n0 = len(pre_keys)
+    # Synthetic prefix: replaying the resident entries of the touched
+    # sets (LRU -> MRU) into an empty array reproduces their current
+    # state exactly, so the windowed logic below needs no special
+    # initial-state handling.  Other sets cannot interact with the
+    # block, so they are left out.
+    if mask == 0:
+        resident = buckets             # the one set
+    else:
+        block_sets = set_indices & mask
+        per_set = np.bincount(block_sets, minlength=mask + 1)
+        touched = np.flatnonzero(per_set)
+        resident = [buckets[index] for index in touched.tolist()]
+    sizes = [len(bucket) for bucket in resident]
+    n0 = sum(sizes)
     if n0:
-        all_keys = np.concatenate(
-            [np.asarray(pre_keys, dtype=np.int64), keys])
+        prefix = np.fromiter(
+            chain.from_iterable(resident), dtype=np.int64, count=n0)
+        all_keys = np.concatenate([prefix, keys])
+        max_key = max(max_key, int(prefix.max()))
     else:
         all_keys = np.asarray(keys, dtype=np.int64)
     total = n0 + n
-    if pre_keys:
-        max_key = max(max_key, max(pre_keys))
 
     idx = np.arange(total, dtype=np.int32)
     if mask == 0:
@@ -311,35 +324,32 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
             live = np.flatnonzero(last_at >= 0)
             if live.shape[0] <= ways:
                 hits[:] = (idx > first_at[dense])[n0:]
-                recency = live[np.argsort(last_at[live])]  # LRU -> MRU
-                bucket = buckets[int(set_indices[0]) & mask]
-                resident = dict(bucket)
-                bucket.clear()
-                for k in (recency + min_key).tolist():
-                    key = int(k)
-                    if tag and key >> TAG_SHIFT != tag:
-                        bucket[key] = resident[key]
-                    else:
-                        bucket[key] = value_of(
-                            key & KEY_MASK if tag else key)
+                # Nothing is evicted: the keys the block accessed move
+                # to MRU in order of last access, the rest stay put.
+                at = np.sort(last_at[last_at >= n0])
+                bucket = buckets[0]
+                for key, raw in zip(all_keys[at].tolist(),
+                                    raw_keys[at - n0].tolist()):
+                    bucket.pop(key, None)
+                    bucket[key] = value_of(raw)
                 return hits
         g_pos = idx
         g_keys = all_keys
-        g_sets = np.zeros(1, dtype=np.int64)
-        seg_bounds = np.zeros(1, dtype=np.int32)
+        g_sets = np.zeros(total, dtype=np.int64)
         seg_start = np.int32(0)
     else:
-        # Group by set, preserving order within each set.
+        # Group by set, preserving order within each set: one segment
+        # per touched set, in ascending set order, its prefix rows
+        # first.
         if n0:
             all_sets = np.concatenate(
-                [np.asarray(pre_sets, dtype=np.int64), set_indices & mask])
+                [np.repeat(touched, sizes), block_sets])
         else:
-            all_sets = set_indices & mask
+            all_sets = block_sets
         g_sets, g_pos = _sort_with_positions(all_sets, mask)
         g_keys = all_keys[g_pos]
-        seg_bounds = np.flatnonzero(
-            np.r_[True, g_sets[1:] != g_sets[:-1]]).astype(np.int32)
-        seg_sizes = np.diff(np.append(seg_bounds, np.int32(total)))
+        seg_sizes = per_set[touched] + np.array(sizes, dtype=np.int64)
+        seg_bounds = np.cumsum(seg_sizes) - seg_sizes
         seg_start = np.repeat(seg_bounds, seg_sizes)
 
     # prev[i]: grouped position of the previous access to the same key
@@ -470,30 +480,26 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     else:
         hits[g_pos] = g_hits
 
-    # Final state: the last `ways` distinct keys of each touched set,
-    # found by scanning a geometrically growing tail of the segment
-    # (np.unique of the reversed tail yields last occurrences).
-    seg_ends = np.append(seg_bounds[1:], total)
-    for s0, s1 in zip(seg_bounds.tolist(), seg_ends.tolist()):
-        length = 4 * ways
-        while True:
-            lo = max(s0, s1 - length)
-            reversed_tail = g_keys[lo:s1][::-1]
-            _, first_at = np.unique(reversed_tail, return_index=True)
-            if first_at.size >= ways or lo == s0:
-                break
-            length *= 8
-        first_at.sort()
-        recent = reversed_tail[first_at[:ways]]  # MRU first
-        bucket = buckets[int(g_sets[s0])]
-        bucket.clear()
-        if tag:
-            for key in recent[::-1].tolist():
-                if key >> TAG_SHIFT == tag:
-                    bucket[key] = value_of(key & KEY_MASK)
-                else:
-                    bucket[key] = pre_values[key]
-        else:
-            for key in recent[::-1].tolist():
-                bucket[key] = value_of(key)
+    # Final state, in one pass over the prev links: a row is its key's
+    # last access iff no later row links back to it, and a set keeps
+    # the last `ways` such rows of its segment.  Prefix rows that do
+    # not survive (evicted, or re-accessed in the block) leave their
+    # dict; surviving block rows enter at MRU in recency order.
+    last = np.ones(total + 1, dtype=bool)
+    last[prev + 1] = False             # prev == -1 lands on the pad
+    last = last[1:]
+    rank = np.cumsum(last[::-1], dtype=np.int32)[::-1]
+    if mask:
+        # Count from each segment's end, not the stream's.
+        rank -= np.repeat(
+            np.append(rank[seg_bounds[1:]], np.int32(0)), seg_sizes)
+    keep = last & (rank <= ways)
+    from_prefix = g_pos < n0
+    gone = np.flatnonzero(from_prefix & ~keep)
+    for index, key in zip(g_sets[gone].tolist(), g_keys[gone].tolist()):
+        del buckets[index][key]
+    new = np.flatnonzero(keep & ~from_prefix)
+    for index, key, raw in zip(g_sets[new].tolist(), g_keys[new].tolist(),
+                               raw_keys[g_pos[new] - n0].tolist()):
+        buckets[index][key] = value_of(raw)
     return hits

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.params import DEFAULT_MACHINE
+from repro.mem.frames import FrameRange
+from repro.params import DEFAULT_MACHINE, MachineConfig, TLBGeometry
 from repro.schemes.base import TranslationScheme
 from repro.schemes.registry import make_scheme, scheme_names
 from repro.sim.engine import DEFAULT_EPOCH_REFERENCES, SimulationResult, run_trace
 from repro.sim.trace import Trace
+from repro.vmos.mapping import MemoryMapping
 from repro.vmos.scenarios import build_mapping
 from repro.vmos.vma import AllocationSite, layout_vmas
 
@@ -30,6 +32,16 @@ OPTIMIZED = set(scheme_names(include_extras=True))
 
 SCENARIOS = ("demand", "eager", "low")
 
+#: A machine with every TLB level shrunk (1 GiB levels included), so a
+#: handful of references already shares sets between tenants.
+TINY_ALL_LEVELS = MachineConfig(
+    l1_4k=TLBGeometry(8, 2),
+    l1_2m=TLBGeometry(4, 2),
+    l1_1g=TLBGeometry(4, 2),
+    l2_1g=TLBGeometry(4, 2),
+    l2=TLBGeometry(16, 4),
+)
+
 
 def parity_vmas():
     return layout_vmas([
@@ -37,6 +49,14 @@ def parity_vmas():
         AllocationSite(64, 4),
         AllocationSite(8, 8),
     ])
+
+
+#: schemes whose batched path runs under a nonzero ASID.
+TAG_SAFE = [
+    name for name in sorted(OPTIMIZED)
+    if make_scheme(
+        name, build_mapping(parity_vmas(), "low", seed=3)).tag_safe_block
+]
 
 
 def mapped_trace(mapping, references, seed):
@@ -58,6 +78,8 @@ def l2_state(scheme):
 def hw_state(scheme):
     """Every piece of stateful hardware a scheme owns, LRU order and all."""
     state = {"l1": scheme.l1.state(), "l2": l2_state(scheme)}
+    if hasattr(scheme, "l2_giga"):
+        state["l2_giga"] = scheme.l2_giga.state()
     if hasattr(scheme, "regular"):
         state["regular"] = scheme.regular.state()
     if hasattr(scheme, "clustered"):
@@ -197,12 +219,7 @@ class TestGoldenParity:
             outputs[engine] = (scheme.stats.snapshot(), hw_state(scheme))
         assert outputs["batched"] == outputs["scalar"]
 
-    @pytest.mark.parametrize("scheme_name",
-                             [n for n in sorted(OPTIMIZED)
-                              if make_scheme(
-                                  n,
-                                  build_mapping(parity_vmas(), "low", seed=3),
-                              ).tag_safe_block])
+    @pytest.mark.parametrize("scheme_name", TAG_SAFE)
     def test_tagged_parity(self, scheme_name, tiny_machine):
         """Tag-safe schemes under a nonzero ASID: the batched engine
         must pack the tag into every structure exactly as the scalar
@@ -218,6 +235,32 @@ class TestGoldenParity:
                                engine=engine)
             outputs[engine] = (
                 scheme.stats.snapshot(), result.epoch_stats, hw_state(scheme))
+        assert outputs["batched"] == outputs["scalar"]
+
+    @pytest.mark.parametrize("machine", [DEFAULT_MACHINE, TINY_ALL_LEVELS],
+                             ids=["default", "tiny"])
+    @pytest.mark.parametrize("scheme_name", TAG_SAFE)
+    def test_asid_zero_beside_other_tags(self, scheme_name, machine):
+        """A tenant under ASID 0 shares the TLBs with another tag's
+        resident entries.  The batched engine must leave those entries
+        alone — value and place — exactly as the scalar loop does,
+        never resolving their tag-packed keys through ``value_of``."""
+        mapping = MemoryMapping()
+        mapping.map_run(0, FrameRange(1000, 64))
+        first = np.arange(0, 64, 3, dtype=np.int64)
+        steps = [(1, first), (0, first[:2]),
+                 (1, np.arange(1, 64, 5, dtype=np.int64))]
+        outputs = {}
+        for engine in ("scalar", "batched"):
+            scheme = make_scheme(scheme_name, mapping, machine)
+            for asid, vpns in steps:
+                scheme.set_asid(asid)
+                if engine == "batched":
+                    scheme.access_block(vpns)
+                else:
+                    for vpn in vpns.tolist():
+                        scheme.access(vpn)
+            outputs[engine] = (scheme.stats.snapshot(), hw_state(scheme))
         assert outputs["batched"] == outputs["scalar"]
 
     @settings(max_examples=15, deadline=None)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.tlb import SetAssociativeTLB
@@ -47,7 +47,9 @@ def run_both(entries, ways, sets, keys, seed_entries=()):
     assert batched.state() == scalar.state()
 
 
-GEOMETRIES = [(1, 1), (4, 2), (8, 2), (8, 4), (16, 4), (64, 8)]
+#: (entries, ways); (1, 1) and (4, 4) are one-set arrays, which run the
+#: fully associative paths.
+GEOMETRIES = [(1, 1), (4, 2), (4, 4), (8, 2), (8, 4), (16, 4), (64, 8)]
 
 
 class TestSimulateBlock:
@@ -96,6 +98,74 @@ class TestSimulateBlock:
     def test_property_random_traces(self, keys, geometry):
         entries, ways = geometry
         run_both(entries, ways, keys, keys)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        geometry=st.sampled_from(GEOMETRIES),
+        blocks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4),
+                st.lists(st.integers(min_value=0, max_value=11),
+                         max_size=60)),
+            min_size=1, max_size=8),
+    )
+    @example(geometry=(4, 2), blocks=[(1, [0]), (0, [0, 1])])
+    def test_property_tagged_blocks(self, geometry, blocks):
+        """Tenants time-sliced over one array: each (tag, block) runs
+        through a scalar and a batched array under that tag.  Hits and
+        the full state match after every block, so no tag — 0
+        included — disturbs another tag's entries."""
+        entries, ways = geometry
+        scalar = SetAssociativeTLB(entries, ways)
+        batched = SetAssociativeTLB(entries, ways)
+        for tag, block in blocks:
+            def tagged_value(key, tag=tag):
+                return ("value", tag, key)
+
+            scalar.set_tag(tag)
+            batched.set_tag(tag)
+            expected = np.zeros(len(block), dtype=bool)
+            for i, key in enumerate(block):
+                if scalar.lookup(key, key) is not None:
+                    expected[i] = True
+                else:
+                    scalar.insert(key, key, tagged_value(key))
+            keys = np.asarray(block, dtype=np.int64)
+            got = simulate_block(batched, keys, keys, tagged_value)
+            assert got.tolist() == expected.tolist()
+            assert batched.state() == scalar.state()
+
+    def test_value_of_sees_only_accessed_keys(self):
+        """A block touching two of four sets: ``value_of`` is asked only
+        about the block's keys, the touched sets' unaccessed entries keep
+        their values and relative order, and the other sets are left
+        exactly as they were."""
+        tlb = SetAssociativeTLB(16, 4)
+        for key in range(16):
+            tlb.insert(key, key, ("resident", key))
+        before = tlb.state()
+        # Set 0 holds 0, 4, 8, 12 and set 1 holds 1, 5, 9, 13 (LRU ->
+        # MRU): hits on 4, 1, 5 and misses on 16, 0 evicting 0 and 8.
+        block = [4, 1, 16, 0, 5]
+        asked = []
+
+        def spy(key):
+            asked.append(key)
+            return ("fresh", key)
+
+        keys = np.asarray(block, dtype=np.int64)
+        hits = simulate_block(tlb, keys, keys, spy)
+        assert hits.tolist() == [True, True, False, False, True]
+        assert set(asked) <= set(block)
+        after = tlb.state()
+        # Unaccessed survivors first, in their old order and with their
+        # old values; then the block's keys by last access, hits
+        # included, holding value_of's values.
+        assert after[0] == [(12, ("resident", 12)), (4, ("fresh", 4)),
+                            (16, ("fresh", 16)), (0, ("fresh", 0))]
+        assert after[1] == [(9, ("resident", 9)), (13, ("resident", 13)),
+                            (1, ("fresh", 1)), (5, ("fresh", 5))]
+        assert after[2:] == before[2:]
 
 
 class TestHelpers:
