@@ -15,16 +15,31 @@ import ast
 
 from repro.checks.base import Checker, dotted_name
 
-#: The FrozenMapping column attributes (plus the live page-table ref).
+#: The FrozenMapping column attributes (plus the live page-table ref
+#: and the page index over ``vpns``/``pfns``).
 _COLUMNS = {
     "vpns", "pfns",
     "chunk_vpn", "chunk_pfn", "chunk_pages",
     "run_vpn", "run_pfn", "run_pages",
-    "page_table",
+    "page_table", "index",
 }
+
+#: The arrays of the page index (``X.index.<array>``).
+_INDEX_ARRAYS = {"keys", "values", "rows"}
 
 #: The one class allowed to assign the columns: the view's own builder.
 _BUILDER_CLASS = "FrozenMapping"
+
+
+def _column_of(node: ast.AST) -> str | None:
+    """The column a store target's base names: ``X.vpns`` gives
+    ``vpns``, the page index's ``X.index.rows`` gives ``index.rows``."""
+    if not isinstance(node, ast.Attribute):
+        return None
+    if (node.attr in _INDEX_ARRAYS and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "index"):
+        return f"index.{node.attr}"
+    return node.attr if node.attr in _COLUMNS else None
 
 
 class FrozenMutationChecker(Checker):
@@ -50,14 +65,15 @@ class FrozenMutationChecker(Checker):
                     hint="mutate the MemoryMapping (map/unmap/set_protection) "
                          "and re-read mapping.frozen()",
                 )
-        # X.vpns[i] = ... / X.page_table[vpn] = ...  (in-place store)
+        # X.vpns[i] = ... / X.page_table[vpn] = ... / X.index.rows[i] = ...
+        # (in-place store)
         elif isinstance(target, ast.Subscript):
-            base = target.value
-            if isinstance(base, ast.Attribute) and base.attr in _COLUMNS:
+            column = _column_of(target.value)
+            if column is not None:
                 self.report(
                     target,
                     f"in-place store into compiled mapping column "
-                    f"'.{base.attr}[...]'",
+                    f"'.{column}[...]'",
                     hint="compiled views are shared across schemes; mutate "
                          "the MemoryMapping so the version counter sees it",
                 )

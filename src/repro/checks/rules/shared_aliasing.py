@@ -68,7 +68,7 @@ _EXPENSIVE_BUILDERS = {
     "promote_giga_pages",
     "RangeTable",
     "AnchorDirectory",
-    "SortedMembership",
+    "KeyIndex",
     "sorted_arrays",
     "partition_regions",
 }

@@ -32,7 +32,7 @@ cost to production runs.
 from __future__ import annotations
 
 import os
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -43,9 +43,10 @@ ENV_VAR = "ANCHOR_TLB_SANITIZE"
 #: the live mapping whose arrays the OS layer legitimately mutates.
 _PER_CLONE_ATTRS = frozenset({"l1", "pwc", "stats", "mapping", "config"})
 
-#: How deep to chase arrays through tuples/lists/dicts.  The share
-#: protocol nests at most one container level (e.g. the sorted-view
-#: tuples of array pairs).
+#: How deep to chase arrays through tuples/lists/dicts and the slots
+#: of slotted objects.  The share protocol nests at most two levels
+#: (e.g. a view tuple of :class:`~repro.vmos.mapping.KeyIndex` objects,
+#: or a ``FrozenMapping``'s page index).
 _MAX_DEPTH = 3
 
 
@@ -55,15 +56,27 @@ def enabled() -> bool:
     return os.environ.get(ENV_VAR, "") not in ("", "0")
 
 
+def _slot_values(value: Any) -> Iterator[Any]:
+    """The values held in a slotted object's slots, base classes too."""
+    for cls in type(value).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            yield getattr(value, slot, None)
+
+
 def _arrays_in(value: Any, depth: int = _MAX_DEPTH) -> Iterator[np.ndarray]:
     if isinstance(value, np.ndarray):
         yield value
-    elif depth > 0 and isinstance(value, (tuple, list)):
-        for item in value:
-            yield from _arrays_in(item, depth - 1)
-    elif depth > 0 and isinstance(value, dict):
-        for item in value.values():
-            yield from _arrays_in(item, depth - 1)
+        return
+    if depth <= 0:
+        return
+    if isinstance(value, (tuple, list)):
+        items: Iterable[Any] = value
+    elif isinstance(value, dict):
+        items = value.values()
+    else:
+        items = _slot_values(value)
+    for item in items:
+        yield from _arrays_in(item, depth - 1)
 
 
 def freeze_arrays(value: Any) -> int:
@@ -104,16 +117,9 @@ def release_arrays(value: Any) -> int:
 
 
 def seal_mapping_columns(frozen_mapping: Any) -> int:
-    """Seal every array column of a fully built ``FrozenMapping``."""
-    sealed = 0
-    for cls in type(frozen_mapping).__mro__:
-        for slot in getattr(cls, "__slots__", ()):
-            try:
-                value = getattr(frozen_mapping, slot)
-            except AttributeError:
-                continue
-            sealed += freeze_arrays(value)
-    return sealed
+    """Seal every array column of a fully built ``FrozenMapping``, the
+    page index's row table included."""
+    return freeze_arrays(frozen_mapping)
 
 
 def guard_shared(scheme: Any) -> int:

@@ -35,17 +35,11 @@ from repro.hw.anchor_tlb import (
     AnchorL2TLB,
 )
 from repro.schemes.base import TranslationScheme
-from repro.sim.lru import (
-    collapse_runs,
-    isin_sorted,
-    lookup_sorted,
-    simulate_block,
-    sorted_arrays,
-)
+from repro.sim.lru import collapse_runs, isin_sorted, simulate_block
 from repro.vmos.anchor import AnchorDirectory
 from repro.vmos.contiguity import contiguity_histogram
 from repro.vmos.distance import select_distance
-from repro.vmos.mapping import MemoryMapping
+from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
 from repro.vmos.shootdown import ShootdownLog
 
 _HUGE_SHIFT = 9
@@ -191,8 +185,8 @@ class AnchorScheme(TranslationScheme):
     # ------------------------------------------------------------------
 
     def _directory_arrays(self):
-        """Sorted-array views of the coverage plan, rebuilt lazily after
-        any OS-side update (reselect, map/unmap/protect, rebuild)."""
+        """Indexes over the coverage plan, rebuilt lazily after any
+        OS-side update (reselect, map/unmap/protect, rebuild)."""
         if self._block_cache is None:
             directory = self.directory
             hg = sorted_arrays(directory.huge)
@@ -200,7 +194,7 @@ class AnchorScheme(TranslationScheme):
             an = sorted_arrays(directory.anchor_contiguity)
             # Every anchor sits on a 4 KiB leaf by construction; if that
             # ever broke, the block path could not resolve APPNs safely.
-            anchors_ok = bool(isin_sorted(sm[0], an[0]).all())
+            anchors_ok = sm.contains_all(an.keys)
             self._block_cache = (hg, sm, an, anchors_ok)
         return self._block_cache
 
@@ -301,17 +295,16 @@ class AnchorScheme(TranslationScheme):
         """
         if vpns.shape[0] == 0:
             return
-        (hg_keys, hg_vals), (sm_keys, sm_vals), (an_keys, an_vals), ok = (
-            self._directory_arrays())
+        hg, sm, an, ok = self._directory_arrays()
         if not ok:
             return super().access_block(vpns)
         heads = collapse_runs(vpns)
         n = vpns.shape[0]
         hvpn = heads >> _HUGE_SHIFT
-        hbase, is_huge = lookup_sorted(hg_keys, hg_vals, hvpn << _HUGE_SHIFT)
+        hbase, is_huge = hg.lookup(hvpn << _HUGE_SHIFT)
         is_small = ~is_huge
         small_heads = heads[is_small]
-        pfn_sm, found = lookup_sorted(sm_keys, sm_vals, small_heads)
+        pfn_sm, found = sm.lookup(small_heads)
         if not found.all():
             # An unmapped page: the scalar loop faults at the right spot.
             return super().access_block(vpns)
@@ -353,17 +346,14 @@ class AnchorScheme(TranslationScheme):
         m_huge = is_huge[miss]
         m_hb = hbase[miss]
         avpn = mk >> dlog << dlog
+        an_keys = an.keys
         na = an_keys.size
-        if na:
-            aid = np.searchsorted(an_keys, avpn)
-            aid[aid == na] = 0
-            af = an_keys[aid] == avpn
-            cont = np.where(af, an_vals[aid], 0)
-        else:
-            aid = np.zeros(m, dtype=np.int64)
-            af = np.zeros(m, dtype=bool)
-            cont = np.zeros(m, dtype=np.int64)
-        appn, _ = lookup_sorted(sm_keys, sm_vals, avpn)
+        # Row of each miss's anchor in the plan (-1, the spare last slot
+        # of the per-anchor arrays below, when it has none).
+        aid = an.rows_of(avpn)
+        af = aid >= 0
+        cont = an.values_of(aid)
+        appn, _ = sm.lookup(avpn)
         pfn_heads = np.zeros(heads.shape[0], dtype=np.int64)
         pfn_heads[is_small] = pfn_sm
         m_pfn = pfn_heads[miss]
@@ -419,12 +409,11 @@ class AnchorScheme(TranslationScheme):
             sa_keys = np.array([k for k, _ in items], dtype=np.int64)
             sa_ap = np.array([v[0] for _, v in items], dtype=np.int64)
             sa_ct = np.array([v[1] for _, v in items], dtype=np.int64)
-            s_ap, s_found = lookup_sorted(sa_keys, sa_ap, pak)
-            s_ct, _ = lookup_sorted(sa_keys, sa_ct, pak)
-            s_found &= small_m
+            s_row = KeyIndex(sa_keys, sa_ap).rows_of(pak)
+            s_found = (s_row >= 0) & small_m
             resident |= s_found
-            r_ap = np.where(s_found, s_ap, r_ap)
-            r_ct = np.where(s_found, s_ct, r_ct)
+            r_ap = np.where(s_found, sa_ap[s_row], r_ap)
+            r_ct = np.where(s_found, sa_ct[s_row], r_ct)
         stale = resident & ((r_ap != appn) | (r_ct != cont))
         sk_res = np.zeros(m, dtype=bool)
         if anch_smalls and bool(anchored.any()):

@@ -32,12 +32,15 @@ from repro.schemes.base import TranslationScheme, promote_huge_pages
 from repro.sim.lru import (
     collapse_runs,
     isin_sorted,
-    lookup_sorted,
     previous_occurrence,
     simulate_block,
+)
+from repro.vmos.mapping import (
+    KeyIndex,
+    MemoryMapping,
+    cluster_slot_offsets,
     sorted_arrays,
 )
-from repro.vmos.mapping import MemoryMapping, cluster_slot_offsets
 
 _HUGE_SHIFT = 9
 _KIND_SMALL = 0
@@ -78,16 +81,19 @@ class ClusterScheme(TranslationScheme):
         else:
             # Live reference to the page table — never goes stale.
             self._huge, self._small = {}, self.mapping.frozen().page_table
-        self._arrays: tuple | None = None
+        self._arrays: tuple[KeyIndex, KeyIndex] | None = None
 
     def _on_mapping_update(self, frozen) -> None:
         self._build_promotions()
         self.flush()
 
-    def _sorted_views(self) -> tuple:
+    def _sorted_views(self) -> tuple[KeyIndex, KeyIndex]:
         if self._arrays is None:
-            self._arrays = (sorted_arrays(self._small),
-                            sorted_arrays(self._huge))
+            # Without THP the small view is the page table itself, so
+            # the mapping's own page index serves it.
+            small = (sorted_arrays(self._small) if self.use_thp
+                     else self.mapping.frozen().index)
+            self._arrays = (small, sorted_arrays(self._huge))
         return self._arrays
 
     def _prepare_share(self) -> None:
@@ -185,14 +191,14 @@ class ClusterScheme(TranslationScheme):
         """
         if vpns.shape[0] == 0:
             return
-        (sm_keys, sm_vals), (hg_keys, hg_vals) = self._sorted_views()
+        small_index, huge_index = self._sorted_views()
         heads = collapse_runs(vpns)
         n = vpns.shape[0]
         hvpn = heads >> _HUGE_SHIFT
-        _, is_huge = lookup_sorted(hg_keys, hg_vals, hvpn << _HUGE_SHIFT)
+        is_huge = huge_index.mask(hvpn << _HUGE_SHIFT)
         is_small = ~is_huge
         small_heads = heads[is_small]
-        pfn_sm, found = lookup_sorted(sm_keys, sm_vals, small_heads)
+        pfn_sm, found = small_index.lookup(small_heads)
         if not found.all():
             # An unmapped page: the scalar loop faults at the right spot.
             return super().access_block(vpns)
@@ -215,7 +221,7 @@ class ClusterScheme(TranslationScheme):
         sm_rows = np.flatnonzero(~m_huge)
         sv = mk[sm_rows]
         coverage, offsets = cluster_slot_offsets(
-            sm_keys, sm_vals, sv, pfn[sm_rows], shift=_CLUSTER_SHIFT)
+            small_index, sv, pfn[sm_rows], shift=_CLUSTER_SHIFT)
         c_class = coverage > 1
 
         # --- regular side: huge + R-class stream, promote-or-insert ---

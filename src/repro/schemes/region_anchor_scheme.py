@@ -23,15 +23,9 @@ from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.anchor_tlb import KIND_ANCHOR, KIND_HUGE, KIND_SMALL
 from repro.hw.tlb import SetAssociativeTLB
 from repro.schemes.base import TranslationScheme
-from repro.sim.lru import (
-    collapse_runs,
-    isin_sorted,
-    lookup_sorted,
-    simulate_block,
-    sorted_arrays,
-)
+from repro.sim.lru import collapse_runs, isin_sorted, simulate_block
 from repro.vmos.anchor import AnchorDirectory
-from repro.vmos.mapping import MemoryMapping
+from repro.vmos.mapping import MemoryMapping, sorted_arrays
 from repro.vmos.regions import AnchorRegion, partition_regions
 
 _HUGE_SHIFT = 9
@@ -185,7 +179,7 @@ class RegionAnchorScheme(TranslationScheme):
             hg = sorted_arrays(huge)
             sm = sorted_arrays(small)
             an = sorted_arrays(anchors)
-            anchors_ok = bool(isin_sorted(sm[0], an[0]).all())
+            anchors_ok = sm.contains_all(an.keys)
             self._block_cache = (
                 np.asarray([r.start_vpn for r in self.regions], dtype=np.int64),
                 np.asarray([r.end_vpn for r in self.regions], dtype=np.int64),
@@ -225,10 +219,10 @@ class RegionAnchorScheme(TranslationScheme):
             # A page outside every region: the scalar loop faults there.
             return super().access_block(vpns)
         hvpn = heads >> _HUGE_SHIFT
-        hbase, is_huge = lookup_sorted(hg[0], hg[1], hvpn << _HUGE_SHIFT)
+        hbase, is_huge = hg.lookup(hvpn << _HUGE_SHIFT)
         is_small = ~is_huge
         small_heads = heads[is_small]
-        pfn_sm, found = lookup_sorted(sm[0], sm[1], small_heads)
+        pfn_sm, found = sm.lookup(small_heads)
         if not found.all():
             return super().access_block(vpns)
 
@@ -250,18 +244,14 @@ class RegionAnchorScheme(TranslationScheme):
         m_hb = hbase[miss]
         dlog = dlogs[ridx[miss]]
         avpn = mk >> dlog << dlog
-        an_keys, an_vals = an
+        an_keys = an.keys
         na = an_keys.size
-        if na:
-            aid = np.searchsorted(an_keys, avpn)
-            aid[aid == na] = 0
-            af = an_keys[aid] == avpn
-            cont = np.where(af, an_vals[aid], 0)
-        else:
-            aid = np.zeros(m, dtype=np.int64)
-            af = np.zeros(m, dtype=bool)
-            cont = np.zeros(m, dtype=np.int64)
-        appn, _ = lookup_sorted(sm[0], sm[1], avpn)
+        # Row of each miss's anchor in the merged plan (-1, the spare
+        # last slot of the per-anchor arrays below, when it has none).
+        aid = an.rows_of(avpn)
+        af = aid >= 0
+        cont = an.values_of(aid)
+        appn, _ = sm.lookup(avpn)
         pfn_heads = np.zeros(heads.shape[0], dtype=np.int64)
         pfn_heads[is_small] = pfn_sm
         m_pfn = pfn_heads[miss]

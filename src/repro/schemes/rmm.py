@@ -20,8 +20,8 @@ from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.range_tlb import RangeTable, RangeTLB
 from repro.hw.tlb import SetAssociativeTLB
 from repro.schemes.base import TranslationScheme, promote_huge_pages
-from repro.sim.lru import collapse_runs, lookup_sorted, simulate_block, sorted_arrays
-from repro.vmos.mapping import MemoryMapping
+from repro.sim.lru import collapse_runs, simulate_block
+from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
 
 _HUGE_SHIFT = 9
 _KIND_SMALL = 0
@@ -51,13 +51,13 @@ class RMMScheme(TranslationScheme):
         """(Re-)derive the OS-side structures from the current mapping."""
         self.range_table = RangeTable(self.mapping)
         self._huge, self._small = promote_huge_pages(self.mapping)
-        self._arrays: tuple | None = None
+        self._arrays: tuple[KeyIndex, KeyIndex] | None = None
 
     def _on_mapping_update(self, frozen) -> None:
         self._build_os_views()
         self.flush()
 
-    def _sorted_views(self) -> tuple:
+    def _sorted_views(self) -> tuple[KeyIndex, KeyIndex]:
         if self._arrays is None:
             self._arrays = (sorted_arrays(self._small),
                             sorted_arrays(self._huge))
@@ -141,14 +141,14 @@ class RMMScheme(TranslationScheme):
         if vpns.shape[0] == 0:
             return
         frozen = self.mapping.frozen()
-        (sm_keys, sm_vals), (hg_keys, hg_vals) = self._sorted_views()
+        small_index, huge_index = self._sorted_views()
         heads = collapse_runs(vpns)
         n = vpns.shape[0]
         hvpn = heads >> _HUGE_SHIFT
-        hbase, is_huge = lookup_sorted(hg_keys, hg_vals, hvpn << _HUGE_SHIFT)
+        hbase, is_huge = huge_index.lookup(hvpn << _HUGE_SHIFT)
         is_small = ~is_huge
         small_heads = heads[is_small]
-        pfn_sm, found = lookup_sorted(sm_keys, sm_vals, small_heads)
+        pfn_sm, found = small_index.lookup(small_heads)
         if not found.all():
             # An unmapped page: the scalar loop faults at the right spot.
             return super().access_block(vpns)

@@ -15,8 +15,8 @@ from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, GIGA_PAGE_PAGES, MachineConfig
 from repro.hw.tlb import SetAssociativeTLB
 from repro.schemes.base import TranslationScheme, promote_huge_pages
-from repro.sim.lru import SortedMembership, collapse_runs, simulate_block
-from repro.vmos.mapping import MemoryMapping
+from repro.sim.lru import collapse_runs, simulate_block
+from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
 
 _HUGE_SHIFT = 9
 _GIGA_SHIFT = 18
@@ -70,7 +70,7 @@ class THPScheme(TranslationScheme):
                 hvpn: pfn for hvpn, pfn in self._huge.items()
                 if hvpn & -GIGA_PAGE_PAGES not in self._giga
             }
-        self._memberships: tuple[SortedMembership, ...] | None = None
+        self._memberships: tuple[KeyIndex, ...] | None = None
 
     def _on_mapping_update(self, frozen) -> None:
         # The OS re-promotes after the change; stale promotion windows
@@ -78,12 +78,12 @@ class THPScheme(TranslationScheme):
         self._build_promotions()
         self.flush()
 
-    def _membership_views(self) -> tuple[SortedMembership, ...]:
+    def _membership_views(self) -> tuple[KeyIndex, ...]:
         if self._memberships is None:
             self._memberships = (
-                SortedMembership(self._small),
-                SortedMembership(self._huge),
-                SortedMembership(self._giga),
+                sorted_arrays(self._small),
+                sorted_arrays(self._huge),
+                sorted_arrays(self._giga),
             )
         return self._memberships
 

@@ -58,59 +58,12 @@ import numpy as np
 from repro.hw.tlb import TAG_SHIFT
 
 __all__ = [
-    "SortedMembership",
     "collapse_runs",
     "isin_sorted",
-    "lookup_sorted",
     "previous_occurrence",
     "simulate_assoc_block",
     "simulate_block",
-    "sorted_arrays",
 ]
-
-
-def sorted_arrays(table: dict) -> tuple[np.ndarray, np.ndarray]:
-    """A dict of int -> int as parallel sorted key/value arrays."""
-    keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-    values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-    order = np.argsort(keys)
-    return keys[order], values[order]
-
-
-class SortedMembership:
-    """Vectorised mapped-ness pre-check over a static key set.
-
-    Batched schemes must know *before* touching any state whether a
-    block contains an unmapped page (if so, they replay the block
-    through the scalar loop, which faults at exactly the right
-    reference).  Contiguously mapped key sets — the common case — are
-    checked with two min/max passes instead of a searchsorted per key.
-    """
-
-    def __init__(self, keys) -> None:
-        arr = np.fromiter(keys, dtype=np.int64, count=len(keys))
-        arr.sort()
-        self.keys = arr
-        self.contiguous = bool(
-            arr.size and int(arr[-1]) - int(arr[0]) + 1 == arr.size)
-
-    def contains_all(self, values: np.ndarray) -> bool:
-        if values.size == 0:
-            return True
-        if self.keys.size == 0:
-            return False
-        if self.contiguous:
-            return (int(values.min()) >= int(self.keys[0])
-                    and int(values.max()) <= int(self.keys[-1]))
-        return bool(isin_sorted(self.keys, values).all())
-
-    def mask(self, values: np.ndarray) -> np.ndarray:
-        """Per-element membership."""
-        if self.keys.size == 0:
-            return np.zeros(values.shape, dtype=bool)
-        if self.contiguous:
-            return (values >= self.keys[0]) & (values <= self.keys[-1])
-        return isin_sorted(self.keys, values)
 
 
 def collapse_runs(vpns: np.ndarray) -> np.ndarray:
@@ -137,35 +90,6 @@ def isin_sorted(sorted_keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(sorted_keys, values)
     idx[idx == sorted_keys.size] = 0  # out-of-range probes cannot match
     return sorted_keys[idx] == values
-
-
-def lookup_sorted(
-    sorted_keys: np.ndarray,
-    sorted_values: np.ndarray,
-    queries: np.ndarray,
-    default: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised dict lookup against parallel sorted key/value arrays.
-
-    Returns ``(values, found)``; missing queries get ``default``.
-    Contiguous key spaces (dense page tables, the common benchmark
-    shape) resolve with a range test and one gather instead of a
-    searchsorted per query.
-    """
-    count = sorted_keys.size
-    if count == 0:
-        return (np.full(queries.shape, default, dtype=np.int64),
-                np.zeros(queries.shape, dtype=bool))
-    if int(sorted_keys[-1]) - int(sorted_keys[0]) + 1 == count:
-        base = np.int64(sorted_keys[0])
-        found = (queries >= base) & (queries < base + count)
-        idx = np.where(found, queries - base, np.int64(0))
-    else:
-        idx = np.searchsorted(sorted_keys, queries)
-        idx[idx == count] = 0
-        found = sorted_keys[idx] == queries
-    values = np.where(found, sorted_values[idx], default)
-    return values, found
 
 
 def _sort_with_positions(

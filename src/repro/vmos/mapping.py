@@ -6,6 +6,7 @@ translation scheme can coalesce.  The class keeps the mapping as a dict
 (sparse in VPN space) plus the VMA list, and offers the derived views
 everything else consumes: maximal contiguous chunks, the contiguity
 histogram, and ground-truth translation for the differential tests.
+:class:`KeyIndex` is the one bulk lookup over page-keyed arrays.
 """
 
 from __future__ import annotations
@@ -37,15 +38,111 @@ class Chunk:
 #: Default page protection: present + read/write (see PTEFlags).
 DEFAULT_PROT = 0b11
 
+#: A key set gets a direct-indexed row table while its grid has at most
+#: this many slots per key plus ``_TABLE_SLACK``, which bounds the int32
+#: table at 16 bytes per key plus 16 KiB.  Sparser sets (one VMA far
+#: from the rest) keep ``searchsorted``.
+_SLOTS_PER_KEY = 4
+_TABLE_SLACK = 4096
+
+
+class KeyIndex:
+    """Sorted unique int64 ``keys``, their parallel ``values``, and the
+    row of any query key in one gather.
+
+    The keys lie on the grid ``base + (i << shift)``: ``base`` is the
+    smallest key and ``shift`` the trailing zero bits every ``key -
+    base`` shares (0 for pages, 9 for 2 MiB window bases, log2(d) for
+    the anchors of one distance d).  ``rows[i + 1]`` holds the row of
+    the key at grid slot ``i``, or -1 for a hole; a -1 slot at each end
+    catches every query below ``base``, past the last key or off the
+    grid.  A contiguous key set is the grid without holes.  When the
+    grid would exceed the table bound ``rows`` is None and queries take
+    ``searchsorted``; both paths return the same rows.
+    """
+
+    __slots__ = ("keys", "values", "origin", "shift", "rows")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
+        self.keys = keys
+        self.values = values
+        count = keys.shape[0]
+        base = int(keys[0]) if count else 0
+        offsets = keys - base
+        spread = int(np.bitwise_or.reduce(offsets))
+        shift = (spread & -spread).bit_length() - 1 if spread else 0
+        span = (int(offsets[-1]) >> shift) + 1 if count else 0
+        self.shift = shift
+        #: The grid point one slot below ``base``: a query's distance
+        #: from it, in grid steps, is its index into ``rows``.
+        self.origin = base - (1 << shift)
+        self.rows: np.ndarray | None = None
+        if span <= _SLOTS_PER_KEY * count + _TABLE_SLACK:
+            # In place: the offsets become table slots (index builds
+            # sit on every mapping compile and scheme construction).
+            if shift:
+                offsets >>= shift
+            offsets += 1
+            rows = np.full(span + 2, -1, dtype=np.int32)
+            rows[offsets] = np.arange(count, dtype=np.int32)
+            self.rows = rows
+
+    def rows_of(self, queries: np.ndarray) -> np.ndarray:
+        """Each query's row in ``keys``, -1 where it is not a key."""
+        rows = self.rows
+        if rows is None:
+            keys = self.keys
+            at = np.minimum(np.searchsorted(keys, queries), keys.shape[0] - 1)
+            return np.where(keys[at] == queries, at, -1)
+        slot = np.subtract(queries, self.origin, dtype=np.int64)
+        if self.shift:
+            # Rotate right by the shift: an off-grid query's low bits
+            # land on top, past one end of the table like any query
+            # outside the grid, where the clip meets a -1.
+            wide = slot.view(np.uint64)
+            slot = ((wide >> self.shift) | (wide << (64 - self.shift))).view(np.int64)
+        return rows.take(slot, mode="clip")
+
+    def values_of(self, rows: np.ndarray, default: int = 0) -> np.ndarray:
+        """``values[rows]``, with ``default`` where a row is -1."""
+        if self.values.shape[0] == 0:
+            return np.full(rows.shape, default, dtype=np.int64)
+        return np.where(rows >= 0, self.values.take(rows), default)
+
+    def lookup(
+        self, queries: np.ndarray, default: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised dict lookup: ``(values, found)`` per query, with
+        ``default`` for the missing ones."""
+        rows = self.rows_of(queries)
+        return self.values_of(rows, default), rows >= 0
+
+    def mask(self, queries: np.ndarray) -> np.ndarray:
+        """Per-query membership."""
+        return self.rows_of(queries) >= 0
+
+    def contains_all(self, queries: np.ndarray) -> bool:
+        """True when every query is a key (the fast-path pre-check)."""
+        return queries.size == 0 or int(self.rows_of(queries).min()) >= 0
+
+
+def sorted_arrays(table: dict[int, int]) -> KeyIndex:
+    """A dict of int -> int as a :class:`KeyIndex`."""
+    keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+    values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+    order = np.argsort(keys)
+    return KeyIndex(keys[order], values[order])
+
 
 class FrozenMapping:
     """A compiled, read-only view of one :class:`MemoryMapping` version.
 
     The batched engine needs the mapping as numpy arrays (bulk
-    ``searchsorted`` translation, run lookups) rather than as a dict;
-    compiling that view per reference block would dominate the fast
-    path, and the per-scheme dict snapshots it replaced went
-    silently stale when the mapping mutated.  A ``FrozenMapping`` is
+    translation through the page :class:`KeyIndex`, run lookups) rather
+    than as a dict; compiling that view per reference block would
+    dominate the fast path, and the per-scheme dict snapshots it
+    replaced went silently stale when the mapping mutated.  A
+    ``FrozenMapping`` is
     compiled once per :attr:`MemoryMapping.version` and shared by every
     scheme over the same mapping (see :meth:`MemoryMapping.frozen`);
     consumers compare ``frozen.version`` against ``mapping.version`` to
@@ -75,7 +172,7 @@ class FrozenMapping:
         "run_vpn",
         "run_pfn",
         "run_pages",
-        "_contiguous",
+        "index",
         "_chunks",
     )
 
@@ -91,9 +188,8 @@ class FrozenMapping:
         order = np.argsort(vpns)
         self.vpns = vpns = vpns[order]
         self.pfns = pfns = pfns[order]
-        self._contiguous = bool(
-            count and int(vpns[-1]) - int(vpns[0]) + 1 == count
-        )
+        #: The page index over the two columns themselves (no copies).
+        self.index = KeyIndex(vpns, pfns)
         # Runs break on a VPN or PFN gap; chunks also where the
         # protection changes, which only ``_prot`` entries can cause.
         boundary = np.ones(count, dtype=bool)
@@ -105,7 +201,7 @@ class FrozenMapping:
         if mapping._prot:
             prot = np.full(count, DEFAULT_PROT, dtype=np.int64)
             marked = np.fromiter(mapping._prot, dtype=np.int64)
-            prot[np.searchsorted(vpns, marked)] = list(mapping._prot.values())
+            prot[self.index.rows_of(marked)] = list(mapping._prot.values())
             boundary[1:] |= prot[1:] != prot[:-1]
             self.chunk_vpn, self.chunk_pfn, self.chunk_pages = _runs(
                 vpns, pfns, boundary)
@@ -159,32 +255,15 @@ class FrozenMapping:
 
     def translate_block(self, vpns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised translation: ``(pfns, found)`` per query."""
-        if self.vpns.size == 0:
-            return (np.zeros(vpns.shape, dtype=np.int64),
-                    np.zeros(vpns.shape, dtype=bool))
-        idx = np.searchsorted(self.vpns, vpns)
-        idx[idx == self.vpns.size] = 0
-        found = self.vpns[idx] == vpns
-        return np.where(found, self.pfns[idx], 0), found
+        return self.index.lookup(vpns)
 
     def mask(self, vpns: np.ndarray) -> np.ndarray:
         """Per-element mapped-ness."""
-        if self.vpns.size == 0:
-            return np.zeros(vpns.shape, dtype=bool)
-        if self._contiguous:
-            return (vpns >= self.vpns[0]) & (vpns <= self.vpns[-1])
-        return self.translate_block(vpns)[1]
+        return self.index.mask(vpns)
 
     def contains_all(self, vpns: np.ndarray) -> bool:
         """True when every query is mapped (the fast-path pre-check)."""
-        if vpns.size == 0:
-            return True
-        if self.vpns.size == 0:
-            return False
-        if self._contiguous:
-            return (int(vpns.min()) >= int(self.vpns[0])
-                    and int(vpns.max()) <= int(self.vpns[-1]))
-        return bool(self.mask(vpns).all())
+        return self.index.contains_all(vpns)
 
     def _interval_of(
         self, starts: np.ndarray, pages: np.ndarray, vpns: np.ndarray
@@ -400,8 +479,7 @@ def promotion_windows(
 
 
 def cluster_slot_offsets(
-    sorted_vpns: np.ndarray,
-    sorted_pfns: np.ndarray,
+    pages: KeyIndex,
     vpns: np.ndarray,
     pfns: np.ndarray,
     shift: int = 3,
@@ -423,9 +501,9 @@ def cluster_slot_offsets(
     ``coverage == 1`` can only ever fill (and hit) the regular side,
     one with ``coverage > 1`` only the clustered side.
 
-    ``sorted_vpns``/``sorted_pfns`` are the parallel sorted page-table
-    arrays (``FrozenMapping.vpns``/``.pfns``, or the promotion split's
-    small-page view); ``pfns[i]`` must be ``vpns[i]``'s translation.
+    ``pages`` indexes the page table (``FrozenMapping.index``, or the
+    promotion split's small-page view); ``pfns[i]`` must be
+    ``vpns[i]``'s translation.
     """
     factor = 1 << shift
     slot_mask = factor - 1
@@ -436,33 +514,16 @@ def cluster_slot_offsets(
         vpns, return_index=True, return_inverse=True)
     if unique_vpns.shape[0] < vpns.shape[0]:
         coverage, offsets = cluster_slot_offsets(
-            sorted_vpns, sorted_pfns, unique_vpns, pfns[first], shift=shift)
+            pages, unique_vpns, pfns[first], shift=shift)
         return coverage[inverse], offsets[inverse]
     pcluster = pfns >> shift
     slot_vpns = (
         ((vpns >> shift) << shift)[:, None]
         + np.arange(factor, dtype=np.int64)
-    ).ravel()
-    count = sorted_vpns.size
-    if count and int(sorted_vpns[-1]) - int(sorted_vpns[0]) + 1 == count:
-        # Contiguous VPN space: membership is a range test and the
-        # slot PFNs come from one fancy gather instead of a
-        # searchsorted over eight probes per miss.
-        base = np.int64(sorted_vpns[0])
-        found = (slot_vpns >= base) & (slot_vpns < base + count)
-        idx = np.where(found, slot_vpns - base, np.int64(0))
-        slot_pfns = sorted_pfns[idx].reshape(-1, factor)
-        found = found.reshape(-1, factor)
-    elif count:
-        idx = np.searchsorted(sorted_vpns, slot_vpns)
-        idx[idx == count] = 0
-        found = sorted_vpns[idx] == slot_vpns
-        slot_pfns = sorted_pfns[idx].reshape(-1, factor)
-        found = found.reshape(-1, factor)
-    else:
-        found = np.zeros((vpns.shape[0], factor), dtype=bool)
-        slot_pfns = np.zeros((vpns.shape[0], factor), dtype=np.int64)
-    valid = found & ((slot_pfns >> shift) == pcluster[:, None])
+    )
+    slot_pfns, found = pages.lookup(slot_vpns.ravel())
+    slot_pfns = slot_pfns.reshape(-1, factor)
+    valid = found.reshape(-1, factor) & ((slot_pfns >> shift) == pcluster[:, None])
     coverage = valid.sum(axis=1)
     offsets = np.where(valid, slot_pfns & slot_mask, np.int64(-1))
     return coverage, offsets

@@ -1,6 +1,7 @@
 from repro.schemes.base import TranslationScheme
 from repro.vmos.anchor_directory import AnchorDirectory
 from repro.vmos.ranges import RangeTable
+from repro.vmos.mapping import KeyIndex
 
 
 class ForgetfulScheme(TranslationScheme):
@@ -34,6 +35,7 @@ class RebuildingScheme(TranslationScheme):
         self._build_views()                            # _build* call
         self.directory = AnchorDirectory.build(self._small, distance=8)
         self.table = RangeTable(self._small)
+        self._index = KeyIndex(self._keys, self._values)
 
 
 class CleanCloneScheme(TranslationScheme):

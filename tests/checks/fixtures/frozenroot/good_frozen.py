@@ -8,7 +8,13 @@ class FrozenMapping:
 
 
 def read(frozen):
-    return frozen.vpns[0], frozen.page_table.get(3)
+    return frozen.vpns[0], frozen.page_table.get(3), frozen.index.rows[0]
+
+
+def local_table(index):
+    rows = index.rows.copy()
+    rows[0] = -1
+    return rows
 
 
 def harmless(arr):

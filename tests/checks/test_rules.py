@@ -127,6 +127,7 @@ class TestCloneContract:
         text = "\n".join(f.message for f in findings)
         assert "'AnchorDirectory'" in text
         assert "'RangeTable'" in text
+        assert "'KeyIndex'" in text
 
     def test_prepare_share_exempt_and_non_scheme_pass(self, findings):
         text = "\n".join(f.message for f in findings)
@@ -141,7 +142,10 @@ class TestFrozenMutation:
 
     def test_every_mutation_kind_flagged(self, findings):
         bad = by_file(findings)["bad_frozen.py"]
-        assert len(bad) == 6  # 2 subscript, 1 rebind, 1 augassign, 2 setflags
+        # 3 subscript (one into the page index's table), 1 rebind,
+        # 1 augassign, 2 setflags
+        assert len(bad) == 7
+        assert any("'.index.rows[...]'" in f.message for f in bad)
 
     def test_builder_and_readers_pass(self, findings):
         assert "good_frozen.py" not in by_file(findings)

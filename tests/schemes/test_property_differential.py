@@ -30,7 +30,9 @@ TINY = MachineConfig(
 
 @st.composite
 def random_mapping(draw):
-    """A mapping of random chunks: sizes, virtual gaps, physical phases."""
+    """A mapping of random chunks: sizes, virtual gaps, physical phases,
+    and sometimes one chunk far past the rest (VPN >= 2**28), which puts
+    every page-keyed index over the mapping past its table bound."""
     mapping = MemoryMapping()
     vpn = draw(st.integers(0, 2000))
     pfn_cursor = draw(st.integers(0, 5000))
@@ -46,6 +48,10 @@ def random_mapping(draw):
             mapping.set_protection(vpn + size // 2, 1, 0b01)
         vpn += size + draw(st.integers(0, 30))
         pfn_cursor += size
+    if draw(st.booleans()):
+        far = draw(st.integers(1 << 28, (1 << 28) + 4096))
+        mapping.map_run(far, FrameRange(pfn_cursor + draw(st.integers(1, 600)),
+                                        draw(st.integers(1, 600))))
     return mapping
 
 
@@ -56,6 +62,27 @@ def split_line_mapping():
     mapping.map_run(0, FrameRange(100, 4))
     mapping.map_run(4, FrameRange(200, 4))
     return mapping
+
+
+def hw_state(scheme) -> dict:
+    """Stats and every stateful structure a scheme owns, LRU order and
+    all (anchor L2s dump their underlying array)."""
+    state: dict = {"stats": scheme.stats.snapshot(), "l1": scheme.l1.state()}
+    for attr in ("l2", "l2_giga", "regular"):
+        obj = getattr(scheme, attr, None)
+        if obj is not None:
+            state[attr] = getattr(obj, "array", obj).state()
+    if hasattr(scheme, "clustered"):
+        state["clustered"] = scheme.clustered.array.state()
+    if hasattr(scheme, "range_tlb"):
+        state["range"] = list(scheme.range_tlb._entries.items())
+    if hasattr(scheme, "_prefetched"):
+        state["prefetched"] = sorted(scheme._prefetched)
+        state["prefetch"] = (scheme.prefetches_issued, scheme.prefetch_hits)
+    if scheme.pwc is not None:
+        state["pwc"] = (scheme.pwc.state(), scheme.pwc.hits,
+                        scheme.pwc.probes)
+    return state
 
 
 @st.composite
@@ -91,13 +118,12 @@ class TestRandomMappingDifferential:
             assert scheme.translate(vpn) == mapping.translate(vpn)
         scheme.stats.check_conservation()
 
-    @pytest.mark.parametrize(
-        "scheme_name", ("colt", "cluster", "cluster2mb", "rmm", "prefetch"))
+    @pytest.mark.parametrize("scheme_name", scheme_names(include_extras=True))
     @given(data=mapping_and_trace(), pwc=st.booleans(),
            fault_at=st.one_of(st.none(), st.integers(0, 119)))
     @settings(max_examples=20, deadline=None)
     def test_batched_matches_scalar(self, scheme_name, data, pwc, fault_at):
-        """The newly batched schemes replay bit-identically: counters,
+        """Every batched scheme replays bit-identically: counters,
         per-set LRU state, PWC state — including the page-fault-mid-block
         fallback, which must fault at exactly the same reference."""
         import dataclasses
@@ -124,25 +150,7 @@ class TestRandomMappingDifferential:
                     scheme.access_block(np.asarray(trace, dtype=np.int64))
             except PageFaultError:
                 faulted = scheme.stats.accesses
-            state = {
-                "stats": scheme.stats.snapshot(),
-                "faulted": faulted,
-                "l1": scheme.l1.state(),
-            }
-            for attr in ("l2", "regular"):
-                obj = getattr(scheme, attr, None)
-                if obj is not None and hasattr(obj, "state"):
-                    state[attr] = obj.state()
-            if hasattr(scheme, "clustered"):
-                state["clustered"] = scheme.clustered.array.state()
-            if hasattr(scheme, "range_tlb"):
-                state["range"] = list(scheme.range_tlb._entries.items())
-            if hasattr(scheme, "_prefetched"):
-                state["prefetched"] = sorted(scheme._prefetched)
-            if scheme.pwc is not None:
-                state["pwc"] = (scheme.pwc.state(), scheme.pwc.hits,
-                                scheme.pwc.probes)
-            outputs.append(state)
+            outputs.append({"faulted": faulted, **hw_state(scheme)})
         assert outputs[0] == outputs[1]
         assert (fault_at is None) == (outputs[0]["faulted"] is None)
 

@@ -8,14 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.tlb import SetAssociativeTLB
-from repro.sim.lru import (
-    SortedMembership,
-    collapse_runs,
-    isin_sorted,
-    lookup_sorted,
-    simulate_block,
-    sorted_arrays,
-)
+from repro.sim.lru import collapse_runs, isin_sorted, simulate_block
+from repro.vmos.mapping import KeyIndex, sorted_arrays
 
 
 def value_of(key: int) -> int:
@@ -168,6 +162,33 @@ class TestSimulateBlock:
         assert after[2:] == before[2:]
 
 
+@st.composite
+def key_index_cases(draw):
+    """Sorted unique key sets of every shape a :class:`KeyIndex` meets,
+    with queries at the keys, their grid neighbours, off-grid points,
+    below the smallest key and past the largest."""
+    shape = draw(st.sampled_from(
+        ["contiguous", "strided", "mixed", "sparse", "single", "empty"]))
+    base = draw(st.integers(0, 1 << 30))
+    shift = draw(st.integers(1, 12)) if shape == "strided" else 0
+    if shape == "empty":
+        keys: list[int] = []
+    elif shape == "single":
+        keys = [base]
+    elif shape == "contiguous":
+        keys = list(range(base, base + draw(st.integers(1, 300))))
+    else:
+        slots = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=200))
+        keys = sorted({base + (slot << shift) for slot in slots})
+        if shape == "sparse":
+            keys.append(keys[-1] + (1 << 28) + draw(st.integers(1, 64)))
+    near = [key + delta for key in keys
+            for delta in (-(1 << shift), -1, 1, 1 << shift)]
+    points = keys + near + [base - 1, base - (1 << 20), (keys or [base])[-1] + 1]
+    queries = draw(st.lists(st.sampled_from(points), max_size=60))
+    return keys, queries
+
+
 class TestHelpers:
     def test_collapse_runs(self):
         vpns = np.asarray([5, 5, 5, 2, 2, 7, 5, 5], dtype=np.int64)
@@ -181,22 +202,70 @@ class TestHelpers:
             False, True, True, True, False]
 
     def test_lookup_sorted(self):
-        keys, values = sorted_arrays({5: 50, 2: 20, 9: 90})
-        out, found = lookup_sorted(
-            keys, values, np.asarray([2, 3, 9, 11], dtype=np.int64),
-            default=-1)
+        index = sorted_arrays({5: 50, 2: 20, 9: 90})
+        out, found = index.lookup(
+            np.asarray([2, 3, 9, 11], dtype=np.int64), default=-1)
         assert out.tolist() == [20, -1, 90, -1]
         assert found.tolist() == [True, False, True, False]
 
     def test_sorted_membership_contiguous_and_sparse(self):
-        dense = SortedMembership({10: 1, 11: 1, 12: 1})
-        assert dense.contiguous
+        # A contiguous key set is the unit-step grid without holes.
+        dense = sorted_arrays({10: 1, 11: 1, 12: 1})
+        assert dense.shift == 0
+        assert dense.rows is not None and bool(np.all(dense.rows[1:-1] >= 0))
         assert dense.contains_all(np.asarray([10, 12], dtype=np.int64))
         assert not dense.contains_all(np.asarray([9], dtype=np.int64))
-        sparse = SortedMembership({10: 1, 12: 1})
-        assert not sparse.contiguous
+        sparse = sorted_arrays({10: 1, 12: 1})
+        # The gap puts both keys on a stride-2 grid, not a unit-step one.
+        assert sparse.shift == 1
         assert sparse.mask(np.asarray([10, 11, 12], dtype=np.int64)).tolist() \
             == [True, False, True]
-        empty = SortedMembership({})
+        empty = sorted_arrays({})
         assert not empty.contains_all(np.asarray([1], dtype=np.int64))
         assert empty.contains_all(np.empty(0, dtype=np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=key_index_cases())
+    # Parallel lookup with a default, on a gapped key set.
+    @example(case=([2, 5, 9], [2, 3, 9, 11]))
+    # A contiguous set: a range of queries, and one just below it.
+    @example(case=([10, 11, 12], [10, 12, 9]))
+    # A hole between two keys.
+    @example(case=([10, 12], [10, 11, 12]))
+    # No keys at all, with and without queries.
+    @example(case=([], [1]))
+    @example(case=([], []))
+    # One key far from the rest: past the table bound.
+    @example(case=([3, 4, 5 + (1 << 28)], [2, 3, 5, 5 + (1 << 28), 6 + (1 << 28)]))
+    def test_key_index_matches_dict(self, case):
+        """Every query of a :class:`KeyIndex` answers like a dict, on
+        the direct-indexed table and on the ``searchsorted`` side."""
+        keys, queries = case
+        table = {key: key * 7 - 3 for key in keys}
+        queries = np.asarray(queries, dtype=np.int64)
+        expected = [table.get(q) for q in queries.tolist()]
+        natural = sorted_arrays(table)
+        assert natural.keys.tolist() == sorted(table)
+        # Only a key 2**28 past the rest outgrows the table bound.
+        far = len(keys) > 1 and keys[-1] - keys[-2] > 1 << 28
+        assert (natural.rows is None) == far
+        indexes = [natural]
+        if natural.rows is not None:
+            # One row per key; every other slot is the -1 of a miss.
+            assert np.count_nonzero(natural.rows >= 0) == len(table)
+            assert natural.rows[0] == natural.rows[-1] == -1
+            if keys:
+                forced = KeyIndex(natural.keys, natural.values)
+                forced.rows = None
+                indexes.append(forced)
+        for index in indexes:
+            values, found = index.lookup(queries, default=-1)
+            assert found.tolist() == [e is not None for e in expected]
+            assert values.tolist() == [-1 if e is None else e for e in expected]
+            assert index.mask(queries).tolist() == found.tolist()
+            assert index.contains_all(queries) == all(found.tolist())
+            assert index.contains_all(queries[found])
+            rows = index.rows_of(queries)
+            assert (rows >= 0).tolist() == found.tolist()
+            assert index.keys[rows[found]].tolist() == queries[found].tolist()
+

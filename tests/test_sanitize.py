@@ -78,6 +78,10 @@ class TestFrozenMappingSeal:
             frozen.vpns[0] = 99
         with pytest.raises(ValueError, match="read-only"):
             frozen.pfns[-1] = 99
+        # The page index's row table is sealed with the columns.
+        assert frozen.index.rows is not None
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.index.rows[0] = 99
 
     def test_columns_stay_writable_without_guard(self, monkeypatch,
                                                  mapping_args):
@@ -103,17 +107,52 @@ class TestCloneGuard:
             clone.access(int(vpn))
         clone.stats.check_conservation()
 
+    @pytest.mark.parametrize(
+        "scheme_name", scheme_names(include_extras=True))
     def test_guard_freezes_shared_not_per_clone(self, guards_on,
-                                                mapping_args):
+                                                mapping_args, scheme_name):
+        """Every array a clone shares with its prototype is read-only,
+        however deep it sits: the walk below is independent of the
+        sanitizer's own, so it cannot pass by construction."""
         mapping = build_mapping(mapping_args, "medium", seed=5)
-        proto = make_scheme("anchor-dyn", mapping, DEFAULT_MACHINE)
-        proto.clone_fresh()
-        shared_arrays = [
-            arr
-            for attr, value in vars(proto).items()
-            if attr not in sanitize._PER_CLONE_ATTRS
-            for arr in sanitize._arrays_in(value)
-            if arr.base is None
+        proto = make_scheme(scheme_name, mapping, DEFAULT_MACHINE)
+        clone = proto.clone_fresh()
+        shared = {
+            attr: value for attr, value in vars(clone).items()
+            if attr not in ("mapping", "config")
+            and vars(proto).get(attr) is value
+        }
+        # Per-clone hardware is the clone's own, never shared.
+        assert not {"l1", "stats"} & set(shared)
+        writable = [
+            arr for arr in reachable_arrays(list(shared.values()))
+            if arr.base is None and arr.flags.writeable
         ]
-        assert shared_arrays
-        assert all(not arr.flags.writeable for arr in shared_arrays)
+        assert not writable
+
+
+def reachable_arrays(root) -> list[np.ndarray]:
+    """Every array reachable from ``root`` through tuples, lists,
+    dicts, and objects' ``__slots__``/``__dict__``."""
+    found: list[np.ndarray] = []
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or isinstance(value, (int, float, str, bytes)):
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (tuple, list, set, frozenset)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        else:
+            stack.extend(vars(value).values() if hasattr(value, "__dict__")
+                         else ())
+            for cls in type(value).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(value, slot):
+                        stack.append(getattr(value, slot))
+    return found
