@@ -2,8 +2,8 @@
 
 PRs 6-9 made correctness depend on properties no single-file visitor
 can see: callables crossing a fork boundary must be picklable by
-reference, ASID tags must be OR-ed into every TLB key a
-``tag_safe_block`` scheme constructs, and prototype-shared state may
+reference, ASID tags must be OR-ed into every TLB key a block fast
+path constructs, and prototype-shared state may
 only be mutated behind privatisation choke points.  This module gives
 rules the three project-wide structures those contracts need:
 
@@ -471,14 +471,6 @@ class ProjectDataflow:
         for model in self.chain(class_name):
             if method in model.methods:
                 return model.methods[method]
-        return None
-
-    def resolve_class_attr(
-        self, class_name: str, attr: str
-    ) -> ast.expr | None:
-        for model in self.chain(class_name):
-            if attr in model.class_attrs:
-                return model.class_attrs[attr]
         return None
 
     def resolve_function(

@@ -15,14 +15,10 @@ full TLB flush.  Three ways a scheme silently breaks this:
 3. a method caches mapping-derived state on ``self`` outside the
    version-guarded paths, recreating exactly the stale-snapshot bug
    the protocol exists to close;
-4. a scheme implements the batched ``access_block`` hook without
-   stating its tag story: multi-tenant runs pack an ASID into the high
-   key bits (:data:`repro.hw.tlb.TAG_SHIFT`), and any class providing
-   the batched path must (a) declare ``tag_safe_block`` in the *same*
-   class body — an explicit claim about whether its block kernel keys
-   are tag-packable — and (b) keep the uniform ``(self, vpns)``
-   signature the engine, the scheduler, and the fleet simulator all
-   call through.
+4. a scheme's batched ``access_block`` hook strays from the uniform
+   ``(self, vpns)`` signature the engine, the scheduler, and the fleet
+   simulator all call through.  (Whether its keys carry the tenant's
+   address-space tag is the ``tag-safety`` rule's business.)
 """
 
 from __future__ import annotations
@@ -109,26 +105,6 @@ class SchemeContractChecker(Checker):
                 "scheduler call through",
                 hint="take exactly (self, vpns); move extra knobs to "
                      "__init__ or class attributes",
-            )
-        declares_tag = any(
-            (isinstance(stmt, ast.Assign)
-             and any(isinstance(t, ast.Name) and t.id == "tag_safe_block"
-                     for t in stmt.targets))
-            or (isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "tag_safe_block")
-            for stmt in cls.body
-        )
-        if not declares_tag:
-            self.report(
-                node,
-                f"'{cls.name}' implements access_block without declaring "
-                "'tag_safe_block' in the same class body: the batched "
-                "kernel's tag story must be explicit where the kernel "
-                "is defined",
-                hint="set tag_safe_block = True only if every key the "
-                     "block path installs is packed via the scheme's "
-                     "tag field (or simulate_block); else False",
             )
 
     def _check_update_hook(

@@ -36,7 +36,7 @@ The distinction that makes the third checkable is **bind vs mutate**:
     and everything those call,
   - copy-on-write methods: anything that first privatises via a
     ``self._own_*()`` call (the anchor directory's
-    ``_own_directory()`` idiom) owns its copy and may mutate freely.
+    ``_own_directory_of()`` idiom) owns its copy and may mutate freely.
 
 Attribute write-sets (including ``+=``, slice stores and in-place
 numpy calls) come from the dataflow layer, so a mutation buried three

@@ -1,20 +1,18 @@
-"""Rule ``tag-safety``: tagged schemes must tag every key they build.
+"""Rule ``tag-safety``: schemes must tag every key they build.
 
 Multi-tenant sharing packs an address-space tag into the high bits of
-every TLB key (``repro.hw.tlb.TAG_SHIFT``).  A scheme that declares
-``tag_safe_block = True`` promises its vectorised ``access_block``
-stays correct when those tags are nonzero — which holds only if every
+every TLB key (``repro.hw.tlb.TAG_SHIFT``), and any scheme may run in a
+tagged fleet.  So every vectorised ``access_block`` must stay correct
+when those tags are nonzero — which holds only if every
 key-constructing path either goes through
 :func:`repro.sim.lru.simulate_block` (which packs the tag itself) or
 ORs a tag base in explicitly (``tag_base = arr.tag << TAG_SHIFT``,
-``key | self.l2._tag_base``).  The ``scheme-contract`` rule checks the
-*declaration*; this rule checks the *implementation*, using the
-dataflow call graph to walk every helper reachable from
-``access_block`` across files:
+``key | self.l2._tag_base``).  The rule uses the dataflow call graph to
+walk every helper reachable from ``access_block`` across files:
 
-1. **Key idiom.**  The ``access_block`` call tree of a tag-safe scheme
-   must show tag evidence somewhere: a ``simulate_block`` call, or a
-   mention of ``TAG_SHIFT`` / ``tag_base`` / ``_tag_base``.
+1. **Key idiom.**  The ``access_block`` call tree of every scheme that
+   overrides it must show tag evidence somewhere: a ``simulate_block``
+   call, or a mention of ``TAG_SHIFT`` / ``tag_base`` / ``_tag_base``.
 2. **``set_asid`` cascade.**  Every TLB-like structure the scheme
    constructs (an ``__init__``-tree bind whose constructor class
    defines ``set_tag``) must be reachable from the scheme's
@@ -24,10 +22,6 @@ dataflow call graph to walk every helper reachable from
    ``bind_shared`` helper (the fleet's shared-hardware rebinder in
    ``sim/tenants.py``), the same owned structures must appear in it,
    or shared-hardware tenancy silently skips them.
-
-Classes with ``tag_safe_block = False`` (e.g. the region-anchor
-scheme) opt out of tagging wholesale — ``set_asid`` raises — and are
-skipped.
 """
 
 from __future__ import annotations
@@ -52,8 +46,8 @@ def _in_schemes(scoped_path: str) -> bool:
 class TagSafetyChecker(Checker):
     rule = "tag-safety"
     description = (
-        "tag_safe_block scheme whose block path or ASID cascade misses "
-        "a TLB structure"
+        "scheme whose block path or ASID cascade misses a TLB "
+        "structure"
     )
 
     # -- collect: nested bind_shared helpers anywhere in the project ----
@@ -95,14 +89,8 @@ class TagSafetyChecker(Checker):
                 continue
             if not flow.chain_reaches(cls.name, _ROOT_CLASS):
                 continue
-            if not self._tag_safe(flow, cls.name):
-                continue
             self._check_key_idiom(flow, cls)
             self._check_cascades(flow, cls)
-
-    def _tag_safe(self, flow: ProjectDataflow, class_name: str) -> bool:
-        value = flow.resolve_class_attr(class_name, "tag_safe_block")
-        return isinstance(value, ast.Constant) and value.value is True
 
     def _node(self, lineno: int) -> ast.AST:
         marker = ast.Pass()
@@ -123,13 +111,12 @@ class TagSafetyChecker(Checker):
             return
         self.report(
             self._node(own.lineno),
-            f"'{cls.name}.access_block' is declared tag-safe but its "
-            "call tree never packs an address-space tag: no "
-            "simulate_block call and no TAG_SHIFT/tag-base OR idiom",
+            f"'{cls.name}.access_block' never packs an address-space "
+            "tag in its call tree: no simulate_block call and no "
+            "TAG_SHIFT/tag-base OR idiom, so tagged tenants would alias",
             hint="route key construction through simulate_block, or OR "
                  "in `arr.tag << TAG_SHIFT` (see repro.hw.tlb) before "
-                 "touching raw buckets; otherwise set tag_safe_block = "
-                 "False",
+                 "touching raw buckets",
         )
 
     def _owned_tlbs(

@@ -39,7 +39,7 @@ from repro.vmos.distance import (
     select_distance,
 )
 from repro.vmos.mapping import MemoryMapping
-from repro.vmos.regions import RegionTable, partition_regions
+from repro.vmos.regions import partition_regions
 from repro.vmos.scenarios import build_mapping
 from repro.vmos.vma import AllocationSite, layout_vmas
 
@@ -139,8 +139,6 @@ def region_anchors(
     """Single process-wide distance vs per-region distances (§4.2)."""
     mapping, vmas = _bimodal_mapping(seed)
     regions = partition_regions(mapping, vmas, capacity=8)
-    table = RegionTable(capacity=8)
-    table.install(regions)
     app_sites = sum(v.pages for v in vmas)
 
     # Build a synthetic trace over the bimodal space: half the accesses

@@ -14,6 +14,10 @@ What changes is the *lookup sequence* after an L1 miss:
    (critical path) and the anchor PTE after, then fills exactly one of
    the two into the L2.
 
+The distance comes from a region table (§4.2) consulted in parallel
+with the lookup: each VPN takes its own region's distance.  The single
+anchor-distance register of §3.1 is the table's one-row case.
+
 Entry keys pack the entry type into the low bits of the VPN so the three
 types never alias inside a set.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from repro.params import MachineConfig
 from repro.hw.tlb import SetAssociativeTLB
+from repro.vmos.regions import RegionTable
 
 # Key type tags (packed into TLB keys below the VPN).
 KIND_SMALL = 0
@@ -34,11 +39,19 @@ _HUGE_SHIFT = 9
 class AnchorL2TLB:
     """The shared L2 TLB with regular, huge, and anchor entries."""
 
-    __slots__ = ("array", "distance", "_dlog")
+    __slots__ = ("array", "table")
 
-    def __init__(self, config: MachineConfig, distance: int) -> None:
+    def __init__(self, config: MachineConfig, distance: int | RegionTable) -> None:
+        """``distance`` loads the anchor-distance register, or a whole
+        region table for per-region distances."""
         self.array = SetAssociativeTLB(config.l2.entries, config.l2.ways)
-        self.set_distance(distance)
+        self.table = (distance if isinstance(distance, RegionTable)
+                      else RegionTable.spanning(distance))
+
+    @property
+    def distance(self) -> int | None:
+        """The anchor-distance register (``None`` for a multi-row table)."""
+        return self.table.distance
 
     def set_distance(self, distance: int) -> None:
         """Change the anchor distance register (flushes the TLB, §3.3).
@@ -47,10 +60,7 @@ class AnchorL2TLB:
         entries are dropped: a tenant re-planning its own coverage must
         not shoot down its neighbours' tagged entries.
         """
-        if distance <= 0 or distance & (distance - 1):
-            raise ValueError("distance must be a positive power of two")
-        self.distance = distance
-        self._dlog = distance.bit_length() - 1
+        self.table = RegionTable.spanning(distance)
         if self.array.tag:
             self.array.flush_tag(self.array.tag)
         else:
@@ -64,10 +74,8 @@ class AnchorL2TLB:
         incoming tenant's entries (created under this same distance) are
         exactly the ones its tagged lookups can hit, so they survive.
         """
-        if distance <= 0 or distance & (distance - 1):
-            raise ValueError("distance must be a positive power of two")
-        self.distance = distance
-        self._dlog = distance.bit_length() - 1
+        if distance != self.distance:
+            self.table = RegionTable.spanning(distance)
 
     def set_tag(self, tag: int) -> None:
         """Select the address-space tag on the shared array."""
@@ -101,8 +109,9 @@ class AnchorL2TLB:
         A resident anchor whose contiguity does not reach ``vpn`` is a
         miss (Table 2, row 3).
         """
-        avpn = vpn >> self._dlog << self._dlog
-        index = vpn >> self._dlog  # VA bits [d+12, d+12+N)
+        dlog = self.table.shift_of(vpn)
+        avpn = vpn >> dlog << dlog
+        index = vpn >> dlog  # VA bits [d+12, d+12+N)
         entry = self.array.lookup(index, (avpn << 2) | KIND_ANCHOR)
         if entry is None:
             return None
@@ -113,7 +122,9 @@ class AnchorL2TLB:
         return appn + offset
 
     def fill_anchor(self, avpn: int, appn: int, contiguity: int) -> None:
-        index = avpn >> self._dlog
+        """Install an anchor entry; an anchor lies inside the region
+        whose plan made it, so its own row gives the index shift."""
+        index = avpn >> self.table.shift_of(avpn)
         self.array.insert(index, (avpn << 2) | KIND_ANCHOR, (appn, contiguity))
 
     # -- shootdown support ----------------------------------------------
@@ -125,7 +136,7 @@ class AnchorL2TLB:
         return self.array.invalidate(hvpn, (hvpn << 2) | KIND_HUGE)
 
     def invalidate_anchor(self, avpn: int) -> bool:
-        index = avpn >> self._dlog
+        index = avpn >> self.table.shift_of(avpn)
         return self.array.invalidate(index, (avpn << 2) | KIND_ANCHOR)
 
     def flush(self) -> None:

@@ -15,10 +15,15 @@ miss                  miss          match        walk, fill *anchor only*
 miss                  miss          no match     walk, fill regular only
 ====================  ============  ===========  =======================
 
-Two variants are exposed: ``dynamic`` picks the distance with
-Algorithm 1 (and may re-pick at epoch boundaries, paying the §3.3
-distance-change cost), and fixed-distance instances are used by the
-``static-ideal`` exhaustive search.
+The distance comes from a region table of ``(start, end, distance)``
+rows held by the L2 (§4.2), with one plan per row; every anchor takes
+its shift from its own row.  The single process-wide distance of §3.1
+is the one-row table spanning the address space.  Two variants use
+it: ``dynamic`` picks the distance with Algorithm 1 (and may re-pick at
+epoch boundaries, paying the §3.3 distance-change cost), and
+fixed-distance instances are used by the ``static-ideal`` exhaustive
+search.  :class:`~repro.schemes.region_anchor_scheme.RegionAnchorScheme`
+is the multi-row case.
 """
 
 from __future__ import annotations
@@ -35,25 +40,32 @@ from repro.hw.anchor_tlb import (
     AnchorL2TLB,
 )
 from repro.schemes.base import TranslationScheme
-from repro.sim.lru import collapse_runs, isin_sorted, simulate_block
+from repro.sim.lru import isin_sorted, simulate_block
 from repro.vmos.anchor import AnchorDirectory
 from repro.vmos.contiguity import contiguity_histogram
 from repro.vmos.distance import select_distance
 from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
+from repro.vmos.regions import AnchorRegion, RegionTable
 from repro.vmos.shootdown import ShootdownLog
 
 _HUGE_SHIFT = 9
 
 
+def _merged(plans: list[dict[int, int]]) -> dict[int, int]:
+    """One dict over every row's plan (the row's own dict for one row)."""
+    if len(plans) == 1:
+        return plans[0]
+    merged: dict[int, int] = {}
+    for plan in plans:
+        merged.update(plan)
+    return merged
+
+
 class AnchorScheme(TranslationScheme):
-    """Hybrid coalescing with a process-wide anchor distance."""
+    """Hybrid coalescing over a region table of anchor distances."""
 
     name = "anchor"
     supports_reselection = True
-    #: The L1 passes resolve through :func:`simulate_block` and the
-    #: exact L2 replay below ORs the array's tag base into every raw
-    #: key it builds, so the fast path is correct under ASID tagging.
-    tag_safe_block = True
 
     def __init__(
         self,
@@ -66,30 +78,41 @@ class AnchorScheme(TranslationScheme):
         super().__init__(mapping, config)
         self.dynamic = distance is None
         self.name = "anchor-dyn" if self.dynamic else f"anchor-d{distance}"
-        self.enable_thp = enable_thp
-        self.shootdowns = ShootdownLog()
         if distance is None:
             distance = select_distance(contiguity_histogram(mapping))
-        self.directory = AnchorDirectory.build(mapping, distance, enable_thp)
-        self.l2 = AnchorL2TLB(config, distance)
-        self._dlog = distance.bit_length() - 1
-        self._block_cache = None
+        self._install(distance, enable_thp)
+
+    def _install(self, distance: int | RegionTable, enable_thp: bool) -> None:
+        """Load ``distance`` — one distance or a whole region table — into
+        the L2 and plan coverage for each of its rows."""
+        self.enable_thp = enable_thp
+        self.shootdowns = ShootdownLog()
+        self.l2 = AnchorL2TLB(self.config, distance)
         # Resident-state caches for the block fast path: sets holding a
         # same-tenant entry whose value drifted from the directory, the
         # drifted anchor entries themselves, and resident small keys
         # whose VPN the current plan classifies as anchored.  Rebuilt by
         # a full array scan only after a directory (or tag) change —
-        # stale survivors can appear at no other time — and shrunk by a
-        # cheap per-entry re-probe between scans.
+        # while no other live tenant shares the tag, stale survivors
+        # can appear at no other time — and shrunk by a cheap per-entry
+        # re-probe between scans.
         self._stale_sets: set[int] = set()
         self._stale_anchors: dict[int, tuple[int, int]] = {}
         self._anch_smalls: set[int] = set()
-        self._scan_needed = True
         self._scan_tag = -1
-        # Copy-on-write guard for the shared coverage plan: set on both
-        # sides of clone_fresh, cleared whenever the directory is
-        # rebound to a private rebuild or privatised by _own_directory.
+        self._build_directories()
+
+    def _build_directories(self) -> None:
+        """One coverage plan per region row, over the current mapping."""
+        self._directories = AnchorDirectory.build_regions(
+            self.mapping,
+            [(r.start_vpn, r.end_vpn, r.distance) for r in self.regions],
+            self.enable_thp)
+        # Copy-on-write guard for the shared coverage plans: set on both
+        # sides of clone_fresh, cleared whenever the plans are rebuilt
+        # or privatised by _own_directory_of.
         self._dir_shared = False
+        self._invalidate_block_cache()
 
     # ------------------------------------------------------------------
     # Prototype cloning (share-don't-rebuild)
@@ -98,14 +121,14 @@ class AnchorScheme(TranslationScheme):
     def _prepare_share(self) -> None:
         super()._prepare_share()
         self._directory_arrays()
-        # The incremental note_* paths mutate the directory in place;
-        # once any clone shares it, both prototype and clones must
+        # The incremental note_* paths mutate the directories in place;
+        # once any clone shares them, both prototype and clones must
         # privatise before their first in-place mutation.
         self._dir_shared = True
 
     def _reset_clone(self) -> None:
         super()._reset_clone()
-        self.l2 = AnchorL2TLB(self.config, self.distance)
+        self.l2 = AnchorL2TLB(self.config, self.l2.table)
         self.shootdowns = ShootdownLog()
         self._stale_sets = set()
         self._stale_anchors = {}
@@ -113,31 +136,52 @@ class AnchorScheme(TranslationScheme):
         self._scan_needed = True
         self._scan_tag = -1
 
-    def _own_directory(self) -> None:
-        """Privatise a clone-shared directory before in-place mutation."""
-        if not self._dir_shared:
-            return
-        shared = self.directory
-        self.directory = AnchorDirectory(
-            distance=shared.distance,
-            huge=dict(shared.huge),
-            anchor_contiguity=dict(shared.anchor_contiguity),
-            small=dict(shared.small),
-            protections=dict(shared.protections),
-        )
-        self._dir_shared = False
+    def _own_directory_of(self, vpn: int) -> AnchorDirectory:
+        """The plan of ``vpn``'s row, privatised (with every other row's
+        plan) if a clone shares them, ready for in-place mutation."""
+        row = self.l2.table.row_of(vpn)
+        if self._dir_shared:
+            self._directories = [
+                AnchorDirectory(
+                    distance=shared.distance,
+                    huge=dict(shared.huge),
+                    anchor_contiguity=dict(shared.anchor_contiguity),
+                    small=dict(shared.small),
+                    protections=dict(shared.protections),
+                )
+                for shared in self._directories
+            ]
+            self._dir_shared = False
+        return self._directories[row]
 
     # ------------------------------------------------------------------
 
     @property
-    def distance(self) -> int:
-        return self.directory.distance
+    def distance(self) -> int | None:
+        return self.l2.distance
+
+    @property
+    def regions(self) -> list[AnchorRegion]:
+        """The region table's rows, sorted by start VPN."""
+        return self.l2.table.regions
+
+    @property
+    def region_distances(self) -> list[int]:
+        return [region.distance for region in self.regions]
+
+    @property
+    def directory(self) -> AnchorDirectory:
+        """The coverage plan of a one-row table."""
+        (directory,) = self._directories
+        return directory
 
     def access(self, vpn: int) -> int:
         stats = self.stats
         stats.accesses += 1
         latency = self.config.latency
-        directory = self.directory
+        table = self.l2.table
+        row = table.row_of(vpn)
+        directory = self._directories[row]
         hvpn = vpn >> _HUGE_SHIFT
         huge_base = directory.huge.get(hvpn << _HUGE_SHIFT)
         if huge_base is not None:
@@ -171,7 +215,8 @@ class AnchorScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         stats.walks += 1
-        avpn = vpn >> self._dlog << self._dlog
+        dlog = table.shifts[row]
+        avpn = vpn >> dlog << dlog
         contiguity = directory.anchor_contiguity.get(avpn, 0)
         if vpn - avpn < contiguity:
             self.l2.fill_anchor(avpn, directory.small[avpn], contiguity)
@@ -185,17 +230,29 @@ class AnchorScheme(TranslationScheme):
     # ------------------------------------------------------------------
 
     def _directory_arrays(self):
-        """Indexes over the coverage plan, rebuilt lazily after any
-        OS-side update (reselect, map/unmap/protect, rebuild)."""
+        """Indexes over the coverage plans, rebuilt lazily after any
+        OS-side update (reselect, map/unmap/protect, rebuild).
+
+        The rows' plans merge losslessly: regions are disjoint and each
+        plan keys only VPNs of its own region.  An anchor of one region
+        can still be a row of another region's anchor window (when a
+        region starts off its distance alignment), but its contiguity
+        stops at its own region's end, so it never covers that row —
+        the merged lookup reaches the same walk decision as the row's
+        own plan.
+        """
         if self._block_cache is None:
-            directory = self.directory
-            hg = sorted_arrays(directory.huge)
-            sm = sorted_arrays(directory.small)
-            an = sorted_arrays(directory.anchor_contiguity)
+            plans = self._directories
+            huge = _merged([plan.huge for plan in plans])
+            small = _merged([plan.small for plan in plans])
+            anchors = _merged([plan.anchor_contiguity for plan in plans])
+            hg = sorted_arrays(huge)
+            sm = sorted_arrays(small)
+            an = sorted_arrays(anchors)
             # Every anchor sits on a 4 KiB leaf by construction; if that
             # ever broke, the block path could not resolve APPNs safely.
             anchors_ok = sm.contains_all(an.keys)
-            self._block_cache = (hg, sm, an, anchors_ok)
+            self._block_cache = (hg, sm, an, huge, small, anchors, anchors_ok)
         return self._block_cache
 
     def _invalidate_block_cache(self) -> None:
@@ -204,11 +261,8 @@ class AnchorScheme(TranslationScheme):
 
     def _rescan_residents(self, tbase: int) -> None:
         """Full array scan rebuilding the resident-state caches."""
-        directory = self.directory
-        small_dir = directory.small
-        anchor_cont = directory.anchor_contiguity
-        huge = directory.huge
-        dlog = self._dlog
+        _, _, _, huge, small_dir, anchor_cont, _ = self._directory_arrays()
+        table = self.l2.table
         stale_sets: set[int] = set()
         stale_anchors: dict[int, tuple[int, int]] = {}
         anch_smalls: set[int] = set()
@@ -224,11 +278,18 @@ class AnchorScheme(TranslationScheme):
                         stale_sets.add(index)
                         stale_anchors[key] = value
                 elif kind == KIND_SMALL:
-                    if value != small_dir.get(base):
+                    pfn = small_dir.get(base)
+                    if value != pfn:
                         stale_sets.add(index)
-                    avpn = base >> dlog << dlog
-                    if base - avpn < anchor_cont.get(avpn, 0):
-                        anch_smalls.add(key)
+                    # Only a 4 KiB leaf of the plan can sit in an anchor's
+                    # run.  The test also skips entries of another
+                    # address space sharing this tag, whose VPNs may lie
+                    # outside every region.
+                    if pfn is not None:
+                        dlog = table.shift_of(base)
+                        avpn = base >> dlog << dlog
+                        if base - avpn < anchor_cont.get(avpn, 0):
+                            anch_smalls.add(key)
                 else:
                     if value != huge.get(base << _HUGE_SHIFT):
                         stale_sets.add(index)
@@ -247,10 +308,7 @@ class AnchorScheme(TranslationScheme):
             return
         array = self.l2.array
         buckets = array._sets
-        directory = self.directory
-        small_dir = directory.small
-        anchor_cont = directory.anchor_contiguity
-        huge = directory.huge
+        _, _, _, huge, small_dir, anchor_cont, _ = self._directory_arrays()
         stale_anchors: dict[int, tuple[int, int]] = {}
         for index in sorted(self._stale_sets):
             drifted = False
@@ -291,33 +349,18 @@ class AnchorScheme(TranslationScheme):
         :func:`simulate_block`; the residual coupling — weak anchor
         promotions by unanchored misses, and stale entries surviving
         the incremental OS-update paths — is confined to the few sets
-        it can touch, which replay exactly in trace order.
+        it can touch, which replay exactly in trace order.  Each row
+        carries its region's shift (``dlog``) into every anchor key and
+        set it builds.
         """
         if vpns.shape[0] == 0:
             return
-        hg, sm, an, ok = self._directory_arrays()
-        if not ok:
+        hg, sm, an, huge, small_dir, anchor_cont, ok = self._directory_arrays()
+        stage = self._l1_stage(vpns, sm, hg, small_dir, huge) if ok else None
+        if stage is None:
             return super().access_block(vpns)
-        heads = collapse_runs(vpns)
+        heads, is_huge, pfn_heads, hbase, hit1 = stage
         n = vpns.shape[0]
-        hvpn = heads >> _HUGE_SHIFT
-        hbase, is_huge = hg.lookup(hvpn << _HUGE_SHIFT)
-        is_small = ~is_huge
-        small_heads = heads[is_small]
-        pfn_sm, found = sm.lookup(small_heads)
-        if not found.all():
-            # An unmapped page: the scalar loop faults at the right spot.
-            return super().access_block(vpns)
-
-        directory = self.directory
-        huge = directory.huge
-        hit1 = np.empty(heads.shape[0], dtype=bool)
-        hit1[is_small] = simulate_block(
-            self.l1.small, small_heads, small_heads,
-            directory.small.__getitem__)
-        hv = hvpn[is_huge]
-        huge_value = lambda h: huge[h << _HUGE_SHIFT]  # noqa: E731
-        hit1[is_huge] = simulate_block(self.l1.huge, hv, hv, huge_value)
 
         # Per-L1-miss precomputation for the shared L2.  Each miss row's
         # probe/fill flow touches exactly one *main* key, chosen by a
@@ -331,7 +374,7 @@ class AnchorScheme(TranslationScheme):
         # can touch, which replay exactly in trace order below (the same
         # decomposition the cluster schemes use, docs/api_tour.md §15).
         miss = ~hit1
-        dlog = self._dlog
+        table = self.l2.table
         array = self.l2.array
         imask = array.index_mask
         ways = array.ways
@@ -345,6 +388,8 @@ class AnchorScheme(TranslationScheme):
         m = mk.shape[0]
         m_huge = is_huge[miss]
         m_hb = hbase[miss]
+        # Every mapped page lies in a region: its row's shift.
+        dlog = table.dlogs[table.rows_of(mk)]
         avpn = mk >> dlog << dlog
         an_keys = an.keys
         na = an_keys.size
@@ -354,8 +399,6 @@ class AnchorScheme(TranslationScheme):
         af = aid >= 0
         cont = an.values_of(aid)
         appn, _ = sm.lookup(avpn)
-        pfn_heads = np.zeros(heads.shape[0], dtype=np.int64)
-        pfn_heads[is_small] = pfn_sm
         m_pfn = pfn_heads[miss]
         small_m = ~m_huge
         anchored = small_m & (mk - avpn < cont)
@@ -382,28 +425,39 @@ class AnchorScheme(TranslationScheme):
 
         # Anchor residency by direct probe: a block touches few
         # distinct anchors, so probing their buckets beats snapshotting
-        # the whole array.  Values are block-start state; rows whose
-        # outcome depends on mid-block changes are forced into the
-        # replay, which re-checks live state.
+        # the whole array.  The same anchor VPN indexes a different set
+        # under a different shift, so probe once per distinct shift in
+        # the table (once for a one-row table).  Values are block-start
+        # state; rows whose outcome depends on mid-block changes are
+        # forced into the replay, which re-checks live state.
         probe = af & small_m
-        touched = np.zeros(na + 1, dtype=bool)
-        touched[aid[probe]] = True
-        rf = np.zeros(na + 1, dtype=bool)
-        ra = np.zeros(na + 1, dtype=np.int64)
-        rc = np.zeros(na + 1, dtype=np.int64)
-        for j in np.flatnonzero(touched[:na]).tolist():
-            av = int(an_keys[j])
-            entry = buckets[(av >> dlog) & imask].get(
-                ((av << 2) | KIND_ANCHOR) | tbase)
-            if entry is not None:
-                rf[j] = True
-                ra[j] = entry[0]
-                rc[j] = entry[1]
-        resident = rf[aid] & probe
-        r_ap = np.where(resident, ra[aid], 0)
-        r_ct = np.where(resident, rc[aid], 0)
+        resident = np.zeros(m, dtype=bool)
+        r_ap = np.zeros(m, dtype=np.int64)
+        r_ct = np.zeros(m, dtype=np.int64)
+        for shift in sorted(set(table.shifts)):
+            rows = probe & (dlog == shift)
+            touched = np.zeros(na + 1, dtype=bool)
+            touched[aid[rows]] = True
+            rf = np.zeros(na + 1, dtype=bool)
+            ra = np.zeros(na + 1, dtype=np.int64)
+            rc = np.zeros(na + 1, dtype=np.int64)
+            for j in np.flatnonzero(touched[:na]).tolist():
+                av = int(an_keys[j])
+                entry = buckets[(av >> shift) & imask].get(
+                    ((av << 2) | KIND_ANCHOR) | tbase)
+                if entry is not None:
+                    rf[j] = True
+                    ra[j] = entry[0]
+                    rc[j] = entry[1]
+            found = rows & rf[aid]
+            resident |= found
+            r_ap = np.where(found, ra[aid], r_ap)
+            r_ct = np.where(found, rc[aid], r_ct)
         # Anchors the directory dropped can survive as resident
-        # entries; their keys and values come from the drift cache.
+        # entries; their keys and values come from the drift cache.  A
+        # match may sit in another set than the row probes (a row of a
+        # region starting off its alignment); treating it as resident
+        # only sends the row to the exact replay.
         if stale_anchors:
             items = sorted(stale_anchors.items())
             sa_keys = np.array([k for k, _ in items], dtype=np.int64)
@@ -456,8 +510,6 @@ class AnchorScheme(TranslationScheme):
         # check above guarantees a key that hits a resident entry
         # resolves to that entry's value.
         clean = ~row_bad
-        small_dir = directory.small
-        anchor_cont = directory.anchor_contiguity
 
         def value_of(key: int):
             kind = key & 3
@@ -558,7 +610,7 @@ class AnchorScheme(TranslationScheme):
     def reselect_distance(self) -> tuple[int, bool]:
         """Re-run Algorithm 1 (an OS epoch tick, §4.1).
 
-        Rebuilds the coverage plan and flushes the TLBs when the pick
+        Re-plans the one-row table and flushes the TLBs when the pick
         changes; the OS-side cost lands in :attr:`shootdowns`.  Returns
         ``(distance, changed)``.
         """
@@ -568,11 +620,8 @@ class AnchorScheme(TranslationScheme):
         if picked == self.distance:
             return picked, False
         self.shootdowns.record_distance_change(self.mapping.mapped_pages, picked)
-        self.directory = AnchorDirectory.build(self.mapping, picked, self.enable_thp)
-        self._dir_shared = False
-        self._dlog = picked.bit_length() - 1
-        self._invalidate_block_cache()
         self.l2.set_distance(picked)
+        self._build_directories()
         self.l1.flush()
         return picked, True
 
@@ -581,63 +630,60 @@ class AnchorScheme(TranslationScheme):
     # targeted TLB shootdown of the page and every anchor spanning it.
     # ------------------------------------------------------------------
 
-    def _shootdown_page(self, vpn: int, anchors: list[int]) -> None:
+    def _shootdown_page(
+        self, vpn: int, directory: AnchorDirectory, anchors: list[int]
+    ) -> None:
         self._invalidate_block_cache()
         self.l1.small.invalidate(vpn, vpn)
         self.l2.invalidate_small(vpn)
         for avpn in anchors:
             self.l2.invalidate_anchor(avpn)
-        self.shootdowns.record_unmap(1, self.distance)
+        self.shootdowns.record_unmap(1, directory.distance)
 
     def unmap_page(self, vpn: int) -> int:
         """Unmap one 4 KiB page: page table, anchors, and TLBs."""
-        self._own_directory()
-        anchors = self.directory.anchors_spanning(vpn)
-        pfn = self.directory.note_unmap(vpn)
+        directory = self._own_directory_of(vpn)
+        anchors = directory.anchors_spanning(vpn)
+        pfn = directory.note_unmap(vpn)
         self.mapping.unmap_page(vpn)
         # Incremental maintenance stands in for the default full flush.
         self._synced_version = self.mapping.version
-        self._shootdown_page(vpn, anchors)
+        self._shootdown_page(vpn, directory, anchors)
         return pfn
 
     def map_page(self, vpn: int, pfn: int) -> None:
         """Map one 4 KiB page, merging it into surrounding anchor runs."""
-        self._own_directory()
-        self.directory.note_map(vpn, pfn)
+        directory = self._own_directory_of(vpn)
+        directory.note_map(vpn, pfn)
         self.mapping.map_page(vpn, pfn)
         self._synced_version = self.mapping.version
         # Stale anchors around the new page now under-report contiguity;
         # invalidate them so refills pick up the merged runs.
-        self._shootdown_page(vpn, self.directory.anchors_spanning(vpn))
+        self._shootdown_page(vpn, directory, directory.anchors_spanning(vpn))
 
     def protect_page(self, vpn: int, prot: int) -> None:
         """Change one page's protection, splitting coalesced coverage."""
-        self._own_directory()
-        anchors = self.directory.anchors_spanning(vpn)
-        self.directory.note_protect(vpn, prot)
+        directory = self._own_directory_of(vpn)
+        anchors = directory.anchors_spanning(vpn)
+        directory.note_protect(vpn, prot)
         self.mapping.set_protection(vpn, 1, prot)
         self._synced_version = self.mapping.version
-        self._shootdown_page(vpn, anchors)
+        self._shootdown_page(vpn, directory, anchors)
 
     def rebuild(self, mapping: MemoryMapping) -> None:
         """Adopt an updated mapping (allocation/relocation), flushing TLBs."""
         self.mapping = mapping
         self._synced_version = mapping.version
-        self.directory = AnchorDirectory.build(mapping, self.distance, self.enable_thp)
-        self._dir_shared = False
-        self._invalidate_block_cache()
+        self._build_directories()
         self.flush()
 
     def _on_mapping_update(self, frozen) -> None:
         """External mapping mutation: replan coverage, then flush."""
-        self.directory = AnchorDirectory.build(
-            self.mapping, self.distance, self.enable_thp)
-        self._dir_shared = False
-        self._invalidate_block_cache()
+        self._build_directories()
         self.flush()
 
     def _translate(self, vpn: int) -> int:
-        directory = self.directory
+        directory = self._directories[self.l2.table.row_of(vpn)]
         huge_base = directory.huge.get((vpn >> _HUGE_SHIFT) << _HUGE_SHIFT)
         if huge_base is not None:
             return huge_base + (vpn & ((1 << _HUGE_SHIFT) - 1))

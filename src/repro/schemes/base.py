@@ -31,8 +31,11 @@ from repro.params import (
     DEFAULT_MACHINE, GIGA_PAGE_PAGES, HUGE_PAGE_PAGES, MachineConfig)
 from repro.hw.l1 import L1TLB
 from repro.hw.pwc import PageWalkCache
+from repro.sim.lru import collapse_runs, simulate_block
 from repro.sim.stats import TranslationStats
-from repro.vmos.mapping import FrozenMapping, MemoryMapping
+from repro.vmos.mapping import FrozenMapping, KeyIndex, MemoryMapping
+
+_HUGE_SHIFT = 9
 
 
 @runtime_checkable
@@ -64,17 +67,6 @@ class TranslationScheme(abc.ABC):
     #: The scheme's anchor distance, if it has one (``None`` otherwise);
     #: anchor schemes override this with a property.
     distance: int | None = None
-
-    #: Whether :meth:`access_block` stays correct when the TLB arrays
-    #: carry a nonzero address-space tag (multi-tenant sharing).  The
-    #: scalar loop below is tag-safe by construction — every state touch
-    #: goes through the arrays' ``lookup``/``insert``, which pack the
-    #: tag themselves — but a vectorised override that writes raw keys
-    #: into the arrays' buckets must pack the tag explicitly and declare
-    #: its verdict here.  Every class that overrides ``access_block``
-    #: must re-declare this attribute in its own body (enforced by the
-    #: ``scheme-contract`` check rule).
-    tag_safe_block: bool = True
 
     def __init__(
         self,
@@ -149,6 +141,44 @@ class TranslationScheme(abc.ABC):
         for vpn in vpns.tolist():
             access(vpn)
 
+    def _l1_stage(
+        self,
+        vpns: np.ndarray,
+        small_index: KeyIndex,
+        huge_index: KeyIndex,
+        small: dict[int, int],
+        huge: dict[int, int],
+    ) -> tuple[np.ndarray, ...] | None:
+        """The L1 stage of a block fast path over 4 KiB and 2 MiB pages.
+
+        Collapses repeated references into heads, classifies each head
+        by page size through the 2 MiB window index, and resolves both
+        L1 arrays with :func:`simulate_block` (promote-or-insert: every
+        head fills its own translation, whatever the L2 does).  Returns
+        ``(heads, is_huge, pfn, hbase, hit1)`` — per head its page-size
+        class, 4 KiB PFN (0 on 2 MiB heads), 2 MiB base PFN and L1
+        outcome — or ``None``, before touching any state, when the block
+        holds an unmapped page: the caller then falls back to the scalar
+        loop, which faults at exactly the right reference.
+        """
+        heads = collapse_runs(vpns)
+        hvpn = heads >> _HUGE_SHIFT
+        hbase, is_huge = huge_index.lookup(hvpn << _HUGE_SHIFT)
+        is_small = ~is_huge
+        small_heads = heads[is_small]
+        pfn_small, found = small_index.lookup(small_heads)
+        if not found.all():
+            return None
+        hit1 = np.empty(heads.shape[0], dtype=bool)
+        hit1[is_small] = simulate_block(
+            self.l1.small, small_heads, small_heads, small.__getitem__)
+        hv = hvpn[is_huge]
+        huge_value = lambda h: huge[h << _HUGE_SHIFT]  # noqa: E731
+        hit1[is_huge] = simulate_block(self.l1.huge, hv, hv, huge_value)
+        pfn = np.zeros(heads.shape[0], dtype=np.int64)
+        pfn[is_small] = pfn_small
+        return heads, is_huge, pfn, hbase, hit1
+
     def flush(self) -> None:
         """Flush all TLB state (context switch / shootdown)."""
         self.l1.flush()
@@ -159,14 +189,10 @@ class TranslationScheme(abc.ABC):
         """Select this tenant's address-space tag on every TLB structure.
 
         Called by the tenant scheduler on every switch-in (the PCID
-        write that rides along with CR3).  Requires a tag-aware block
-        fast path (:attr:`tag_safe_block`): schemes that keep raw keys
-        in their arrays cannot share them between tenants.
+        write that rides along with CR3).  Every block fast path packs
+        the active tag into the raw keys it builds (the ``tag-safety``
+        check rule), so any scheme may share tagged TLBs.
         """
-        if not self.tag_safe_block:
-            raise ValueError(
-                f"scheme {self.name!r} does not support ASID tagging"
-            )
         self.l1.set_tag(asid)
         if self.pwc is not None:
             self.pwc.set_tag(asid)

@@ -21,9 +21,6 @@ class BaselineScheme(TranslationScheme):
     """4 KiB-only two-level TLB hierarchy."""
 
     name = "base"
-    #: Both levels resolve through :func:`simulate_block`, which packs
-    #: the array tag itself — the fast path is tag-aware as-is.
-    tag_safe_block = True
 
     def __init__(
         self,

@@ -29,12 +29,7 @@ from repro.params import (
 from repro.hw.cluster import ClusterEntry, ClusterTLB, build_cluster_entry
 from repro.hw.tlb import KEY_MASK, SetAssociativeTLB, TAG_SHIFT
 from repro.schemes.base import TranslationScheme, promote_huge_pages
-from repro.sim.lru import (
-    collapse_runs,
-    isin_sorted,
-    previous_occurrence,
-    simulate_block,
-)
+from repro.sim.lru import isin_sorted, previous_occurrence, simulate_block
 from repro.vmos.mapping import (
     KeyIndex,
     MemoryMapping,
@@ -53,12 +48,6 @@ class ClusterScheme(TranslationScheme):
     """Partitioned regular + cluster-8 L2 (optionally with 2 MiB pages)."""
 
     name = "cluster"
-    #: The block fast path packs the arrays' address-space tag into
-    #: every key it writes (the regular side through
-    #: :func:`simulate_block`, the clustered side explicitly in the
-    #: contaminated-set replay), so the partitioned L2 can be shared
-    #: between tagged tenants.
-    tag_safe_block = True
 
     def __init__(
         self,
@@ -192,31 +181,17 @@ class ClusterScheme(TranslationScheme):
         if vpns.shape[0] == 0:
             return
         small_index, huge_index = self._sorted_views()
-        heads = collapse_runs(vpns)
-        n = vpns.shape[0]
-        hvpn = heads >> _HUGE_SHIFT
-        is_huge = huge_index.mask(hvpn << _HUGE_SHIFT)
-        is_small = ~is_huge
-        small_heads = heads[is_small]
-        pfn_sm, found = small_index.lookup(small_heads)
-        if not found.all():
-            # An unmapped page: the scalar loop faults at the right spot.
-            return super().access_block(vpns)
-
         huge = self._huge
         small = self._small
-        hit1 = np.empty(heads.shape[0], dtype=bool)
-        hit1[is_small] = simulate_block(
-            self.l1.small, small_heads, small_heads, small.__getitem__)
-        hv = hvpn[is_huge]
-        huge_value = lambda h: huge[h << _HUGE_SHIFT]  # noqa: E731
-        hit1[is_huge] = simulate_block(self.l1.huge, hv, hv, huge_value)
+        stage = self._l1_stage(vpns, small_index, huge_index, small, huge)
+        if stage is None:
+            return super().access_block(vpns)
+        heads, is_huge, pfn_heads, _, hit1 = stage
+        n = vpns.shape[0]
 
         miss = ~hit1
         mk = heads[miss]
         m_huge = is_huge[miss]
-        pfn_heads = np.zeros(heads.shape[0], dtype=np.int64)
-        pfn_heads[is_small] = pfn_sm
         pfn = pfn_heads[miss]
         sm_rows = np.flatnonzero(~m_huge)
         sv = mk[sm_rows]

@@ -67,10 +67,6 @@ class PrefetchScheme(TranslationScheme):
     """4 KiB baseline + distance prefetching into the L2."""
 
     name = "prefetch"
-    #: The block fast path packs the L2's tag register into every raw
-    #: bucket key it writes (the predictor and the prefetched-VPN set
-    #: are per-tenant already), so tagged tenants may share the L2.
-    tag_safe_block = True
 
     def __init__(
         self,

@@ -20,7 +20,6 @@ from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.range_tlb import RangeTable, RangeTLB
 from repro.hw.tlb import SetAssociativeTLB
 from repro.schemes.base import TranslationScheme, promote_huge_pages
-from repro.sim.lru import collapse_runs, simulate_block
 from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
 
 _HUGE_SHIFT = 9
@@ -32,10 +31,6 @@ class RMMScheme(TranslationScheme):
     """Baseline L2 (with THP) + 32-entry range TLB."""
 
     name = "rmm"
-    #: The block fast path packs the arrays' tag registers into every
-    #: raw bucket/range key it writes, so tagged tenants may share the
-    #: L2 and the range TLB without aliasing address spaces.
-    tag_safe_block = True
 
     def __init__(
         self,
@@ -142,30 +137,15 @@ class RMMScheme(TranslationScheme):
             return
         frozen = self.mapping.frozen()
         small_index, huge_index = self._sorted_views()
-        heads = collapse_runs(vpns)
-        n = vpns.shape[0]
-        hvpn = heads >> _HUGE_SHIFT
-        hbase, is_huge = huge_index.lookup(hvpn << _HUGE_SHIFT)
-        is_small = ~is_huge
-        small_heads = heads[is_small]
-        pfn_sm, found = small_index.lookup(small_heads)
-        if not found.all():
-            # An unmapped page: the scalar loop faults at the right spot.
+        stage = self._l1_stage(
+            vpns, small_index, huge_index, self._small, self._huge)
+        if stage is None:
             return super().access_block(vpns)
-
-        huge = self._huge
-        small = self._small
-        hit1 = np.empty(heads.shape[0], dtype=bool)
-        hit1[is_small] = simulate_block(
-            self.l1.small, small_heads, small_heads, small.__getitem__)
-        hv = hvpn[is_huge]
-        huge_value = lambda h: huge[h << _HUGE_SHIFT]  # noqa: E731
-        hit1[is_huge] = simulate_block(self.l1.huge, hv, hv, huge_value)
+        heads, is_huge, pfn_heads, hbase, hit1 = stage
+        n = vpns.shape[0]
 
         miss = ~hit1
         mk = heads[miss]
-        pfn_heads = np.zeros(heads.shape[0], dtype=np.int64)
-        pfn_heads[is_small] = pfn_sm
         cid = frozen.chunk_of(mk)
         cstart = frozen.chunk_vpn[cid] if cid.size else cid
         ranges = self.range_table.ranges()
@@ -182,7 +162,7 @@ class RMMScheme(TranslationScheme):
         rows = zip(
             mk.tolist(),
             is_huge[miss].tolist(),
-            (hvpn[miss] & imask).tolist(),
+            ((mk >> _HUGE_SHIFT) & imask).tolist(),
             hbase[miss].tolist(),
             pfn_heads[miss].tolist(),
             cstart.tolist(),

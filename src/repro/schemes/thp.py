@@ -38,9 +38,6 @@ class THPScheme(TranslationScheme):
     """
 
     name = "thp"
-    #: All four arrays resolve through :func:`simulate_block`, which
-    #: packs the array tag itself — the fast path is tag-aware as-is.
-    tag_safe_block = True
 
     def __init__(
         self,

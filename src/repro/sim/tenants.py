@@ -136,9 +136,11 @@ class ScheduleCounters:
 
 
 def _save_distance(member: TenantRun, registers: DistanceRegisterFile) -> None:
-    l2 = getattr(member.scheme, "l2", None)
-    if isinstance(l2, AnchorL2TLB):
-        registers.save(member.name, l2.distance)
+    """Switch-out: save the tenant's anchor-distance register (§3.1),
+    if its scheme has a single distance."""
+    distance = member.scheme.distance
+    if distance is not None:
+        registers.save(member.name, distance)
 
 
 def _activate(
@@ -148,13 +150,11 @@ def _activate(
     the anchor-distance register (§3.1), flushing nothing."""
     scheme = member.scheme
     scheme.set_asid(member.asid)
-    if registers is None:
+    if registers is None or scheme.distance is None:
         return
-    l2 = getattr(scheme, "l2", None)
-    if isinstance(l2, AnchorL2TLB):
-        saved = registers.restore(member.name)
-        if saved is not None:
-            l2.restore_distance(saved)
+    saved = registers.restore(member.name)
+    if saved is not None:
+        scheme.l2.restore_distance(saved)
 
 
 class _Dispatch:
@@ -511,13 +511,6 @@ def shard_assignments(
     return (h % np.uint64(shards)).astype(np.int64)
 
 
-def _require_tag_safe(scheme: Any, name: str) -> None:
-    if not scheme.tag_safe_block:
-        raise ValueError(
-            f"scheme {name!r} cannot share tagged TLBs (tag_safe_block is False)"
-        )
-
-
 class _AsidAllocator:
     """Cycling 1..(2^bits - 1) ASID namespace with shootdown-on-reuse.
 
@@ -833,8 +826,6 @@ def simulate_shard(
         members: list[TenantRun] = []
         for spec in batch:
             scheme_obj = scheme_for(spec)
-            if policy == "tagged":
-                _require_tag_safe(scheme_obj, scheme)
             member = TenantRun(
                 name=spec.name,
                 scheme=scheme_obj,
@@ -846,9 +837,7 @@ def simulate_shard(
                 bind_shared(scheme_obj)
                 assert allocator is not None
                 member.asid = allocator.allocate()
-                l2 = getattr(scheme_obj, "l2", None)
-                if isinstance(l2, AnchorL2TLB):
-                    registers.save(member.name, l2.distance)
+                _save_distance(member, registers)
             members.append(member)
         kernel_start = time.perf_counter()
         previous = run_schedule(
@@ -1052,10 +1041,9 @@ def simulate_fleet(
         raise ValueError("workers must be >= 0")
     # Built on an empty mapping (well under a millisecond), the scheme
     # rejects an unknown name here rather than inside every shard.
-    probe = make_scheme(scheme, MemoryMapping(), machine)
+    make_scheme(scheme, MemoryMapping(), machine)
     if policy == "tagged":
         _AsidAllocator([], bits=asid_bits)  # rejects out-of-range bits
-        _require_tag_safe(probe, scheme)
 
     tenancy = TenancyConfig(
         tenants=fleet.size, policy=policy, quantum=quantum,

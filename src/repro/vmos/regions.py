@@ -9,16 +9,21 @@ with the TLB lookup, so each region uses its own distance.
 
 This module implements the region table plus a simple partitioner that
 groups VMAs by their dominant chunk size and assigns each group the
-distance Algorithm 1 picks for its own sub-histogram.  The ablation
-bench compares it against the single-distance scheme on mappings with
-bimodal contiguity.
+distance Algorithm 1 picks for its own sub-histogram.  The single
+distance register of §3.1 is the table's one-row case spanning the
+whole address space (:meth:`RegionTable.spanning`), so one anchor
+scheme serves both.  The ablation bench compares per-region distances
+against the single distance on mappings with bimodal contiguity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.params import ANCHOR_DISTANCES
+import numpy as np
+
+from repro.errors import PageFaultError
+from repro.params import ANCHOR_DISTANCES, is_pow2
 from repro.util.histogram import Histogram
 from repro.vmos.distance import select_distance
 from repro.vmos.mapping import MemoryMapping
@@ -37,30 +42,69 @@ class AnchorRegion:
         return self.start_vpn <= vpn < self.end_vpn
 
 
+#: One past every VPN: the end of a region spanning the address space.
+ADDRESS_SPACE_END = 1 << 62
+
+
 class RegionTable:
     """A bounded, fully associative region table (HW model).
 
     Like RMM's range TLB, the parallel range compare limits how many
     regions the hardware can hold; the default of 8 keeps the lookup
-    latency within an L2 TLB access (§4.2).
+    latency within an L2 TLB access (§4.2).  Rows are kept sorted by
+    start VPN; ``shifts`` (and its column ``dlogs``) holds each row's
+    log2 distance, the shift that turns a VPN into its anchor's index.
     """
 
     def __init__(self, capacity: int = 8) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.regions: list[AnchorRegion] = []
+        self.install([])
+
+    @classmethod
+    def spanning(cls, distance: int) -> "RegionTable":
+        """The one-row table over the whole address space: §3.1's
+        single anchor-distance register."""
+        table = cls(capacity=1)
+        table.install([AnchorRegion(0, ADDRESS_SPACE_END, distance)])
+        return table
 
     def install(self, regions: list[AnchorRegion]) -> None:
         if len(regions) > self.capacity:
             raise ValueError(
                 f"{len(regions)} regions exceed table capacity {self.capacity}"
             )
-        overlaps = sorted(regions, key=lambda r: r.start_vpn)
-        for a, b in zip(overlaps, overlaps[1:]):
+        rows = sorted(regions, key=lambda r: r.start_vpn)
+        for a, b in zip(rows, rows[1:]):
             if b.start_vpn < a.end_vpn:
                 raise ValueError("regions overlap")
-        self.regions = list(regions)
+        if not all(is_pow2(r.distance) for r in rows):
+            raise ValueError("distance must be a positive power of two")
+        self.regions = rows
+        self.shifts = [r.distance.bit_length() - 1 for r in rows]
+        self.starts = np.array([r.start_vpn for r in rows], dtype=np.int64)
+        self.dlogs = np.array(self.shifts, dtype=np.int64)
+
+    @property
+    def distance(self) -> int | None:
+        """The one row's distance (``None`` unless exactly one row)."""
+        return self.regions[0].distance if len(self.regions) == 1 else None
+
+    def row_of(self, vpn: int) -> int:
+        """The row whose region holds ``vpn``: the parallel compare."""
+        for row, region in enumerate(self.regions):
+            if region.start_vpn <= vpn < region.end_vpn:
+                return row
+        raise PageFaultError(f"vpn {vpn:#x} outside every region")
+
+    def shift_of(self, vpn: int) -> int:
+        """log2 of the distance of the row holding ``vpn``."""
+        return self.shifts[self.row_of(vpn)]
+
+    def rows_of(self, vpns: np.ndarray) -> np.ndarray:
+        """:meth:`row_of` per VPN, for VPNs that some region holds."""
+        return np.searchsorted(self.starts, vpns, side="right") - 1
 
     def distance_for(self, vpn: int, default: int) -> int:
         for region in self.regions:

@@ -12,7 +12,7 @@ class HollowScheme(TranslationScheme):
 
 
 class LeakyTagScheme(TranslationScheme):
-    """Batched hook with no tag declaration and a bespoke signature."""
+    """Batched hook with a bespoke signature."""
 
     name = "leaky"
 
@@ -29,7 +29,6 @@ class LeakyTagScheme(TranslationScheme):
 
 class CleanScheme(TranslationScheme):
     name = "clean"
-    tag_safe_block = True
 
     def __init__(self, mapping, config=None):
         self._small = mapping.frozen().page_table

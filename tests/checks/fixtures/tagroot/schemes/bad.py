@@ -8,8 +8,6 @@ class RawKeyScheme(TranslationScheme):
     """Writes raw keys into the L2 buckets: no tag packing anywhere in
     the access_block tree -> key-idiom finding."""
 
-    tag_safe_block = True
-
     def __init__(self, mapping, config):
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(1024, 8)
@@ -31,8 +29,6 @@ class RawKeyScheme(TranslationScheme):
 
 class ForgottenSideTLB(TranslationScheme):
     """Owns a side TLB that set_asid never retags -> cascade finding."""
-
-    tag_safe_block = True
 
     def __init__(self, mapping, config):
         super().__init__(mapping, config)
@@ -56,8 +52,6 @@ class ForgottenSideTLB(TranslationScheme):
 class UnsharedTLBScheme(TranslationScheme):
     """set_asid covers everything, but the fleet's bind_shared helper
     never rebinds 'orphan' -> bind_shared finding."""
-
-    tag_safe_block = True
 
     def __init__(self, mapping, config):
         super().__init__(mapping, config)

@@ -2,8 +2,6 @@ from hw.tlb import SetAssociativeTLB
 
 
 class TranslationScheme:
-    tag_safe_block = True
-
     def __init__(self, mapping, config):
         self.mapping = mapping
         self.config = config
@@ -17,8 +15,6 @@ class TranslationScheme:
             self.access(vpn)
 
     def set_asid(self, asid):
-        if not self.tag_safe_block:
-            raise ValueError("scheme does not support ASID tagging")
         self.l1.set_tag(asid)
         for attr in ("l2", "range_tlb"):
             tlb = getattr(self, attr, None)

@@ -8,8 +8,6 @@ from sim.lru import simulate_block
 class BatchedScheme(TranslationScheme):
     """Evidence through simulate_block, two helpers deep."""
 
-    tag_safe_block = True
-
     def __init__(self, mapping, config):
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(1024, 8)
@@ -32,8 +30,6 @@ class BatchedScheme(TranslationScheme):
 class OrIdiomScheme(TranslationScheme):
     """Evidence through the explicit tag-base OR idiom."""
 
-    tag_safe_block = True
-
     def __init__(self, mapping, config):
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(1024, 8)
@@ -55,25 +51,3 @@ class OrIdiomScheme(TranslationScheme):
         self.l2 = SetAssociativeTLB(1024, 8)
         self.clustered = ClusterTLB(64)
 
-
-class OptOutScheme(TranslationScheme):
-    """tag_safe_block = False opts out of tagging wholesale: raw keys
-    and no cascade are fine here."""
-
-    tag_safe_block = False
-
-    def __init__(self, mapping, config):
-        super().__init__(mapping, config)
-        self.l2 = SetAssociativeTLB(1024, 8)
-        self.private = SetAssociativeTLB(32, 8)
-
-    def access(self, vpn):
-        return vpn
-
-    def access_block(self, vpns):
-        for vpn in vpns:
-            self.l2._sets[vpn] = vpn
-
-    def _reset_clone(self):
-        self.l2 = SetAssociativeTLB(1024, 8)
-        self.private = SetAssociativeTLB(32, 8)

@@ -89,10 +89,6 @@ class TestSchemeContract:
         assert any("caches mapping-derived state" in f.message
                    and "'refresh'" in f.message for f in findings)
 
-    def test_access_block_without_tag_declaration(self, findings):
-        assert any("tag_safe_block" in f.message
-                   and "LeakyTagScheme" in f.message for f in findings)
-
     def test_access_block_signature_deviation(self, findings):
         assert any("(self, vpns) signature" in f.message
                    and "LeakyTagScheme" in f.message for f in findings)
@@ -212,15 +208,15 @@ class TestTagSafety:
     def test_flags_each_violation_kind(self, findings):
         files = by_file(findings)
         bad = {f.line: f.message for f in files["schemes/bad.py"]}
-        assert sorted(bad) == [20, 32, 56]
-        assert "never packs an address-space tag" in bad[20]
-        assert "'victim'" in bad[32] and "set_asid" in bad[32]
-        assert "'orphan'" in bad[56] and "bind_shared" in bad[56]
+        assert sorted(bad) == [18, 30, 52]
+        assert "never packs an address-space tag" in bad[18]
+        assert "'victim'" in bad[30] and "set_asid" in bad[30]
+        assert "'orphan'" in bad[52] and "bind_shared" in bad[52]
 
     def test_evidence_idioms_and_optout_are_clean(self, findings):
         # good.py proves the tag idiom through a helper into
-        # simulate_block, through the explicit tag_base OR, and via
-        # tag_safe_block = False opting out entirely.
+        # simulate_block and through the explicit tag_base OR; no
+        # scheme can opt out of tagging.
         files = by_file(findings)
         assert list(files) == ["schemes/bad.py"]
 

@@ -106,8 +106,7 @@ class TestDynamicDistance:
         scheme = AnchorScheme(two_chunk_mapping)
         # Force a change by faking a different current distance.
         scheme.l2.set_distance(2)
-        scheme.directory = scheme.directory.build(two_chunk_mapping, 2)
-        scheme._dlog = 1
+        scheme._build_directories()
         distance, changed = scheme.reselect_distance()
         assert changed
         assert scheme.shootdowns.distance_changes

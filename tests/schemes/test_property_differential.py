@@ -182,7 +182,6 @@ class TestRandomMappingDifferential:
         outputs = []
         for mode in ("scalar", "batched"):
             scheme = make_scheme(scheme_name, mapping, machine)
-            assert scheme.tag_safe_block
             scheme.set_asid(asid)
             scheme.sync_mapping()
             if mode == "scalar":
@@ -207,6 +206,96 @@ class TestRandomMappingDifferential:
                                 scheme.pwc.probes)
             outputs.append(state)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "scheme_name", ("anchor-dyn", "anchor-static", "anchor-region"))
+    @given(mapping=random_mapping(), distance_log=st.integers(1, 4),
+           pwc=st.booleans(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_incremental_os_updates_batched_matches_scalar(
+            self, scheme_name, mapping, distance_log, pwc, data):
+        """OS updates between blocks: the same random ``unmap_page``,
+        ``map_page`` (a hole back at its own frame or a shifted one) and
+        ``protect_page`` on twin schemes, one replaying each block
+        through ``access_block`` and the other through ``access``.
+        Incremental shootdowns leave stale survivors in the L2 (drifted
+        entries, and small entries for pages a merge has since
+        anchored) that only the batched path's resident-state caches
+        can reconcile; every block must still end bit-identical.
+        anchor-region runs two explicit regions split inside the
+        window, so the second one starts off its distance alignment."""
+        import dataclasses
+
+        from repro.schemes.anchor_scheme import AnchorScheme
+        from repro.schemes.region_anchor_scheme import RegionAnchorScheme
+        from repro.vmos.mapping import DEFAULT_PROT
+        from repro.vmos.regions import AnchorRegion
+
+        machine = dataclasses.replace(TINY, pwc=True) if pwc else TINY
+        # Blocks and victims share one small window of pages, so the
+        # entries an update leaves behind are still resident when the
+        # next block probes them.
+        pages = [vpn for vpn, _ in mapping.items()]
+        first = data.draw(st.integers(0, len(pages) - 1))
+        focus = pages[first:first + 24]
+        cut = data.draw(st.sampled_from(focus)) + data.draw(st.integers(0, 3))
+        regions = [
+            AnchorRegion(pages[0], cut, 1 << distance_log),
+            AnchorRegion(cut, pages[-1] + 1, 1 << data.draw(st.integers(1, 4))),
+        ]
+        twins = []
+        for _ in range(2):
+            twin = MemoryMapping()
+            for vpn, pfn in mapping.items():
+                twin.map_page(vpn, pfn, mapping.protection_of(vpn))
+            if scheme_name == "anchor-region":
+                twins.append(RegionAnchorScheme(twin, machine, regions=regions))
+            else:
+                distance = (None if scheme_name == "anchor-dyn"
+                            else 1 << distance_log)
+                twins.append(AnchorScheme(twin, machine, distance=distance,
+                                          enable_thp=False))
+        batched, scalar = twins
+        holes: list[tuple[int, int]] = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            window = [vpn for vpn in focus if vpn in batched.mapping]
+            if window:
+                picks = data.draw(st.lists(st.sampled_from(window),
+                                           min_size=1, max_size=60))
+                batched.access_block(np.asarray(picks, dtype=np.int64))
+                for vpn in picks:
+                    scalar.access(vpn)
+            assert hw_state(batched) == hw_state(scalar)
+            if data.draw(st.booleans()):
+                # Force the next block's probes past the L1 to the L2
+                # entries the update below may leave stale.
+                for scheme in twins:
+                    scheme.l1.flush()
+            plans = (batched._directories if scheme_name == "anchor-region"
+                     else [batched.directory])
+            leaves = [vpn for vpn in window
+                      if any(vpn in plan.small for plan in plans)]
+            protected = sorted(v for plan in plans for v in plan.protections)
+            op = data.draw(st.sampled_from(
+                ("unmap", "map", "map", "protect", "unprotect")))
+            if op == "map" and holes:
+                vpn, pfn = holes.pop(data.draw(st.integers(0, len(holes) - 1)))
+                pfn += data.draw(st.sampled_from((0, 0, 1, 7)))
+                for scheme in twins:
+                    scheme.map_page(vpn, pfn)
+            elif op == "unmap" and leaves:
+                vpn = data.draw(st.sampled_from(leaves))
+                holes.append((vpn, batched.unmap_page(vpn)))
+                scalar.unmap_page(vpn)
+            elif op == "unprotect" and protected:
+                vpn = data.draw(st.sampled_from(protected))
+                for scheme in twins:
+                    scheme.protect_page(vpn, DEFAULT_PROT)
+            elif leaves:
+                vpn = data.draw(st.sampled_from(leaves))
+                for scheme in twins:
+                    scheme.protect_page(vpn, 0b01)
+        assert hw_state(batched) == hw_state(scalar)
 
     @given(data=mapping_and_trace())
     @settings(max_examples=20, deadline=None)

@@ -57,6 +57,13 @@ class TestRegionScheme:
         with pytest.raises(ValueError):
             RegionAnchorScheme(bimodal, capacity=2, regions=regions)
 
+    def test_overlapping_regions_rejected(self, bimodal):
+        """Overlapping rows would give one VPN two distances (and the
+        scalar and batched paths different picks between them)."""
+        regions = [AnchorRegion(0, 8192, 4096), AnchorRegion(4096, 9216, 4)]
+        with pytest.raises(ValueError, match="overlap"):
+            RegionAnchorScheme(bimodal, regions=regions)
+
     def test_beats_single_distance_on_bimodal_access(self, bimodal):
         rng = np.random.default_rng(3)
         big = rng.integers(0, 8192, 6000)

@@ -1,5 +1,7 @@
 """Tests for fleet-scale multi-tenant scheduling (repro.sim.tenants)."""
 
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -202,19 +204,12 @@ class TestTaggedDifferential:
         assert TAG_SHIFT >= 46
         assert TAG_BITS >= 8
 
-    def test_unsafe_scheme_rejects_asid(self, medium_mapping):
-        scheme = make_scheme("anchor-region", medium_mapping)
-        assert not scheme.tag_safe_block
-        with pytest.raises(ValueError):
-            scheme.set_asid(1)
-
     @pytest.mark.parametrize(
         "name", ["cluster", "cluster2mb", "colt", "rmm", "prefetch"])
     def test_coalescing_schemes_accept_asid(self, medium_mapping, name):
         """The HW-coalescing schemes' block fast paths are tag-aware:
         ``set_asid`` must tag every array the fast path touches."""
         scheme = make_scheme(name, medium_mapping)
-        assert scheme.tag_safe_block
         scheme.set_asid(3)
         assert scheme.l1.small.tag == 3
         if name in ("colt", "rmm", "prefetch"):
@@ -300,22 +295,26 @@ class TestFleet:
                               quantum=400, active_pool=4)
         assert wide.asid_recycles == 0
 
-    def test_unsafe_scheme_rejected_for_tagged_fleet(self):
-        fleet = TenantFleet(size=2, workloads=("gups",),
-                            scenarios=("medium",), references=500, seed=1)
-        with pytest.raises(ValueError, match="tag_safe_block"):
-            simulate_fleet(fleet, scheme="anchor-region", policy="tagged",
-                           quantum=200, active_pool=2)
-        # ...but flush-policy fleets may use any scheme.
+    def test_anchor_region_flush_fleet_pinned(self):
+        """A flush-policy anchor-region fleet, byte for byte as first
+        pinned.  anchor-region has no single distance, so the §3.1
+        register file never saves one for it."""
+        fleet = TenantFleet(size=6, workloads=("gups",),
+                            scenarios=("low", "max"), references=1500, seed=4)
         result = simulate_fleet(fleet, scheme="anchor-region", policy="flush",
-                                quantum=200, active_pool=2)
-        assert result.executed == 1000
+                                quantum=300, active_pool=3)
+        assert result.executed == 6 * 1500
+        assert result.distance_saves == 0
+        payload = json.dumps(result.to_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+            "0c358670e99a7c369471733d1c09fab8dabca9c3598c49060f4dc7be9eed6b52")
 
     @pytest.mark.parametrize(
-        "name", ["cluster", "cluster2mb", "colt", "rmm", "prefetch"])
+        "name",
+        ["cluster", "cluster2mb", "colt", "rmm", "prefetch", "anchor-region"])
     def test_coalescing_schemes_admitted_to_tagged_fleet(self, name):
-        """The schemes that flipped ``tag_safe_block`` run under
-        ``policy="tagged"`` and share one physical hierarchy."""
+        """The coalescing schemes run under ``policy="tagged"`` and share
+        one physical hierarchy."""
         fleet = TenantFleet(size=2, workloads=("gups",),
                             scenarios=("medium",), references=500, seed=1)
         result = simulate_fleet(fleet, scheme=name, policy="tagged",
@@ -324,7 +323,8 @@ class TestFleet:
         assert result.stats.accesses == 1000
 
     @pytest.mark.parametrize(
-        "name", ["cluster", "cluster2mb", "colt", "rmm", "prefetch"])
+        "name",
+        ["cluster", "cluster2mb", "colt", "rmm", "prefetch", "anchor-region"])
     def test_tagged_matches_flush_on_exhaustive_quanta(self, name):
         """With the quantum covering a tenant's whole trace, each tenant
         runs exactly once from a cold start: foreign-tag entries never
@@ -391,6 +391,22 @@ class TestAsidAllocator:
         assert allocator.allocate() == 1
         assert allocator.allocate() == 1
         assert first.flushed == second.flushed == [1]
+
+    def test_anchor_region_tenants_sharing_an_asid(self):
+        """Fewer ASIDs than live tenants: two tenants of one wave share a
+        tag, so each finds the other's entries under its own tag — for
+        anchor-region, small entries of VPNs outside every region it
+        has.  The resident rescan must pass over them, not look up
+        their region."""
+        fleet = TenantFleet(size=12, workloads=("gups", "omnetpp"),
+                            scenarios=("low", "max"), references=1200,
+                            seed=7, mapping_variants=2)
+        result = simulate_fleet(fleet, scheme="anchor-region",
+                                policy="tagged", quantum=100,
+                                active_pool=4, asid_bits=2)
+        assert result.asid_recycles > 0
+        assert result.executed == 12 * 1200
+        result.stats.check_conservation()
 
     def test_tagged_matches_flush_across_asid_wrap(self):
         """The wrap boundary must be invisible to per-tenant stats: with

@@ -234,9 +234,8 @@ class TestFailFast:
         (dict(storm_every=2, storm_quantum=0), "storm_quantum"),
         (dict(asid_bits=0), "asid bits"),
         (dict(scheme="no-such-scheme"), "unknown scheme"),
-        (dict(scheme="anchor-region"), "tag_safe_block"),
     ], ids=["quantum", "storm-every", "storm-quantum", "asid-bits",
-            "unknown-scheme", "tag-unsafe"])
+            "unknown-scheme"])
     def test_bad_knobs_raise_before_any_shard_runs(
         self, knobs, message, monkeypatch
     ):
