@@ -71,7 +71,9 @@ class AttrWrite:
     kind: str       #: ``"bind"`` (rebinds the name) or ``"mutate"``
     lineno: int
     detail: str = ""            #: what the write looked like, for messages
-    value_call: str | None = None   #: dotted callee when the bound value is a call
+    #: dotted callee when the bound value is a call (or a conditional
+    #: whose first branch is one: ``Cache() if enabled else None``)
+    value_call: str | None = None
 
 
 @dataclass
@@ -255,6 +257,8 @@ class _FunctionScanner(ast.NodeVisitor):
             if (isinstance(target.value, ast.Name)
                     and target.value.id == "self"):
                 kind = "mutate" if force_mutate else "bind"
+                if isinstance(value, ast.IfExp):
+                    value = value.body
                 call = dotted_name(value.func) if isinstance(
                     value, ast.Call) else None
                 self.model.attr_writes.append(AttrWrite(
@@ -511,9 +515,11 @@ class ProjectDataflow:
         """Functions reachable from ``class_name.method``, BFS order.
 
         ``self.m()`` resolves over the chain, ``super().m()`` to the
-        next link after the caller's defining class, bare/dotted names
-        through the import tables.  Unresolvable callees are skipped —
-        the graph is an under-approximation by design.
+        next link after the caller's defining class, an explicit
+        ``Base.m(self, ...)`` over ``Base``'s chain when ``Base`` is an
+        ancestor, bare/dotted names through the import tables.
+        Unresolvable callees are skipped — the graph is an
+        under-approximation by design.
         """
         start = self.resolve_method(class_name, method)
         if start is None:
@@ -563,6 +569,13 @@ class ProjectDataflow:
                 continue
             if parts[0] == "super" and len(parts) == 2 and class_name:
                 target = self._resolve_super(fn, class_name, parts[1])
+                if target is not None:
+                    resolved.append(target)
+                continue
+            if (len(parts) == 2 and class_name
+                    and any(model.name == parts[0]
+                            for model in self.chain(class_name))):
+                target = self.resolve_method(parts[0], parts[1])
                 if target is not None:
                     resolved.append(target)
                 continue

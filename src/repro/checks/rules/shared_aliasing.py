@@ -3,25 +3,25 @@ mutate them.
 
 The fleet constructs one *prototype* scheme per mapping key and hands
 every tenant a :meth:`~repro.schemes.base.TranslationScheme.clone_fresh`
-copy.  ``clone_fresh`` copies the prototype's ``__dict__`` wholesale, so
-every attribute *not* rebound by ``_reset_clone`` (or replaced outright
-by ``clone_fresh`` itself — l1, pwc, stats) is shared by reference
-between the prototype and every clone.  Three ways the discipline
-erodes:
+copy.  ``clone_fresh`` copies the prototype's ``__dict__`` wholesale and
+then replaces the scheme's declared hardware and its stats, so every
+attribute *not* rebound by ``_reset_clone`` is shared by reference
+between the prototype and every clone.  A hardware structure is
+recognised the way the fleet relies on it: an ``__init__``-tree bind
+whose constructor class defines ``set_tag`` (a structure missing from
+the ``hardware`` declaration is a runtime test's job, not this rule's).
+Two ways the discipline erodes:
 
-1. a registered scheme (or its base chain) never defines
-   ``_reset_clone`` — its access paths then mutate structures shared
-   with the prototype and every sibling clone;
-2. a ``_reset_clone`` override rebuilds mapping-derived state: it
+1. a ``_reset_clone`` override rebuilds mapping-derived state: it
    touches ``self.mapping``/``frozen``, calls a ``_build_*`` helper, or
    invokes one of the known expensive constructors — paying per tenant
    the O(mapping) cost the prototype exists to amortise.  The
    prototype-side hook ``_prepare_share`` is exempt: its job *is*
    forcing those lazy builds, once, before the first clone;
-3. some method anywhere in the class hierarchy *mutates* a shared
+2. some method anywhere in the class hierarchy *mutates* a shared
    attribute in place outside the privatisation choke points.
 
-The distinction that makes the third checkable is **bind vs mutate**:
+The distinction that makes the second checkable is **bind vs mutate**:
 
 * a bind (``self.directory = AnchorDirectory.build(...)``) severs the
   alias — the prototype and the other clones keep the old object — and
@@ -73,11 +73,11 @@ _EXPENSIVE_BUILDERS = {
     "partition_regions",
 }
 
-#: Attributes ``clone_fresh`` itself replaces on every clone, plus the
-#: identity fields a clone legitimately keeps writing through.
+#: Attributes ``clone_fresh`` itself replaces on every clone besides
+#: the hardware, plus the identity fields a clone legitimately keeps
+#: writing through.
 _PER_CLONE_ATTRS = {
-    "mapping", "config", "stats", "l1", "pwc", "name", "distance",
-    "_synced_version",
+    "mapping", "config", "stats", "name", "distance", "_synced_version",
 }
 
 #: Methods that may mutate shared state by name.
@@ -87,6 +87,21 @@ _CHOKE_POINTS = {
 }
 
 _CHOKE_PREFIXES = ("rebuild", "_build", "_own")
+
+
+def _hardware_attrs(flow: ProjectDataflow, class_name: str) -> set[str]:
+    """Attributes an ``__init__``-tree bind sets to a TLB structure: a
+    constructor whose class defines ``set_tag``."""
+    owned: set[str] = set()
+    for fn in flow.method_tree(class_name, "__init__"):
+        for write in fn.attr_writes:
+            if write.kind != "bind" or write.value_call is None:
+                continue
+            ctor = write.value_call.split(".")[-1]
+            if (ctor in flow.classes
+                    and flow.resolve_method(ctor, "set_tag") is not None):
+                owned.add(write.attr)
+    return owned
 
 
 class SharedAliasingChecker(Checker):
@@ -114,27 +129,9 @@ class SharedAliasingChecker(Checker):
             if reset is not None:
                 self._check_reset_clone(cls, reset)
             if cls.name in flow.registered:
-                self._check_defines_reset(flow, cls)
                 self._check_class(flow, cls.name)
 
-    # -- what _reset_clone must and must not do -------------------------
-
-    def _check_defines_reset(
-        self, flow: ProjectDataflow, cls: ClassModel
-    ) -> None:
-        # Root-exclusive: the base class's default never counts.
-        chain = flow.chain(cls.name, stop=_ROOT_CLASS)
-        if not any("_reset_clone" in model.methods for model in chain):
-            self.report(
-                cls.node,
-                f"registered scheme '{cls.name}' never defines "
-                "'_reset_clone': clones alias the prototype's mutable "
-                "hardware (L2 arrays, predictors, resident caches) and "
-                "tenants bleed state into each other",
-                hint="override _reset_clone() to recreate every structure "
-                     "the access paths mutate; mapping-derived views stay "
-                     "shared",
-            )
+    # -- what _reset_clone must not do ----------------------------------
 
     def _check_reset_clone(self, cls: ClassModel, fn: FunctionModel) -> None:
         for sub in ast.walk(fn.node):
@@ -178,7 +175,8 @@ class SharedAliasingChecker(Checker):
             flow.method_tree(class_name, "__init__"), kind="bind")
         reset = flow.writes_in(
             flow.method_tree(class_name, "_reset_clone"), kind="bind")
-        return bound - reset - _PER_CLONE_ATTRS
+        hardware = _hardware_attrs(flow, class_name)
+        return bound - reset - hardware - _PER_CLONE_ATTRS
 
     def _exempt(
         self, flow: ProjectDataflow, class_name: str, fn: FunctionModel

@@ -1,6 +1,6 @@
 """Hardware translation structures: TLBs, coalescing logic, page walker."""
 
-from repro.hw.tlb import SetAssociativeTLB, FullyAssociativeTLB
+from repro.hw.tlb import SetAssociativeTLB, Structure
 from repro.hw.l1 import L1TLB
 from repro.hw.cluster import ClusterTLB, build_cluster_entry, build_colt_entry
 from repro.hw.range_tlb import RangeTLB, RangeTable
@@ -9,7 +9,7 @@ from repro.hw.walker import PageWalker
 
 __all__ = [
     "SetAssociativeTLB",
-    "FullyAssociativeTLB",
+    "Structure",
     "L1TLB",
     "ClusterTLB",
     "build_cluster_entry",

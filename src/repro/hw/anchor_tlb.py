@@ -25,7 +25,7 @@ types never alias inside a set.
 from __future__ import annotations
 
 from repro.params import MachineConfig
-from repro.hw.tlb import SetAssociativeTLB
+from repro.hw.tlb import SetAssociativeTLB, Structure
 from repro.vmos.regions import RegionTable
 
 # Key type tags (packed into TLB keys below the VPN).
@@ -36,7 +36,7 @@ KIND_ANCHOR = 2
 _HUGE_SHIFT = 9
 
 
-class AnchorL2TLB:
+class AnchorL2TLB(Structure):
     """The shared L2 TLB with regular, huge, and anchor entries."""
 
     __slots__ = ("array", "table")
@@ -76,6 +76,20 @@ class AnchorL2TLB:
         """
         if distance != self.distance:
             self.table = RegionTable.spanning(distance)
+
+    def fresh(self) -> AnchorL2TLB:
+        """An empty, untagged array under the same region table."""
+        twin = AnchorL2TLB.__new__(AnchorL2TLB)
+        twin.array = self.array.fresh()
+        twin.table = self.table
+        return twin
+
+    def attach(self, shared: Structure) -> AnchorL2TLB:
+        """Keep this tenant's own distance register (its region table)
+        around the ``shared`` L2's physical array."""
+        assert isinstance(shared, AnchorL2TLB)
+        self.array = shared.array
+        return self
 
     def set_tag(self, tag: int) -> None:
         """Select the address-space tag on the shared array."""

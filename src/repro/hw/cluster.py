@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.params import CLUSTER_FACTOR, TLBGeometry
-from repro.hw.tlb import SetAssociativeTLB
+from repro.hw.tlb import SetAssociativeTLB, Structure
 
 _CLUSTER_SHIFT = 3  # log2(CLUSTER_FACTOR)
 _CLUSTER_MASK = CLUSTER_FACTOR - 1
@@ -98,13 +98,27 @@ def build_colt_entry(small_map: dict[int, int], vpn: int) -> ColtEntry:
     return ColtEntry(lo, pfn - (vpn - lo), hi - lo)
 
 
-class ClusterTLB:
+class ClusterTLB(Structure):
     """The clustered partition of the L2 (Table 3: 320 entries, 5-way)."""
 
     __slots__ = ("array",)
 
     def __init__(self, geometry: TLBGeometry) -> None:
         self.array = SetAssociativeTLB(geometry.entries, geometry.ways)
+
+    def fresh(self) -> ClusterTLB:
+        """An empty, untagged partition of the same geometry."""
+        twin = ClusterTLB.__new__(ClusterTLB)
+        twin.array = self.array.fresh()
+        return twin
+
+    def set_tag(self, tag: int) -> None:
+        """Select the address-space tag on the partition's array."""
+        self.array.set_tag(tag)
+
+    def flush_tag(self, tag: int) -> int:
+        """Drop every entry carrying ``tag`` (ASID recycling)."""
+        return self.array.flush_tag(tag)
 
     def lookup(self, vpn: int) -> int | None:
         """Translate via a cluster entry; None on miss/uncovered slot."""

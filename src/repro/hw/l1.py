@@ -9,10 +9,10 @@ that never create 2 MiB mappings simply never fill the 2 MiB side.
 from __future__ import annotations
 
 from repro.params import MachineConfig
-from repro.hw.tlb import SetAssociativeTLB
+from repro.hw.tlb import SetAssociativeTLB, Structure
 
 
-class L1TLB:
+class L1TLB(Structure):
     """Split 4 KiB / 2 MiB / 1 GiB first-level TLB."""
 
     __slots__ = ("small", "huge", "giga")
@@ -21,6 +21,14 @@ class L1TLB:
         self.small = SetAssociativeTLB(config.l1_4k.entries, config.l1_4k.ways)
         self.huge = SetAssociativeTLB(config.l1_2m.entries, config.l1_2m.ways)
         self.giga = SetAssociativeTLB(config.l1_1g.entries, config.l1_1g.ways)
+
+    def fresh(self) -> L1TLB:
+        """Empty, untagged twins of all three arrays."""
+        twin = L1TLB.__new__(L1TLB)
+        twin.small = self.small.fresh()
+        twin.huge = self.huge.fresh()
+        twin.giga = self.giga.fresh()
+        return twin
 
     def lookup_small(self, vpn: int) -> object | None:
         return self.small.lookup(vpn, vpn)

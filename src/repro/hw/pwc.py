@@ -6,7 +6,9 @@ translation caching, Barr et al. ISCA'10; large-reach MMU caches,
 Bhattacharjee MICRO'13).  This module implements the latter as an
 optional extension so the two families can be composed and compared:
 small fully associative caches hold upper-level page-table entries, so
-a TLB miss whose upper levels hit needs fewer memory accesses.
+a TLB miss whose upper levels hit needs fewer memory accesses.  Each
+level is a one-set :class:`~repro.hw.tlb.SetAssociativeTLB` whose keys
+are their own set indices.
 
 With the caches disabled every 4 KiB walk costs the paper's flat 50
 cycles; with them enabled a walk costs ``walk_step`` cycles per
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.tlb import FullyAssociativeTLB
-from repro.sim.lru import simulate_assoc_block
+from repro.hw.tlb import SetAssociativeTLB, Structure
+from repro.sim.lru import simulate_block
 
 # Upper-level index widths (9 bits per level).
 _L2_SHIFT = 9    # PD entry covers 2 MiB of VA
@@ -38,16 +40,23 @@ class PWCGeometry:
     pd_entries: int = 32
 
 
-class PageWalkCache:
+class PageWalkCache(Structure):
     """Per-level MMU caches counting the memory accesses a walk needs."""
 
     def __init__(self, geometry: PWCGeometry | None = None) -> None:
         geometry = geometry or PWCGeometry()
-        self._pml4 = FullyAssociativeTLB(geometry.pml4_entries)
-        self._pdpt = FullyAssociativeTLB(geometry.pdpt_entries)
-        self._pd = FullyAssociativeTLB(geometry.pd_entries)
+        self.geometry = geometry
+        self._pml4 = SetAssociativeTLB(
+            geometry.pml4_entries, geometry.pml4_entries)
+        self._pdpt = SetAssociativeTLB(
+            geometry.pdpt_entries, geometry.pdpt_entries)
+        self._pd = SetAssociativeTLB(geometry.pd_entries, geometry.pd_entries)
         self.hits = 0
         self.probes = 0
+
+    def fresh(self) -> PageWalkCache:
+        """Empty, untagged caches of the same geometry."""
+        return PageWalkCache(self.geometry)
 
     def accesses_for(self, vpn: int, huge: bool = False) -> int:
         """Memory accesses the walk performs; fills the caches.
@@ -61,22 +70,22 @@ class PageWalkCache:
         pdpt_tag = vpn >> _L3_SHIFT
         pml4_tag = vpn >> _L4_SHIFT
 
-        if not huge and self._pd.lookup(pd_tag) is not None:
+        if not huge and self._pd.lookup(pd_tag, pd_tag) is not None:
             accesses = 1                       # leaf PTE only
             self.hits += 1
-        elif self._pdpt.lookup(pdpt_tag) is not None:
+        elif self._pdpt.lookup(pdpt_tag, pdpt_tag) is not None:
             accesses = 1 if huge else 2        # PD leaf (, PT leaf)
             self.hits += 1
-        elif self._pml4.lookup(pml4_tag) is not None:
+        elif self._pml4.lookup(pml4_tag, pml4_tag) is not None:
             accesses = 2 if huge else 3        # PDPT, PD (, PT)
             self.hits += 1
         else:
             accesses = 3 if huge else 4        # full walk
         # Refill every level on the walk path.
-        self._pml4.insert(pml4_tag, True)
-        self._pdpt.insert(pdpt_tag, True)
+        self._pml4.insert(pml4_tag, pml4_tag, True)
+        self._pdpt.insert(pdpt_tag, pdpt_tag, True)
         if not huge:
-            self._pd.insert(pd_tag, True)
+            self._pd.insert(pd_tag, pd_tag, True)
         return accesses
 
     def accesses_for_block(
@@ -103,16 +112,20 @@ class PageWalkCache:
             return np.zeros(0, dtype=np.int64)
         filled = True
         value_of = lambda tag: filled  # noqa: E731 — walks store True
-        pdpt_hit = simulate_assoc_block(self._pdpt, vpns >> _L3_SHIFT, value_of)
-        pml4_hit = simulate_assoc_block(self._pml4, vpns >> _L4_SHIFT, value_of)
+        # Each level is one set, so a tag doubles as its set index.
+        pdpt = vpns >> _L3_SHIFT
+        pml4 = vpns >> _L4_SHIFT
+        pdpt_hit = simulate_block(self._pdpt, pdpt, pdpt, value_of)
+        pml4_hit = simulate_block(self._pml4, pml4, pml4, value_of)
         pd_hit = np.zeros(n, dtype=bool)
         if huge is None:
-            pd_hit = simulate_assoc_block(self._pd, vpns >> _L2_SHIFT, value_of)
+            pd = vpns >> _L2_SHIFT
+            pd_hit = simulate_block(self._pd, pd, pd, value_of)
             huge = np.zeros(n, dtype=bool)
         else:
             small = ~huge
-            pd_hit[small] = simulate_assoc_block(
-                self._pd, vpns[small] >> _L2_SHIFT, value_of)
+            pd = vpns[small] >> _L2_SHIFT
+            pd_hit[small] = simulate_block(self._pd, pd, pd, value_of)
         accesses = np.where(
             huge,
             np.where(pdpt_hit, 1, np.where(pml4_hit, 2, 3)),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.params import RANGE_TLB_ENTRIES
-from repro.hw.tlb import TAG_SHIFT, _check_tag
+from repro.hw.tlb import TAG_SHIFT, Structure, _check_tag
 from repro.vmos.mapping import MemoryMapping
 
 
@@ -69,7 +69,7 @@ class RangeTable:
         return list(self._ranges)
 
 
-class RangeTLB:
+class RangeTLB(Structure):
     """The 32-entry fully associative range TLB.
 
     LRU over entries; a lookup is an associative search of all resident
@@ -94,6 +94,10 @@ class RangeTLB:
         self._entries: dict[int, RangeEntry] = {}
         self.tag = 0
         self._tag_base = 0
+
+    def fresh(self) -> RangeTLB:
+        """An empty, untagged range TLB of the same capacity."""
+        return RangeTLB(self.capacity)
 
     def set_tag(self, tag: int) -> None:
         """Select the address-space tag for subsequent accesses."""

@@ -1,16 +1,17 @@
-"""Generic TLB arrays with true-LRU replacement.
+"""The generic TLB array with true-LRU replacement.
 
-Both structures store opaque values under integer keys.  The
-set-associative array takes the set index from the caller because
-different entry types index the same physical array with different
-address bits (Fig. 6: anchor entries use VA bits [d+12, d+12+N), regular
-entries the usual [12, 12+N)); the caller owns that mapping.
+The array stores opaque values under integer keys.  It takes the set
+index from the caller because different entry types index the same
+physical array with different address bits (Fig. 6: anchor entries use
+VA bits [d+12, d+12+N), regular entries the usual [12, 12+N)); the
+caller owns that mapping.  A one-set array (``ways == entries``) is
+fully associative: the page-walk caches' levels are such arrays.
 
 LRU is implemented with insertion-ordered dicts: a hit reinserts the
 key, eviction pops the oldest.  This is exact LRU, matching the
 reference model used by the property tests.
 
-Both arrays carry an ASID/PCID-style *tag register* for multi-tenant
+The array carries an ASID/PCID-style *tag register* for multi-tenant
 sharing: ``set_tag`` selects the address-space tag of the currently
 running tenant, and every ``lookup``/``insert``/``invalidate`` packs
 that tag into the entry key's high bits (above :data:`TAG_SHIFT`).
@@ -47,7 +48,26 @@ def _check_tag(tag: int) -> int:
     return tag
 
 
-class SetAssociativeTLB:
+class Structure:
+    """The protocol every TLB structure answers.
+
+    A scheme names its structures in ``TranslationScheme.hardware`` and
+    drives each one through the same five methods: ``flush``;
+    ``set_tag`` and ``flush_tag`` for address-space tags; ``fresh()``,
+    an empty, untagged twin of the same geometry, for prototype
+    cloning; and :meth:`attach`, for tagged fleets.
+    """
+
+    __slots__ = ()
+
+    def attach(self, shared: Structure) -> Structure:
+        """What a tenant of a tagged fleet holds in this structure's
+        place, given the one ``shared`` copy every tenant uses: the
+        shared structure itself."""
+        return shared
+
+
+class SetAssociativeTLB(Structure):
     """A set-associative array of ``entries`` slots, ``ways`` per set."""
 
     __slots__ = ("entries", "ways", "sets", "index_mask", "_sets",
@@ -66,6 +86,10 @@ class SetAssociativeTLB:
         self._sets: list[dict[int, object]] = [dict() for _ in range(sets)]
         self.tag = 0
         self._tag_base = 0
+
+    def fresh(self) -> SetAssociativeTLB:
+        """An empty, untagged array of the same geometry."""
+        return SetAssociativeTLB(self.entries, self.ways)
 
     def set_tag(self, tag: int) -> None:
         """Select the address-space tag for subsequent accesses."""
@@ -138,82 +162,3 @@ class SetAssociativeTLB:
         to the scalar walk.
         """
         return [list(bucket.items()) for bucket in self._sets]
-
-
-class FullyAssociativeTLB:
-    """A fully associative array with true LRU (used by the range TLB).
-
-    Exposes the same ``_sets``/``ways``/``index_mask`` surface as
-    :class:`SetAssociativeTLB` — one set holding every entry — so
-    :func:`repro.sim.lru.simulate_block` can drive it directly (the
-    batched page-walk-cache model relies on this).
-    """
-
-    __slots__ = ("capacity", "_sets", "tag", "_tag_base")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._sets: list[dict[int, object]] = [dict()]
-        self.tag = 0
-        self._tag_base = 0
-
-    def set_tag(self, tag: int) -> None:
-        """Select the address-space tag for subsequent accesses."""
-        self.tag = _check_tag(tag)
-        self._tag_base = tag << TAG_SHIFT
-
-    def flush_tag(self, tag: int) -> int:
-        """Drop every entry carrying ``tag``; return the count dropped."""
-        _check_tag(tag)
-        entries = self._entries
-        stale = [key for key in entries if key >> TAG_SHIFT == tag]
-        for key in stale:
-            del entries[key]
-        return len(stale)
-
-    @property
-    def _entries(self) -> dict[int, object]:
-        return self._sets[0]
-
-    @property
-    def ways(self) -> int:
-        return self.capacity
-
-    @property
-    def index_mask(self) -> int:
-        return 0
-
-    def lookup(self, key: int) -> object | None:
-        key |= self._tag_base
-        value = self._entries.get(key)
-        if value is not None:
-            del self._entries[key]
-            self._entries[key] = value
-        return value
-
-    def insert(self, key: int, value: object) -> None:
-        key |= self._tag_base
-        if key in self._entries:
-            del self._entries[key]
-        elif len(self._entries) >= self.capacity:
-            del self._entries[next(iter(self._entries))]
-        self._entries[key] = value
-
-    def values(self):
-        return list(self._entries.values())
-
-    def state(self) -> list[tuple[int, object]]:
-        """``(key, value)`` pairs in LRU -> MRU order (parity suite)."""
-        return list(self._entries.items())
-
-    def flush(self) -> None:
-        self._entries.clear()
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: int) -> bool:
-        return (key | self._tag_base) in self._entries

@@ -18,8 +18,8 @@ Guard points:
   before the seal);
 * ``TranslationScheme.clone_fresh`` guards the prototype's shared
   ``__dict__`` right after ``_prepare_share`` forces the lazy views —
-  per-clone hardware (``l1``/``pwc``/``stats``) is recreated fresh and
-  stays writable;
+  the scheme's declared hardware and its stats are recreated fresh
+  per clone and stay writable;
 * privatisation choke points rebind fresh arrays, which are born
   writable, so copy-on-write paths need no unguarding; for code that
   legitimately takes back ownership of a guarded array in place,
@@ -39,9 +39,10 @@ import numpy as np
 #: The switch.  Any value other than empty/``"0"`` enables the guards.
 ENV_VAR = "ANCHOR_TLB_SANITIZE"
 
-#: Attributes ``clone_fresh`` replaces per clone (never shared), plus
-#: the live mapping whose arrays the OS layer legitimately mutates.
-_PER_CLONE_ATTRS = frozenset({"l1", "pwc", "stats", "mapping", "config"})
+#: Attributes never guarded besides the scheme's declared hardware:
+#: the stats ``clone_fresh`` replaces per clone, and the live mapping
+#: whose arrays the OS layer legitimately mutates.
+_PER_CLONE_ATTRS = frozenset({"stats", "mapping", "config"})
 
 #: How deep to chase arrays through tuples/lists/dicts and the slots
 #: of slotted objects.  The share protocol nests at most two levels
@@ -126,13 +127,15 @@ def guard_shared(scheme: Any) -> int:
     """Guard a prototype's shared state at ``clone_fresh`` time.
 
     Freezes every array reachable from the prototype's ``__dict__``
-    except the per-clone attributes ``clone_fresh`` replaces outright.
-    Idempotent — the prototype is guarded again on every clone, which
-    also catches views materialised lazily between clones.
+    except the per-clone attributes ``clone_fresh`` replaces outright:
+    the scheme's declared ``hardware`` and its stats.  Idempotent — the
+    prototype is guarded again on every clone, which also catches views
+    materialised lazily between clones.
     """
+    per_clone = _PER_CLONE_ATTRS.union(scheme.hardware)
     guarded = 0
     for attr, value in vars(scheme).items():
-        if attr in _PER_CLONE_ATTRS:
+        if attr in per_clone:
             continue
         guarded += freeze_arrays(value)
     return guarded

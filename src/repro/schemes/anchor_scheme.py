@@ -66,6 +66,7 @@ class AnchorScheme(TranslationScheme):
 
     name = "anchor"
     supports_reselection = True
+    hardware = TranslationScheme.hardware + ("l2",)
 
     def __init__(
         self,
@@ -93,9 +94,10 @@ class AnchorScheme(TranslationScheme):
         # drifted anchor entries themselves, and resident small keys
         # whose VPN the current plan classifies as anchored.  Rebuilt by
         # a full array scan only after a directory (or tag) change —
-        # while no other live tenant shares the tag, stale survivors
-        # can appear at no other time — and shrunk by a cheap per-entry
-        # re-probe between scans.
+        # every entry under the scheme's tag is its own (a tagged fleet
+        # gives each live tenant its own ASID and shoots a recycled one
+        # down), so stale survivors can appear at no other time — and
+        # shrunk by a cheap per-entry re-probe between scans.
         self._stale_sets: set[int] = set()
         self._stale_anchors: dict[int, tuple[int, int]] = {}
         self._anch_smalls: set[int] = set()
@@ -128,7 +130,6 @@ class AnchorScheme(TranslationScheme):
 
     def _reset_clone(self) -> None:
         super()._reset_clone()
-        self.l2 = AnchorL2TLB(self.config, self.l2.table)
         self.shootdowns = ShootdownLog()
         self._stale_sets = set()
         self._stale_anchors = {}
@@ -159,6 +160,11 @@ class AnchorScheme(TranslationScheme):
     @property
     def distance(self) -> int | None:
         return self.l2.distance
+
+    def restore_distance(self, distance: int) -> None:
+        """Reload the anchor-distance register on a context switch
+        (§3.1), flushing nothing: see ``AnchorL2TLB.restore_distance``."""
+        self.l2.restore_distance(distance)
 
     @property
     def regions(self) -> list[AnchorRegion]:
@@ -282,9 +288,8 @@ class AnchorScheme(TranslationScheme):
                     if value != pfn:
                         stale_sets.add(index)
                     # Only a 4 KiB leaf of the plan can sit in an anchor's
-                    # run.  The test also skips entries of another
-                    # address space sharing this tag, whose VPNs may lie
-                    # outside every region.
+                    # run, so a stale entry whose page left the plan is
+                    # skipped before its region is looked up.
                     if pfn is not None:
                         dlog = table.shift_of(base)
                         avpn = base >> dlog << dlog
@@ -694,7 +699,3 @@ class AnchorScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()

@@ -21,7 +21,7 @@ Two declared capabilities replace the old duck typing:
 from __future__ import annotations
 
 import abc
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -67,6 +67,15 @@ class TranslationScheme(abc.ABC):
     #: The scheme's anchor distance, if it has one (``None`` otherwise);
     #: anchor schemes override this with a property.
     distance: int | None = None
+
+    #: The scheme's TLB structures, by attribute name: the one list
+    #: :meth:`flush`, :meth:`set_asid`, :meth:`clone_fresh` and the
+    #: fleet's shared hierarchy iterate.  Subclasses extend it with the
+    #: structures they add; each answers the
+    #: :class:`~repro.hw.tlb.Structure` protocol.  A declared attribute
+    #: an instance does not hold, or holds as ``None`` (``pwc`` with the
+    #: page-walk caches off), is skipped.
+    hardware: tuple[str, ...] = ("l1", "pwc")
 
     def __init__(
         self,
@@ -179,11 +188,19 @@ class TranslationScheme(abc.ABC):
         pfn[is_small] = pfn_small
         return heads, is_huge, pfn, hbase, hit1
 
+    def structures(self) -> dict[str, Any]:
+        """The declared :attr:`hardware` this instance holds, by name."""
+        found = {}
+        for name in self.hardware:
+            structure = getattr(self, name, None)
+            if structure is not None:
+                found[name] = structure
+        return found
+
     def flush(self) -> None:
         """Flush all TLB state (context switch / shootdown)."""
-        self.l1.flush()
-        if self.pwc is not None:
-            self.pwc.flush()
+        for structure in self.structures().values():
+            structure.flush()
 
     def set_asid(self, asid: int) -> None:
         """Select this tenant's address-space tag on every TLB structure.
@@ -193,13 +210,8 @@ class TranslationScheme(abc.ABC):
         the active tag into the raw keys it builds (the ``tag-safety``
         check rule), so any scheme may share tagged TLBs.
         """
-        self.l1.set_tag(asid)
-        if self.pwc is not None:
-            self.pwc.set_tag(asid)
-        for attr in ("l2", "l2_giga", "range_tlb"):
-            tlb = getattr(self, attr, None)
-            if tlb is not None:
-                tlb.set_tag(asid)
+        for structure in self.structures().values():
+            structure.set_tag(asid)
 
     # ------------------------------------------------------------------
     # Prototype cloning (fleet-scale construction amortisation)
@@ -213,15 +225,17 @@ class TranslationScheme(abc.ABC):
         the immutable mapping-derived state (promotion maps, anchor
         directories, sorted-array caches, range tables) with the
         prototype by reference instead of rebuilding it, so per-tenant
-        scheme construction costs O(hardware), not O(mapping).
+        scheme construction costs O(hardware), not O(mapping).  Every
+        declared :attr:`hardware` structure is replaced by its
+        ``fresh()`` twin.
 
         Subclasses hook the protocol in two places: :meth:`_prepare_share`
         runs on the *prototype* and forces any lazily built views so
         every clone inherits them already materialised;
-        :meth:`_reset_clone` runs on the *clone* and recreates every
-        structure the access paths mutate (L2 arrays, predictors,
-        resident-state caches).  Anything not reset is shared and must
-        be treated as read-only — the ``shared-aliasing`` check rule
+        :meth:`_reset_clone` runs on the *clone* and recreates the other
+        per-tenant state its access paths mutate (predictors,
+        resident-state caches).  Anything else is shared and must be
+        treated as read-only — the ``shared-aliasing`` check rule
         enforces the share-don't-rebuild discipline.
 
         Sharing survives mapping mutations: ``_synced_version`` rides
@@ -238,8 +252,8 @@ class TranslationScheme(abc.ABC):
             sanitize.guard_shared(self)
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        clone.l1 = L1TLB(self.config)
-        clone.pwc = PageWalkCache() if self.config.pwc else None
+        for name, structure in self.structures().items():
+            setattr(clone, name, structure.fresh())
         clone.stats = TranslationStats(latency=self.config.latency)
         clone._reset_clone()
         return clone
@@ -253,11 +267,12 @@ class TranslationScheme(abc.ABC):
         """
 
     def _reset_clone(self) -> None:
-        """Recreate per-tenant mutable structures on a fresh clone.
+        """Recreate per-tenant state beyond the declared hardware.
 
         Subclasses override (calling ``super()._reset_clone()``) to
-        give the clone private instances of everything their access
-        paths mutate.  Mapping-derived views stay shared by reference.
+        give the clone private instances of everything else their
+        access paths mutate.  Mapping-derived views stay shared by
+        reference.
         """
 
     def _walk_cycles(self, vpn: int, huge: bool = False) -> int:

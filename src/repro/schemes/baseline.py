@@ -21,6 +21,7 @@ class BaselineScheme(TranslationScheme):
     """4 KiB-only two-level TLB hierarchy."""
 
     name = "base"
+    hardware = TranslationScheme.hardware + ("l2",)
 
     def __init__(
         self,
@@ -33,10 +34,6 @@ class BaselineScheme(TranslationScheme):
         # always see the current mapping, and the compiled array view
         # comes version-checked from mapping.frozen() per block.
         self._small = mapping.frozen().page_table
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -88,7 +85,3 @@ class BaselineScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()

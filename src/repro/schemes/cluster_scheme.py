@@ -48,6 +48,7 @@ class ClusterScheme(TranslationScheme):
     """Partitioned regular + cluster-8 L2 (optionally with 2 MiB pages)."""
 
     name = "cluster"
+    hardware = TranslationScheme.hardware + ("regular", "clustered")
 
     def __init__(
         self,
@@ -88,12 +89,6 @@ class ClusterScheme(TranslationScheme):
     def _prepare_share(self) -> None:
         super()._prepare_share()
         self._sorted_views()
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.regular = SetAssociativeTLB(
-            CLUSTER_REGULAR.entries, CLUSTER_REGULAR.ways)
-        self.clustered = ClusterTLB(CLUSTER_CLUSTERED)
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -354,12 +349,6 @@ class ClusterScheme(TranslationScheme):
             walk_pt_accesses=walk_pt,
         )
 
-    def set_asid(self, asid: int) -> None:
-        """Tag the partitioned L2 alongside the base structures."""
-        super().set_asid(asid)
-        self.regular.set_tag(asid)
-        self.clustered.array.set_tag(asid)
-
     def _translate(self, vpn: int) -> int:
         base = self._huge.get((vpn >> _HUGE_SHIFT) << _HUGE_SHIFT)
         if base is not None:
@@ -368,8 +357,3 @@ class ClusterScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.regular.flush()
-        self.clustered.flush()

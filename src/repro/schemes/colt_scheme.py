@@ -28,6 +28,7 @@ class ColtScheme(TranslationScheme):
     """Unified L2 of coalesced (up to 8-page) entries."""
 
     name = "colt"
+    hardware = TranslationScheme.hardware + ("l2",)
 
     def __init__(
         self,
@@ -39,10 +40,6 @@ class ColtScheme(TranslationScheme):
         # Live reference to the page table (kept current by the mapping
         # itself); the compiled run arrays come from mapping.frozen().
         self._small = mapping.frozen().page_table
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -157,7 +154,3 @@ class ColtScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()

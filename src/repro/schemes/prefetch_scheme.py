@@ -67,6 +67,7 @@ class PrefetchScheme(TranslationScheme):
     """4 KiB baseline + distance prefetching into the L2."""
 
     name = "prefetch"
+    hardware = TranslationScheme.hardware + ("l2",)
 
     def __init__(
         self,
@@ -85,7 +86,6 @@ class PrefetchScheme(TranslationScheme):
 
     def _reset_clone(self) -> None:
         super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
         self.predictor = DistancePredictor(self.predictor.capacity)
         self.prefetches_issued = 0
         self.prefetch_hits = 0
@@ -240,6 +240,5 @@ class PrefetchScheme(TranslationScheme):
 
     def flush(self) -> None:
         super().flush()
-        self.l2.flush()
         self.predictor.flush()
         self._prefetched.clear()

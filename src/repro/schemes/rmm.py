@@ -31,6 +31,7 @@ class RMMScheme(TranslationScheme):
     """Baseline L2 (with THP) + 32-entry range TLB."""
 
     name = "rmm"
+    hardware = TranslationScheme.hardware + ("l2", "range_tlb")
 
     def __init__(
         self,
@@ -61,11 +62,6 @@ class RMMScheme(TranslationScheme):
     def _prepare_share(self) -> None:
         super()._prepare_share()
         self._sorted_views()
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
-        self.range_tlb = RangeTLB(self.range_tlb.capacity)
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -241,8 +237,3 @@ class RMMScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()
-        self.range_tlb.flush()

@@ -38,6 +38,7 @@ class THPScheme(TranslationScheme):
     """
 
     name = "thp"
+    hardware = TranslationScheme.hardware + ("l2", "l2_giga")
 
     def __init__(
         self,
@@ -87,14 +88,6 @@ class THPScheme(TranslationScheme):
     def _prepare_share(self) -> None:
         super()._prepare_share()
         self._membership_views()
-
-    def _reset_clone(self) -> None:
-        super()._reset_clone()
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
-        if self.use_giga:
-            self.l2_giga = SetAssociativeTLB(
-                self.config.l2_1g.entries, self.config.l2_1g.ways
-            )
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -246,12 +239,6 @@ class THPScheme(TranslationScheme):
         if pfn is None:
             raise PageFaultError(f"vpn {vpn:#x} not mapped")
         return pfn
-
-    def flush(self) -> None:
-        super().flush()
-        self.l2.flush()
-        if self.use_giga:
-            self.l2_giga.flush()
 
     @property
     def huge_windows(self) -> int:

@@ -61,7 +61,6 @@ __all__ = [
     "collapse_runs",
     "isin_sorted",
     "previous_occurrence",
-    "simulate_assoc_block",
     "simulate_block",
 ]
 
@@ -141,12 +140,6 @@ def previous_occurrence(keys: np.ndarray) -> np.ndarray:
         s_keys[1:] == s_keys[:-1], s_pos[:-1], np.int32(-1))
     prev[s_pos[0]] = -1
     return prev
-
-
-def simulate_assoc_block(tlb, keys: np.ndarray, value_of):
-    """:func:`simulate_block` over a fully associative array (one set)."""
-    return simulate_block(
-        tlb, np.zeros(keys.shape[0], dtype=np.int64), keys, value_of)
 
 
 def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):

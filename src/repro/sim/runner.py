@@ -175,13 +175,21 @@ class ResultStore:
         return envelope["payload"]
 
     def put(self, key: str, payload: dict) -> Path:
-        """Atomically persist ``payload`` under ``key`` (tmp + rename)."""
+        """Atomically persist ``payload`` under ``key`` (tmp + rename).
+
+        A failed write or rename removes the temp file before the error
+        propagates, so the store holds either the whole entry or none.
+        """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {"format": CACHE_FORMAT, "key": key, "payload": payload}
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(canonical_json(envelope), encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(canonical_json(envelope), encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     def __contains__(self, key: str) -> bool:

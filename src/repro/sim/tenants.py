@@ -53,10 +53,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.params import DEFAULT_MACHINE, SCENARIO_ORDER, MachineConfig
-from repro.hw.anchor_tlb import AnchorL2TLB
-from repro.hw.l1 import L1TLB
-from repro.hw.range_tlb import RangeTLB
-from repro.hw.tlb import TAG_BITS, SetAssociativeTLB
+from repro.hw.tlb import TAG_BITS
 from repro.sim.stats import COUNTER_FIELDS, TranslationStats
 from repro.sim.trace import Trace
 from repro.sim.trace_store import TraceStore
@@ -154,32 +151,20 @@ def _activate(
         return
     saved = registers.restore(member.name)
     if saved is not None:
-        scheme.l2.restore_distance(saved)
+        scheme.restore_distance(saved)
 
 
-class _Dispatch:
-    """Pre-bound per-member fast path for the round loop.
+def _check_asid_pool(policy: str, active_pool: int, asid_bits: int) -> None:
+    """Under ``tagged``, every live tenant needs an ASID of its own.
 
-    Binding ``cursor.take`` / ``scheme.access_block`` once per tenant
-    (instead of re-resolving the attribute chains on every quantum) and
-    tracking the last-seen mapping version amortises dispatch overhead
-    over the thousands of quanta a wave executes.  ``version`` starts as
-    ``None`` so the first quantum always calls ``sync_mapping`` (itself
-    version-guarded); afterwards the call is skipped while
-    ``mapping.version`` is unchanged, which is behaviour-identical
-    because a same-version sync is a no-op.
+    The allocator cycles through ``2**asid_bits - 1`` tags, so a larger
+    ``active_pool`` would hand one tag to two live tenants of a wave:
+    each would then hit the other's entries, which no real PCID serves.
     """
-
-    __slots__ = ("member", "scheme", "take", "access_block",
-                 "sync_mapping", "version")
-
-    def __init__(self, member: TenantRun) -> None:
-        self.member = member
-        self.scheme = member.scheme
-        self.take = member.cursor.take
-        self.access_block = member.scheme.access_block
-        self.sync_mapping = member.scheme.sync_mapping
-        self.version: int | None = None
+    if policy == "tagged" and active_pool > (1 << asid_bits) - 1:
+        raise ValueError(
+            f"active_pool {active_pool} exceeds the {(1 << asid_bits) - 1} "
+            f"ASIDs of asid_bits={asid_bits}: live tenants would share a tag")
 
 
 def _check_schedule(
@@ -227,19 +212,18 @@ def run_schedule(
     if counters is None:
         counters = ScheduleCounters()
 
-    active = [_Dispatch(member) for member in members]
+    active = list(members)
     while active:
         counters.rounds += 1
         storm = storm_every > 0 and counters.rounds % storm_every == 0
         if storm:
             counters.storm_rounds += 1
         q = storm_quantum if storm else quantum
-        for entry in list(active):
-            member = entry.member
-            block = entry.take(q)
+        for member in list(active):
+            block = member.cursor.take(q)
             if block.shape[0] == 0:
                 # Exhausted with nothing left to run: drop silently.
-                active.remove(entry)
+                active.remove(member)
                 continue
             if previous is not member:
                 if previous is not None:
@@ -254,16 +238,13 @@ def run_schedule(
                         counters.flushes += 1
                 if policy == "tagged":
                     _activate(member, registers)
-            version = entry.scheme.mapping.version
-            if version != entry.version:
-                entry.sync_mapping()
-                entry.version = version
-            entry.access_block(block)
+            member.scheme.sync_mapping()
+            member.scheme.access_block(block)
             member.executed += int(block.shape[0])
             member.slices += 1
             previous = member
             if block.shape[0] < q:
-                active.remove(entry)
+                active.remove(member)
     return previous
 
 
@@ -518,10 +499,12 @@ class _AsidAllocator:
     space is far smaller than the tenant population, so once the
     namespace wraps, every allocation reuses a tag and must first shoot
     the previous owner's residual entries out of every shared structure
-    (``flush_tag``).  Tag 0 is reserved for untagged operation.
+    (``flush_tag``).  That owner has always retired: a wave never holds
+    more live tenants than there are tags (:func:`_check_asid_pool`).
+    Tag 0 is reserved for untagged operation.
     """
 
-    def __init__(self, structures: list[Any], bits: int = TAG_BITS) -> None:
+    def __init__(self, structures: Iterable[Any], bits: int = TAG_BITS) -> None:
         if not 1 <= bits <= TAG_BITS:
             raise ValueError(f"asid bits must be in [1, {TAG_BITS}]")
         self._limit = (1 << bits) - 1
@@ -662,6 +645,7 @@ def simulate_shard(
 
     tenancy = request.tenancy
     assert tenancy is not None and tenancy.shard is not None
+    _check_asid_pool(tenancy.policy, tenancy.active_pool, tenancy.asid_bits)
     fleet = fleet_for(request)
     scheme = request.scheme
     machine = request.machine
@@ -749,70 +733,14 @@ def simulate_shard(
         return _Cursor(source.iter_chunks(chunk))
 
     def bind_shared(s: Any) -> None:
-        """Point this tenant's scheme at the one physical hierarchy."""
+        """Point this tenant's scheme at the one physical hierarchy: the
+        first tenant's (fresh, empty) structures become everyone's."""
         nonlocal shared, allocator
         if shared is None:
-            shared = {"l1": L1TLB(machine)}
-            structures: list[Any] = [shared["l1"]]
-            if s.pwc is not None:
-                from repro.hw.pwc import PageWalkCache
-
-                shared["pwc"] = PageWalkCache()
-                structures.append(shared["pwc"])
-            l2 = getattr(s, "l2", None)
-            if isinstance(l2, AnchorL2TLB):
-                # Tenants keep their own AnchorL2TLB wrapper (distance
-                # register view) around one shared physical array.
-                shared["anchor_array"] = SetAssociativeTLB(
-                    machine.l2.entries, machine.l2.ways
-                )
-                structures.append(shared["anchor_array"])
-            elif isinstance(l2, SetAssociativeTLB):
-                shared["l2"] = SetAssociativeTLB(
-                    machine.l2.entries, machine.l2.ways
-                )
-                structures.append(shared["l2"])
-            if isinstance(getattr(s, "l2_giga", None), SetAssociativeTLB):
-                shared["l2_giga"] = SetAssociativeTLB(
-                    machine.l2_1g.entries, machine.l2_1g.ways
-                )
-                structures.append(shared["l2_giga"])
-            regular = getattr(s, "regular", None)
-            if isinstance(regular, SetAssociativeTLB):
-                # Cluster schemes: the statically partitioned L2.
-                # Tenants keep their own ClusterTLB wrapper around one
-                # shared physical array (the AnchorL2TLB pattern).
-                shared["cluster_regular"] = SetAssociativeTLB(
-                    regular.entries, regular.ways
-                )
-                structures.append(shared["cluster_regular"])
-                carray = s.clustered.array
-                shared["cluster_array"] = SetAssociativeTLB(
-                    carray.entries, carray.ways
-                )
-                structures.append(shared["cluster_array"])
-            rtlb = getattr(s, "range_tlb", None)
-            if isinstance(rtlb, RangeTLB):
-                # RMM: all tenants' ranges share one physical range TLB
-                # and contend for its few fully associative slots.
-                shared["range_tlb"] = RangeTLB(rtlb.capacity)
-                structures.append(shared["range_tlb"])
-            allocator = _AsidAllocator(structures, bits=tenancy.asid_bits)
-        s.l1 = shared["l1"]
-        if s.pwc is not None and "pwc" in shared:
-            s.pwc = shared["pwc"]
-        l2 = getattr(s, "l2", None)
-        if isinstance(l2, AnchorL2TLB):
-            l2.array = shared["anchor_array"]
-        elif "l2" in shared and isinstance(l2, SetAssociativeTLB):
-            s.l2 = shared["l2"]
-        if "l2_giga" in shared and getattr(s, "l2_giga", None) is not None:
-            s.l2_giga = shared["l2_giga"]
-        if "cluster_regular" in shared and getattr(s, "regular", None) is not None:
-            s.regular = shared["cluster_regular"]
-            s.clustered.array = shared["cluster_array"]
-        if "range_tlb" in shared and getattr(s, "range_tlb", None) is not None:
-            s.range_tlb = shared["range_tlb"]
+            shared = s.structures()
+            allocator = _AsidAllocator(shared.values(), bits=tenancy.asid_bits)
+        for name, structure in s.structures().items():
+            setattr(s, name, structure.attach(shared[name]))
 
     previous: TenantRun | None = None
     waves = 0
@@ -1044,6 +972,7 @@ def simulate_fleet(
     make_scheme(scheme, MemoryMapping(), machine)
     if policy == "tagged":
         _AsidAllocator([], bits=asid_bits)  # rejects out-of-range bits
+    _check_asid_pool(policy, active_pool, asid_bits)
 
     tenancy = TenancyConfig(
         tenants=fleet.size, policy=policy, quantum=quantum,

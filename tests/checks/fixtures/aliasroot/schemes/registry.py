@@ -1,4 +1,5 @@
 from schemes.bad import MutatingScheme
+from schemes.hardware import HardwareScheme, VictimScheme
 from schemes.good import (
     BuilderScheme,
     CowScheme,
@@ -21,4 +22,8 @@ def make_scheme(name, mapping, config):
         return ResetScheme(mapping, config)
     if name == "prep":
         return PrepScheme(mapping, config)
+    if name == "hardware":
+        return HardwareScheme(mapping, config)
+    if name == "victim":
+        return VictimScheme(mapping, config)
     raise KeyError(name)

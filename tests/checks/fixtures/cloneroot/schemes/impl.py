@@ -4,18 +4,6 @@ from repro.vmos.ranges import RangeTable
 from repro.vmos.mapping import KeyIndex
 
 
-class ForgetfulScheme(TranslationScheme):
-    """Registered, but never defines _reset_clone: clones alias its L2."""
-
-    name = "forgetful"
-
-    def access(self, vpn):
-        return 0
-
-    def _translate(self, vpn):
-        return 0
-
-
 class RebuildingScheme(TranslationScheme):
     """_reset_clone pays the O(mapping) costs cloning exists to avoid."""
 
@@ -39,7 +27,8 @@ class RebuildingScheme(TranslationScheme):
 
 
 class CleanCloneScheme(TranslationScheme):
-    """The discipline done right: share in _prepare_share, reset hardware."""
+    """The discipline done right: share in _prepare_share, reset the
+    per-tenant state."""
 
     name = "clean-clone"
 
@@ -57,7 +46,6 @@ class CleanCloneScheme(TranslationScheme):
         self.table = RangeTable(self.mapping.frozen())
 
     def _reset_clone(self):
-        self.l2 = SetAssociativeTLB(self.config.l2.entries, self.config.l2.ways)
         self._resident = set()
 
 

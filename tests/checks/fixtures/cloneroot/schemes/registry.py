@@ -1,13 +1,10 @@
 from repro.checks_fixture.schemes.impl import (
     CleanCloneScheme,
-    ForgetfulScheme,
     RebuildingScheme,
 )
 
 
 def make_scheme(name, mapping):
-    if name == "forgetful":
-        return ForgetfulScheme(mapping)
     if name == "rebuilding":
         return RebuildingScheme(mapping)
     return CleanCloneScheme(mapping)

@@ -17,3 +17,9 @@ class DerivedScheme(BaseScheme):
         self.log.append(len(vpns))
         self.cache = {}
         return super()._resolve(vpns)
+
+
+class ExplicitScheme(BaseScheme):
+    def __init__(self, mapping, cached):
+        BaseScheme.__init__(self, mapping)
+        self.cache = dict() if cached else None

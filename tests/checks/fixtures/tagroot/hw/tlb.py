@@ -22,10 +22,3 @@ class RangeTLB:
 
     def set_tag(self, tag):
         self._tag_base = tag << TAG_SHIFT
-
-
-class ClusterTLB:
-    """TLB-like only through its inner array (no set_tag of its own)."""
-
-    def __init__(self, geometry):
-        self.array = SetAssociativeTLB(geometry, 4)

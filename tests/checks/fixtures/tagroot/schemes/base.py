@@ -2,6 +2,8 @@ from hw.tlb import SetAssociativeTLB
 
 
 class TranslationScheme:
+    hardware = ("l1",)
+
     def __init__(self, mapping, config):
         self.mapping = mapping
         self.config = config
@@ -15,14 +17,5 @@ class TranslationScheme:
             self.access(vpn)
 
     def set_asid(self, asid):
-        self.l1.set_tag(asid)
-        for attr in ("l2", "range_tlb"):
-            tlb = getattr(self, attr, None)
-            if tlb is not None:
-                tlb.set_tag(asid)
-
-    def _prepare_share(self):
-        pass
-
-    def _reset_clone(self):
-        pass
+        for name in self.hardware:
+            getattr(self, name).set_tag(asid)

@@ -59,11 +59,11 @@ class TestSymbolTable:
 
     def test_registered_schemes_come_from_the_registry(self, flow):
         # dataflowroot has no schemes/registry.py; cloneroot's registry
-        # constructs three schemes (Helper is never registered).
+        # constructs two schemes (Helper is never registered).
         assert flow.registered == set()
         _, clone_flow = flow_for("cloneroot")
         assert clone_flow.registered == {
-            "ForgetfulScheme", "RebuildingScheme", "CleanCloneScheme"}
+            "RebuildingScheme", "CleanCloneScheme"}
 
     def test_function_resolution_through_imports(self, flow):
         base = flow.modules["schemes/base.py"]
@@ -82,6 +82,14 @@ class TestCallGraph:
         assert ("schemes/base.py", "BaseScheme._resolve") in names
         assert ("sim/lru.py", "simulate_block") in names
 
+    def test_explicit_base_call_resolves_over_the_chain(self, flow):
+        tree = flow.method_tree("ExplicitScheme", "__init__")
+        names = {fn.qualname for fn in tree}
+        # BaseScheme.__init__(self, ...) reaches the base's binds.
+        assert names == {"ExplicitScheme.__init__", "BaseScheme.__init__"}
+        assert {"mapping", "hits", "cache"} <= flow.writes_in(
+            tree, kind="bind")
+
     def test_rebindable_globals(self, flow):
         base = flow.modules["schemes/base.py"]
         assert base.rebindable_globals == {"_TRACE_SINK"}
@@ -99,6 +107,11 @@ class TestWriteSets:
         assert ("log", "mutate") in kinds        # in-place method call
         assert ("cache", "bind") in kinds        # plain rebind
         assert ("hits", "bind") not in kinds
+
+    def test_conditional_bind_records_its_constructor(self, flow):
+        init = flow.resolve_method("ExplicitScheme", "__init__")
+        (cache,) = [w for w in init.attr_writes if w.attr == "cache"]
+        assert (cache.kind, cache.value_call) == ("bind", "dict")
 
     def test_init_binds(self, flow):
         init = flow.resolve_method("DerivedScheme", "__init__")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.tlb import FullyAssociativeTLB, SetAssociativeTLB
+from repro.hw.tlb import SetAssociativeTLB
 
 
 class TestSetAssociative:
@@ -108,29 +108,32 @@ class TestSetAssociative:
 
 
 class TestFullyAssociative:
+    """A one-set array (``ways == entries``) is fully associative: the
+    page-walk caches' levels are such arrays, keyed by their own set."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            FullyAssociativeTLB(0)
+            SetAssociativeTLB(0, 0)
 
     def test_lru_eviction(self):
-        tlb = FullyAssociativeTLB(2)
-        tlb.insert(1, "a")
-        tlb.insert(2, "b")
-        tlb.lookup(1)
-        tlb.insert(3, "c")
-        assert tlb.lookup(2) is None
-        assert tlb.lookup(1) == "a"
-        assert 3 in tlb
+        tlb = SetAssociativeTLB(2, 2)
+        tlb.insert(1, 1, "a")
+        tlb.insert(2, 2, "b")
+        tlb.lookup(1, 1)
+        tlb.insert(3, 3, "c")
+        assert tlb.lookup(2, 2) is None
+        assert tlb.lookup(1, 1) == "a"
+        assert tlb.lookup(3, 3) == "c"
 
     def test_flush_and_occupancy(self):
-        tlb = FullyAssociativeTLB(4)
-        tlb.insert(1, "a")
+        tlb = SetAssociativeTLB(4, 4)
+        tlb.insert(1, 1, "a")
         assert tlb.occupancy == 1
         tlb.flush()
         assert tlb.occupancy == 0
 
     def test_values(self):
-        tlb = FullyAssociativeTLB(4)
-        tlb.insert(1, "a")
-        tlb.insert(2, "b")
-        assert set(tlb.values()) == {"a", "b"}
+        tlb = SetAssociativeTLB(4, 4)
+        tlb.insert(1, 1, "a")
+        tlb.insert(2, 2, "b")
+        assert tlb.state() == [[(1, "a"), (2, "b")]]

@@ -148,3 +148,27 @@ def test_clone_hardware_and_stats_are_private(vmas, scheme_name):
         theirs = getattr(proto, attr, None)
         if mine is not None:
             assert mine is not theirs, (scheme_name, attr)
+
+
+class TestHardwareDeclaration:
+    """``TranslationScheme.hardware`` is the one list of a scheme's TLB
+    structures: ``flush``, ``set_asid``, ``clone_fresh`` and the tagged
+    fleet's shared hierarchy all iterate it, so a structure it missed
+    would keep serving the previous tenant, survive flushes, and be
+    shared by every clone of a prototype."""
+
+    @pytest.mark.parametrize("pwc", [False, True], ids=["pwc-off", "pwc-on"])
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_declaration_names_every_structure(self, vmas, scheme_name, pwc):
+        machine = PWC_MACHINE if pwc else DEFAULT_MACHINE
+        mapping = build_mapping(vmas, "medium", seed=23)
+        scheme = make_scheme(scheme_name, mapping, machine)
+        # Independent of the declaration: anything answering set_tag.
+        held = {attr for attr, value in vars(scheme).items()
+                if hasattr(type(value), "set_tag")}
+        assert held == set(scheme.structures())
+        assert set(scheme.structures()) <= set(scheme.hardware)
+        assert ("pwc" in held) is pwc
+        clone = scheme.clone_fresh()
+        for attr in held:
+            assert getattr(clone, attr) is not getattr(scheme, attr), attr

@@ -8,7 +8,10 @@ matrix-level determinism parity tests in
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +124,33 @@ class TestResultStore:
         assert store.get(key) == {"walks": 5}
         assert store.hits == 1
         assert len(store) == 1
+
+    @pytest.mark.parametrize("stage", ["write", "rename"])
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                            stage):
+        """A put that fails mid-write (half the bytes on disk, then
+        ENOSPC) or at the rename raises, stores nothing, and leaves no
+        stray temp file behind."""
+        store = ResultStore(tmp_path)
+        key = spec_of().key()
+
+        def write_half(path, text, **kwargs):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def refuse_rename(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        if stage == "write":
+            monkeypatch.setattr(Path, "write_text", write_half)
+        else:
+            monkeypatch.setattr(os, "replace", refuse_rename)
+        with pytest.raises(OSError):
+            store.put(key, {"walks": 5})
+        monkeypatch.undo()
+        assert store.get(key) is None
+        assert not list(tmp_path.rglob("*.tmp.*"))
 
     def test_missing_is_miss(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -1,5 +1,6 @@
 """Tests for fleet-scale multi-tenant scheduling (repro.sim.tenants)."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,9 +10,12 @@ import pytest
 
 from repro.hw.tlb import TAG_BITS, TAG_SHIFT
 from repro.mem.frames import FrameRange
+from repro.params import DEFAULT_MACHINE
 from repro.schemes.anchor_scheme import AnchorScheme
+from repro.schemes.base import TranslationScheme
 from repro.schemes.baseline import BaselineScheme
-from repro.schemes.registry import make_scheme
+from repro.schemes.registry import make_scheme, scheme_names
+from repro.sim.stats import canonical_json
 from repro.sim.tenants import (
     ProcessRun,
     ScheduleCounters,
@@ -245,6 +249,76 @@ class TestTaggedIsolationAndContention:
         assert len(result.registers) == 6
 
 
+#: sha256 of ``canonical_json(to_dict())`` for one contended tagged fleet
+#: per registered scheme, PWC off and on.  Twelve tenants over four
+#: live slots interleave 150-reference quanta on one shared hierarchy,
+#: so any structure a tenant keeps private (instead of sharing it with
+#: its neighbours) moves the walk counts and with them the digest.
+CONTENDED_FLEET_DIGESTS = {
+    ("base", False):
+        "8174dd926819b4c5fa942e71db91de42070bf81f73775ddf0147ef468b3bc891",
+    ("thp", False):
+        "146ad6c49c1c0557d21f5e8eecdfb97f21087a1e77e3eab6153bcbda1e8bc4d5",
+    ("thp1g", False):
+        "d4f531408b7af6334585613d8c57a2a1b0bc7d3c9fd141a3a31bfd453d6fec1b",
+    ("cluster", False):
+        "b27c8adc7df8020b3d8192bdd73b02b9cbfaffef61cc7ae3e32169634a8f359d",
+    ("cluster2mb", False):
+        "205db21506ed03bc0fc5c25773bbdc0e12e3f8db357892a2a76d6cd001938976",
+    ("colt", False):
+        "f114a40fe98dd316e814c4999679e2c1df35a8cd0cdc06024c720556eb0179c7",
+    ("prefetch", False):
+        "151a6ab2961e3ec526bc6313647f5d8323fed6681b2e9308ca4cfb2227a4f5e5",
+    ("rmm", False):
+        "52d44554bb0fcdc1d24e565c253dbd3a657bfd66e1d3224c254ded6de4f574b5",
+    ("anchor-dyn", False):
+        "0dc260997471a271389570e903165fc99154318be81303a7eed4902166e5303a",
+    ("anchor-region", False):
+        "2e46876ef410a41f1e5cfe68fedc927fe2688ff53fda47dbf85565edf1f552f8",
+    ("base", True):
+        "469daf4d1aea1b55eef25b224c0cc6b8bdfaf60af4bf5dea528bd76bb4f6e243",
+    ("thp", True):
+        "7d86628aa9420be6636ca68cf946e01082efbf01e89f9b5838fabfde10045f61",
+    ("thp1g", True):
+        "b9a6a1f4bc0e685f87693aa9e1c8aab81fc639c2cd9f7069160f3e7222f71798",
+    ("cluster", True):
+        "42e17b0549394f09c2965c4222aa24f35a9ac0aa5540bbd4792c23e6c76a859d",
+    ("cluster2mb", True):
+        "3cb7b5560b0090913df50750cf1cbcf4cda4f36ad50a17727173aa44994d664d",
+    ("colt", True):
+        "4eb95f0ef5deb8020446a5e6eaeb9b597288e2239551a3266ee80385f8d28e71",
+    ("prefetch", True):
+        "584776a4a4a2b3890ebe837b52b828bcf41bf2ba62c076ec33403913e62d5393",
+    ("rmm", True):
+        "d043638eb05ad25654fa8b45f8127eeba7ba891694ca74a83af2b6621b535a9c",
+    ("anchor-dyn", True):
+        "ffc0a8cf75cdd119591326f4bf51f31d43d5ebe36b51dccddcb3cf2f5b0855cd",
+    ("anchor-region", True):
+        "7c0cfe71f77f0d956c85a0dc8476e62b3a73f0b3860eaf1f9631e42c1fc1ea6a",
+}
+
+
+class TestContendedFleetPins:
+    def test_every_scheme_is_pinned(self):
+        assert {name for name, _ in CONTENDED_FLEET_DIGESTS} == set(
+            scheme_names(include_extras=True))
+
+    @pytest.mark.parametrize(
+        "name, pwc", list(CONTENDED_FLEET_DIGESTS),
+        ids=[f"{name}-pwc" if pwc else name
+             for name, pwc in CONTENDED_FLEET_DIGESTS])
+    def test_contended_tagged_fleet_pinned(self, name, pwc):
+        fleet = TenantFleet(size=12, workloads=("gups", "omnetpp"),
+                            scenarios=("low", "max"), references=1200,
+                            seed=7, mapping_variants=2)
+        machine = dataclasses.replace(DEFAULT_MACHINE, pwc=pwc)
+        result = simulate_fleet(fleet, scheme=name, machine=machine,
+                                policy="tagged", quantum=150, active_pool=4)
+        payload = canonical_json(result.to_dict()).encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest() == (
+            CONTENDED_FLEET_DIGESTS[name, pwc])
+
+
 class TestFleet:
     def test_fleet_sampling_deterministic(self):
         fleet = TenantFleet(size=32, workloads=("gups", "mcf"),
@@ -393,20 +467,43 @@ class TestAsidAllocator:
         assert first.flushed == second.flushed == [1]
 
     def test_anchor_region_tenants_sharing_an_asid(self):
-        """Fewer ASIDs than live tenants: two tenants of one wave share a
-        tag, so each finds the other's entries under its own tag — for
-        anchor-region, small entries of VPNs outside every region it
-        has.  The resident rescan must pass over them, not look up
-        their region."""
+        """Fewer ASIDs than live tenants would give two tenants of one
+        wave the same tag, each hitting the other's entries; a tagged
+        fleet rejects the configuration instead of running it."""
         fleet = TenantFleet(size=12, workloads=("gups", "omnetpp"),
                             scenarios=("low", "max"), references=1200,
                             seed=7, mapping_variants=2)
-        result = simulate_fleet(fleet, scheme="anchor-region",
-                                policy="tagged", quantum=100,
-                                active_pool=4, asid_bits=2)
-        assert result.asid_recycles > 0
-        assert result.executed == 12 * 1200
-        result.stats.check_conservation()
+        with pytest.raises(ValueError, match="live tenants would share"):
+            simulate_fleet(fleet, scheme="anchor-region", policy="tagged",
+                           quantum=100, active_pool=4, asid_bits=2)
+        # The same pool fits once the namespace holds four tags, and a
+        # policy without tags takes any pool.
+        for knobs in (dict(policy="tagged", asid_bits=3),
+                      dict(policy="flush", asid_bits=2)):
+            result = simulate_fleet(fleet, scheme="anchor-region",
+                                    quantum=100, active_pool=4, **knobs)
+            assert result.executed == 12 * 1200
+
+    @pytest.mark.parametrize("asid_bits, active_pool, quantum", [
+        (1, 1, 37), (2, 2, 37), (2, 3, 37), (2, 3, 250),
+    ])
+    def test_wrapping_anchor_fleet_matches_scalar(
+        self, asid_bits, active_pool, quantum, monkeypatch
+    ):
+        """While live tenants keep distinct tags, the anchor replay's
+        resident-state caches stay exact across ASID recycling: the
+        fleet's payload equals the scalar loop's, byte for byte."""
+        fleet = TenantFleet(size=8, workloads=("gups", "omnetpp"),
+                            scenarios=("low", "max"), references=800,
+                            seed=1, mapping_variants=2)
+        knobs = dict(scheme="anchor-dyn", policy="tagged", quantum=quantum,
+                     active_pool=active_pool, asid_bits=asid_bits)
+        batched = simulate_fleet(fleet, **knobs)
+        assert batched.asid_recycles > 0
+        monkeypatch.setattr(AnchorScheme, "access_block",
+                            TranslationScheme.access_block)
+        scalar = simulate_fleet(fleet, **knobs)
+        assert batched.to_dict() == scalar.to_dict()
 
     def test_tagged_matches_flush_across_asid_wrap(self):
         """The wrap boundary must be invisible to per-tenant stats: with

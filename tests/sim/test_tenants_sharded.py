@@ -20,6 +20,7 @@ import pytest
 
 from repro.errors import OrchestrationError
 from repro.sim import tenants
+from repro.sim.api import SimRequest, TenancyConfig, execute_request
 from repro.sim.runner import ResultStore
 from repro.sim.tenants import (
     TenantFleet,
@@ -233,9 +234,10 @@ class TestFailFast:
         (dict(storm_every=-1), "storm_every"),
         (dict(storm_every=2, storm_quantum=0), "storm_quantum"),
         (dict(asid_bits=0), "asid bits"),
+        (dict(asid_bits=1), "live tenants would share a tag"),
         (dict(scheme="no-such-scheme"), "unknown scheme"),
     ], ids=["quantum", "storm-every", "storm-quantum", "asid-bits",
-            "unknown-scheme"])
+            "asid-pool", "unknown-scheme"])
     def test_bad_knobs_raise_before_any_shard_runs(
         self, knobs, message, monkeypatch
     ):
@@ -247,6 +249,19 @@ class TestFailFast:
         call.update(knobs)
         with pytest.raises(ValueError, match=message):
             simulate_fleet(fleet_of(size=4, references=400), **call)
+
+    def test_direct_shard_request_rejects_a_shared_asid(self):
+        """A ``kind="fleet-shard"`` request run on its own applies the
+        same ASID rule as simulate_fleet: two live tenants, one tag."""
+        tenancy = TenancyConfig(
+            tenants=4, policy="tagged", quantum=200, active_pool=2,
+            asid_bits=1, workloads=("gups",), scenarios=("medium",),
+            shards=2, shard=0)
+        request = SimRequest(
+            workload="gups", scenario="medium", scheme="base",
+            references=400, seed=11, kind="fleet-shard", tenancy=tenancy)
+        with pytest.raises(ValueError, match="live tenants would share"):
+            execute_request(request)
 
     def test_failed_shard_raises_with_its_label(self, monkeypatch):
         monkeypatch.setattr(tenants, "simulate_shard", _no_shard_may_run)
