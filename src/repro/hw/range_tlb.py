@@ -133,7 +133,11 @@ class RangeTLB(Structure):
         self._entries[key] = entry
 
     def flush(self) -> None:
-        self._entries.clear()
+        """Drop the selected tag's entries (every entry when untagged)."""
+        if self.tag:
+            self.flush_tag(self.tag)
+        else:
+            self._entries.clear()
 
     @property
     def occupancy(self) -> int:

@@ -14,7 +14,8 @@ reference model used by the property tests.
 The array carries an ASID/PCID-style *tag register* for multi-tenant
 sharing: ``set_tag`` selects the address-space tag of the currently
 running tenant, and every ``lookup``/``insert``/``invalidate`` packs
-that tag into the entry key's high bits (above :data:`TAG_SHIFT`).
+that tag into the entry key's high bits (above :data:`TAG_SHIFT`);
+``flush`` drops only that tag's entries.
 Entries of different tenants therefore never alias — a lookup only hits
 same-tag entries — but they do compete for the same sets and ways,
 which is exactly the shared-TLB contention the fleet model measures.
@@ -144,8 +145,13 @@ class SetAssociativeTLB(Structure):
         return bucket.pop(key | self._tag_base, None) is not None
 
     def flush(self) -> None:
-        for bucket in self._sets:
-            bucket.clear()
+        """Drop the selected tag's entries (every entry when untagged):
+        one tenant's shootdown never reaches its neighbours."""
+        if self.tag:
+            self.flush_tag(self.tag)
+        else:
+            for bucket in self._sets:
+                bucket.clear()
 
     @property
     def occupancy(self) -> int:

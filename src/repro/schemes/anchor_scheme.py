@@ -31,20 +31,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PageFaultError
-from repro.hw.tlb import KEY_MASK
 from repro.params import DEFAULT_MACHINE, MachineConfig
-from repro.hw.anchor_tlb import (
-    KIND_ANCHOR,
-    KIND_HUGE,
-    KIND_SMALL,
-    AnchorL2TLB,
-)
+from repro.hw.anchor_tlb import KIND_ANCHOR, KIND_HUGE, AnchorL2TLB
 from repro.schemes.base import TranslationScheme
 from repro.sim.lru import isin_sorted, simulate_block
 from repro.vmos.anchor import AnchorDirectory
 from repro.vmos.contiguity import contiguity_histogram
 from repro.vmos.distance import select_distance
-from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
+from repro.vmos.mapping import MemoryMapping, sorted_arrays
 from repro.vmos.regions import AnchorRegion, RegionTable
 from repro.vmos.shootdown import ShootdownLog
 
@@ -89,23 +83,16 @@ class AnchorScheme(TranslationScheme):
         self.enable_thp = enable_thp
         self.shootdowns = ShootdownLog()
         self.l2 = AnchorL2TLB(self.config, distance)
-        # Resident-state caches for the block fast path: sets holding a
-        # same-tenant entry whose value drifted from the directory, the
-        # drifted anchor entries themselves, and resident small keys
-        # whose VPN the current plan classifies as anchored.  Rebuilt by
-        # a full array scan only after a directory (or tag) change —
-        # every entry under the scheme's tag is its own (a tagged fleet
-        # gives each live tenant its own ASID and shoots a recycled one
-        # down), so stale survivors can appear at no other time — and
-        # shrunk by a cheap per-entry re-probe between scans.
-        self._stale_sets: set[int] = set()
-        self._stale_anchors: dict[int, tuple[int, int]] = {}
-        self._anch_smalls: set[int] = set()
-        self._scan_tag = -1
         self._build_directories()
 
     def _build_directories(self) -> None:
-        """One coverage plan per region row, over the current mapping."""
+        """One coverage plan per region row, over the current mapping.
+
+        Every caller empties the scheme's L2 entries around the replan
+        (a new L2, ``set_distance`` or a flush), so afterwards each entry
+        under the scheme's tag is again what this plan would fill: the
+        invariant :meth:`access_block` batches on.
+        """
         self._directories = AnchorDirectory.build_regions(
             self.mapping,
             [(r.start_vpn, r.end_vpn, r.distance) for r in self.regions],
@@ -114,7 +101,8 @@ class AnchorScheme(TranslationScheme):
         # sides of clone_fresh, cleared whenever the plans are rebuilt
         # or privatised by _own_directory_of.
         self._dir_shared = False
-        self._invalidate_block_cache()
+        self._block_cache = None
+        self._drifted = False
 
     # ------------------------------------------------------------------
     # Prototype cloning (share-don't-rebuild)
@@ -131,11 +119,8 @@ class AnchorScheme(TranslationScheme):
     def _reset_clone(self) -> None:
         super()._reset_clone()
         self.shootdowns = ShootdownLog()
-        self._stale_sets = set()
-        self._stale_anchors = {}
-        self._anch_smalls = set()
-        self._scan_needed = True
-        self._scan_tag = -1
+        # The clone's fresh L2 holds nothing the plan disagrees with.
+        self._drifted = False
 
     def _own_directory_of(self, vpn: int) -> AnchorDirectory:
         """The plan of ``vpn``'s row, privatised (with every other row's
@@ -167,7 +152,7 @@ class AnchorScheme(TranslationScheme):
         self.l2.restore_distance(distance)
 
     @property
-    def regions(self) -> list[AnchorRegion]:
+    def regions(self) -> tuple[AnchorRegion, ...]:
         """The region table's rows, sorted by start VPN."""
         return self.l2.table.regions
 
@@ -261,85 +246,6 @@ class AnchorScheme(TranslationScheme):
             self._block_cache = (hg, sm, an, huge, small, anchors, anchors_ok)
         return self._block_cache
 
-    def _invalidate_block_cache(self) -> None:
-        self._block_cache = None
-        self._scan_needed = True
-
-    def _rescan_residents(self, tbase: int) -> None:
-        """Full array scan rebuilding the resident-state caches."""
-        _, _, _, huge, small_dir, anchor_cont, _ = self._directory_arrays()
-        table = self.l2.table
-        stale_sets: set[int] = set()
-        stale_anchors: dict[int, tuple[int, int]] = {}
-        anch_smalls: set[int] = set()
-        for index, bucket in enumerate(self.l2.array._sets):
-            for key, value in bucket.items():
-                if (key & ~KEY_MASK) != tbase:
-                    continue          # another tenant's entry
-                kind = key & 3
-                base = (key & KEY_MASK) >> 2
-                if kind == KIND_ANCHOR:
-                    if value != (small_dir.get(base),
-                                 anchor_cont.get(base)):
-                        stale_sets.add(index)
-                        stale_anchors[key] = value
-                elif kind == KIND_SMALL:
-                    pfn = small_dir.get(base)
-                    if value != pfn:
-                        stale_sets.add(index)
-                    # Only a 4 KiB leaf of the plan can sit in an anchor's
-                    # run, so a stale entry whose page left the plan is
-                    # skipped before its region is looked up.
-                    if pfn is not None:
-                        dlog = table.shift_of(base)
-                        avpn = base >> dlog << dlog
-                        if base - avpn < anchor_cont.get(avpn, 0):
-                            anch_smalls.add(key)
-                else:
-                    if value != huge.get(base << _HUGE_SHIFT):
-                        stale_sets.add(index)
-        self._stale_sets = stale_sets
-        self._stale_anchors = stale_anchors
-        self._anch_smalls = anch_smalls
-        self._scan_needed = False
-        self._scan_tag = tbase
-
-    def _prune_residents(self, tbase: int) -> None:
-        """Re-probe the cached drifted entries; they can only go away
-        (replay or other-tenant pressure evicting them, a replayed walk
-        re-filling an anchor with current values) — never appear —
-        between directory changes."""
-        if not (self._stale_sets or self._anch_smalls):
-            return
-        array = self.l2.array
-        buckets = array._sets
-        _, _, _, huge, small_dir, anchor_cont, _ = self._directory_arrays()
-        stale_anchors: dict[int, tuple[int, int]] = {}
-        for index in sorted(self._stale_sets):
-            drifted = False
-            for key, value in buckets[index].items():
-                if (key & ~KEY_MASK) != tbase:
-                    continue
-                kind = key & 3
-                base = (key & KEY_MASK) >> 2
-                if kind == KIND_ANCHOR:
-                    if value != (small_dir.get(base),
-                                 anchor_cont.get(base)):
-                        drifted = True
-                        stale_anchors[key] = value
-                elif kind == KIND_SMALL:
-                    if value != small_dir.get(base):
-                        drifted = True
-                elif value != huge.get(base << _HUGE_SHIFT):
-                    drifted = True
-            if not drifted:
-                self._stale_sets.discard(index)
-        self._stale_anchors = stale_anchors
-        imask = array.index_mask
-        for key in list(self._anch_smalls):
-            if buckets[((key & KEY_MASK) >> 2) & imask].get(key) is None:
-                self._anch_smalls.discard(key)
-
     def access_block(self, vpns: np.ndarray) -> None:
         """Vectorised fast path.
 
@@ -352,12 +258,18 @@ class AnchorScheme(TranslationScheme):
         their huge key, anchored rows their anchor key, the rest their
         small key — Table 2), so the main stream batches through
         :func:`simulate_block`; the residual coupling — weak anchor
-        promotions by unanchored misses, and stale entries surviving
-        the incremental OS-update paths — is confined to the few sets
+        promotions by unanchored misses — is confined to the few sets
         it can touch, which replay exactly in trace order.  Each row
         carries its region's shift (``dlog``) into every anchor key and
         set it builds.
+
+        The batching rests on one invariant: every L2 entry under the
+        scheme's tag is what the current plan would fill.  Only the
+        §3.3 incremental updates break it; until the next replan
+        restores it, blocks run the scalar loop.
         """
+        if self._drifted:
+            return super().access_block(vpns)
         if vpns.shape[0] == 0:
             return
         hg, sm, an, huge, small_dir, anchor_cont, ok = self._directory_arrays()
@@ -367,17 +279,6 @@ class AnchorScheme(TranslationScheme):
         heads, is_huge, pfn_heads, hbase, hit1 = stage
         n = vpns.shape[0]
 
-        # Per-L1-miss precomputation for the shared L2.  Each miss row's
-        # probe/fill flow touches exactly one *main* key, chosen by a
-        # static property of the directory (Table 2): huge rows their
-        # huge key, anchored rows (vpn - avpn < contiguity) their anchor
-        # key, the rest their small key.  That makes the main stream
-        # promote-or-insert, so it batches through simulate_block; the
-        # residual coupling — an unanchored miss *promoting* a resident
-        # anchor entry it doesn't cover, and stale entries surviving the
-        # incremental OS-update paths — is confined to the few sets it
-        # can touch, which replay exactly in trace order below (the same
-        # decomposition the cluster schemes use, docs/api_tour.md §15).
         miss = ~hit1
         table = self.l2.table
         array = self.l2.array
@@ -418,90 +319,32 @@ class AnchorScheme(TranslationScheme):
             m_huge, (mk >> _HUGE_SHIFT) & imask,
             np.where(anchored, aidx, mk & imask))
 
-        # Refresh the resident-state caches: full array scan only after
-        # a directory (or tag) change, cheap shrink-only re-probe of
-        # the cached entries otherwise.
-        if self._scan_needed or self._scan_tag != tbase:
-            self._rescan_residents(tbase)
-        else:
-            self._prune_residents(tbase)
-        stale_anchors = self._stale_anchors
-        anch_smalls = self._anch_smalls
-
-        # Anchor residency by direct probe: a block touches few
-        # distinct anchors, so probing their buckets beats snapshotting
-        # the whole array.  The same anchor VPN indexes a different set
-        # under a different shift, so probe once per distinct shift in
-        # the table (once for a one-row table).  Values are block-start
-        # state; rows whose outcome depends on mid-block changes are
-        # forced into the replay, which re-checks live state.
+        # Anchor residency at block start, by direct probe: a block
+        # touches few distinct anchors, so probing their buckets beats
+        # snapshotting the whole array.  The same anchor VPN indexes a
+        # different set under a different shift, so probe once per
+        # distinct shift in the table (once for a one-row table).
         probe = af & small_m
         resident = np.zeros(m, dtype=bool)
-        r_ap = np.zeros(m, dtype=np.int64)
-        r_ct = np.zeros(m, dtype=np.int64)
         for shift in sorted(set(table.shifts)):
             rows = probe & (dlog == shift)
             touched = np.zeros(na + 1, dtype=bool)
             touched[aid[rows]] = True
             rf = np.zeros(na + 1, dtype=bool)
-            ra = np.zeros(na + 1, dtype=np.int64)
-            rc = np.zeros(na + 1, dtype=np.int64)
             for j in np.flatnonzero(touched[:na]).tolist():
                 av = int(an_keys[j])
-                entry = buckets[(av >> shift) & imask].get(
-                    ((av << 2) | KIND_ANCHOR) | tbase)
-                if entry is not None:
-                    rf[j] = True
-                    ra[j] = entry[0]
-                    rc[j] = entry[1]
-            found = rows & rf[aid]
-            resident |= found
-            r_ap = np.where(found, ra[aid], r_ap)
-            r_ct = np.where(found, rc[aid], r_ct)
-        # Anchors the directory dropped can survive as resident
-        # entries; their keys and values come from the drift cache.  A
-        # match may sit in another set than the row probes (a row of a
-        # region starting off its alignment); treating it as resident
-        # only sends the row to the exact replay.
-        if stale_anchors:
-            items = sorted(stale_anchors.items())
-            sa_keys = np.array([k for k, _ in items], dtype=np.int64)
-            sa_ap = np.array([v[0] for _, v in items], dtype=np.int64)
-            sa_ct = np.array([v[1] for _, v in items], dtype=np.int64)
-            s_row = KeyIndex(sa_keys, sa_ap).rows_of(pak)
-            s_found = (s_row >= 0) & small_m
-            resident |= s_found
-            r_ap = np.where(s_found, sa_ap[s_row], r_ap)
-            r_ct = np.where(s_found, sa_ct[s_row], r_ct)
-        stale = resident & ((r_ap != appn) | (r_ct != cont))
-        sk_res = np.zeros(m, dtype=bool)
-        if anch_smalls and bool(anchored.any()):
-            sk_res = anchored & isin_sorted(
-                np.sort(np.fromiter(anch_smalls, dtype=np.int64,
-                                    count=len(anch_smalls))),
-                (mk << 2) | np.int64(tbase))
+                key = ((av << 2) | KIND_ANCHOR) | tbase
+                rf[j] = key in buckets[(av >> shift) & imask]
+            resident |= rows & rf[aid]
 
         # Candidate weak touches: an unanchored miss probes its anchor
         # key and promotes it if resident — possible only if that key
         # was resident at block start or an in-block anchored row
-        # inserts it.
+        # inserts it.  Their sets replay exactly.
         inblk = np.zeros(na + 1, dtype=bool)
         inblk[aid[anchored]] = True
         cand = unanch & (resident | (probe & inblk[aid]))
-        forced = (stale & (anchored | (unanch & (mk - avpn < r_ct)))) | sk_res
-        # A forced row replays its full scalar flow, which can touch
-        # both its anchor set and its small-key set — contaminate both.
-        # Sets holding drifted entries always replay: the kernel stores
-        # value_of — the *current* value — for every key it accesses,
-        # hits included, while the scalar machine keeps a hit's stale
-        # value.
-        bad_sets = np.unique(np.concatenate([
-            aidx[cand | (forced & small_m)],
-            (mk & imask)[forced & small_m],
-            main_sets[forced],
-            np.fromiter(self._stale_sets, dtype=np.int64,
-                        count=len(self._stale_sets)),
-        ]))
+        bad_sets = np.unique(aidx[cand])
         if bad_sets.size:
             row_bad = isin_sorted(bad_sets, main_sets)
             weak_only = cand & ~row_bad
@@ -511,9 +354,9 @@ class AnchorScheme(TranslationScheme):
 
         # Batched main stream over the clean sets only.  The kernel
         # asks value_of about each accessed key that survives into the
-        # final state, once per key rather than per row; the drift
-        # check above guarantees a key that hits a resident entry
-        # resolves to that entry's value.
+        # final state, once per key rather than per row; the invariant
+        # guarantees a key that hits a resident entry resolves to that
+        # entry's value.
         clean = ~row_bad
 
         def value_of(key: int):
@@ -638,7 +481,13 @@ class AnchorScheme(TranslationScheme):
     def _shootdown_page(
         self, vpn: int, directory: AnchorDirectory, anchors: list[int]
     ) -> None:
-        self._invalidate_block_cache()
+        # The plan changed in place, so its block indexes go.  The
+        # shootdown reaches the page and its spanning anchors only:
+        # other resident entries may now disagree with the edited plan
+        # (a merge anchoring a resident small page), so the block path
+        # stays scalar until the next replan.
+        self._block_cache = None
+        self._drifted = True
         self.l1.small.invalidate(vpn, vpn)
         self.l2.invalidate_small(vpn)
         for avpn in anchors:

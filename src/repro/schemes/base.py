@@ -198,7 +198,8 @@ class TranslationScheme(abc.ABC):
         return found
 
     def flush(self) -> None:
-        """Flush all TLB state (context switch / shootdown)."""
+        """Flush the scheme's TLB state (context switch / shootdown);
+        under an address-space tag, only that tag's entries."""
         for structure in self.structures().values():
             structure.flush()
 
@@ -233,10 +234,10 @@ class TranslationScheme(abc.ABC):
         runs on the *prototype* and forces any lazily built views so
         every clone inherits them already materialised;
         :meth:`_reset_clone` runs on the *clone* and recreates the other
-        per-tenant state its access paths mutate (predictors,
-        resident-state caches).  Anything else is shared and must be
-        treated as read-only — the ``shared-aliasing`` check rule
-        enforces the share-don't-rebuild discipline.
+        per-tenant state its access paths mutate (predictors, shootdown
+        logs).  Anything else is shared and must be treated as
+        read-only — the ``shared-aliasing`` check rule enforces the
+        share-don't-rebuild discipline.
 
         Sharing survives mapping mutations: ``_synced_version`` rides
         the copy, so a mutated mapping triggers ``_on_mapping_update``

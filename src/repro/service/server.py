@@ -54,11 +54,12 @@ import json
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any
 
 from repro.sim.api import SimRequest, execute_request
-from repro.sim.runner import ResultStore, configure_trace_store
+from repro.sim.runner import ResultStore, configure_trace_store, new_pool
 from repro.sim.trace_store import TraceStore
 
 __all__ = ["SimService", "ServiceThread", "serve_main"]
@@ -136,16 +137,7 @@ class SimService:
             # this for spawn-started platforms.
             configure_trace_store(self.trace_store.root)
         if self.workers > 0:
-            initializer = None
-            initargs: tuple = ()
-            if self.trace_store is not None:
-                initializer = configure_trace_store
-                initargs = (str(self.trace_store.root),)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=initializer,
-                initargs=initargs,
-            )
+            self._pool = new_pool(self.workers, self.trace_store)
             # Fork every worker now: a trivial round-trip per worker
             # means the first real submission never pays start-up cost.
             loop = asyncio.get_running_loop()
@@ -313,23 +305,31 @@ class SimService:
         })
 
     async def _execute(self, request: SimRequest) -> dict:
-        loop = asyncio.get_running_loop()
+        # A sharded fleet brings its own ProcessPoolExecutor; run it from
+        # the service parent (a thread, not a warm worker) so its shard
+        # pool forks directly rather than nesting inside a pool slot.
         parallel_fleet = (
             request.kind == "fleet"
             and request.tenancy is not None
             and request.tenancy.workers > 0
         )
-        if parallel_fleet:
-            # A sharded fleet brings its own ProcessPoolExecutor; run it
-            # from the service parent (a thread, not a warm worker) so
-            # its shard pool forks directly rather than nesting inside a
-            # single pool slot.
+        pool = self._pool
+        if pool is None or parallel_fleet:
             return await asyncio.to_thread(execute_request, request)
-        if self._pool is not None:
+        loop = asyncio.get_running_loop()
+        try:
+            return await loop.run_in_executor(pool, execute_request, request)
+        except BrokenProcessPool:
+            # A worker died (killed, out of memory) and broke the pool
+            # for every request.  The first request to see it replaces
+            # the pool; each one is resubmitted once, as the
+            # orchestrator's default ``retries=1`` does.
+            if self._pool is pool:
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = new_pool(self.workers, self.trace_store)
             return await loop.run_in_executor(
                 self._pool, execute_request, request
             )
-        return await asyncio.to_thread(execute_request, request)
 
     async def _handle_submit(
         self, message: dict, writer: asyncio.StreamWriter

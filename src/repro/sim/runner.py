@@ -77,6 +77,7 @@ __all__ = [
     "ResultStore",
     "TraceStore",
     "configure_trace_store",
+    "new_pool",
     "JobFailure",
     "RunSummary",
     "Orchestrator",
@@ -228,6 +229,26 @@ def configure_trace_store(root: str | Path | None) -> TraceStore | None:
     global _WORKER_TRACE_STORE
     _WORKER_TRACE_STORE = None if root is None else TraceStore(root)
     return _WORKER_TRACE_STORE
+
+
+def new_pool(
+    workers: int, trace_store: TraceStore | None, mp_context=None
+) -> ProcessPoolExecutor:
+    """The orchestrator's and the service's process pool.
+
+    The initializer repoints spawned workers at the shared trace store
+    (fork-started workers inherit the parent's setting, but the
+    explicit initializer keeps spawn/forkserver correct too).
+    """
+    initializer = None
+    initargs: tuple = ()
+    if trace_store is not None:
+        initializer = configure_trace_store
+        initargs = (str(trace_store.root),)
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=mp_context,
+        initializer=initializer, initargs=initargs,
+    )
 
 
 def _mapping_for(spec: SimRequest) -> MemoryMapping:
@@ -642,20 +663,6 @@ class Orchestrator:
     # Pool path
     # ------------------------------------------------------------------
 
-    def _new_executor(self) -> ProcessPoolExecutor:
-        # The initializer repoints spawned workers at the shared trace
-        # store (fork-started workers inherit the parent's setting, but
-        # the explicit initializer keeps spawn/forkserver correct too).
-        initializer = None
-        initargs: tuple = ()
-        if self.trace_store is not None:
-            initializer = configure_trace_store
-            initargs = (str(self.trace_store.root),)
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._mp_context,
-            initializer=initializer, initargs=initargs,
-        )
-
     @staticmethod
     def _kill_executor(executor: ProcessPoolExecutor) -> None:
         """Tear a pool down without waiting on hung or dead workers."""
@@ -674,7 +681,8 @@ class Orchestrator:
         summary: RunSummary,
     ) -> None:
         queue: deque[tuple[SimRequest, int]] = deque((s, 0) for s in pending)
-        executor = self._new_executor()
+        executor = new_pool(
+            self.workers, self.trace_store, self._mp_context)
         # future -> (spec, prior attempts, submit time).  At most
         # ``workers`` futures are in flight, so submit time approximates
         # start time and per-job deadlines stay meaningful.
@@ -750,6 +758,7 @@ class Orchestrator:
                             summary, requeue,
                         )
                     self._kill_executor(executor)
-                    executor = self._new_executor()
+                    executor = new_pool(
+                        self.workers, self.trace_store, self._mp_context)
         finally:
             self._kill_executor(executor)

@@ -54,6 +54,9 @@ class RegionTable:
     latency within an L2 TLB access (§4.2).  Rows are kept sorted by
     start VPN; ``shifts`` (and its column ``dlogs``) holds each row's
     log2 distance, the shift that turns a VPN into its anchor's index.
+    An installed table is immutable — rows and shifts are tuples, the
+    columns read-only — since a prototype scheme's L2 shares it with
+    every clone (``AnchorL2TLB.fresh``).
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -81,10 +84,12 @@ class RegionTable:
                 raise ValueError("regions overlap")
         if not all(is_pow2(r.distance) for r in rows):
             raise ValueError("distance must be a positive power of two")
-        self.regions = rows
-        self.shifts = [r.distance.bit_length() - 1 for r in rows]
+        self.regions = tuple(rows)
+        self.shifts = tuple(r.distance.bit_length() - 1 for r in rows)
         self.starts = np.array([r.start_vpn for r in rows], dtype=np.int64)
         self.dlogs = np.array(self.shifts, dtype=np.int64)
+        self.starts.setflags(write=False)
+        self.dlogs.setflags(write=False)
 
     @property
     def distance(self) -> int | None:

@@ -31,6 +31,12 @@ def wired_pool(specs, root):
         pool.submit(os.getpid)
 
 
+def new_pool(root):
+    # A pool factory: every file building its pool here is wired.
+    return ProcessPoolExecutor(
+        max_workers=2, initializer=configure_store, initargs=(root,))
+
+
 class Service:
     def __init__(self, job_fn):
         # Data attribute holding a module-level callable: picklable by

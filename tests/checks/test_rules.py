@@ -195,6 +195,11 @@ class TestForkSafety:
         # partial over one, os.getpid, and a data-attribute callable.
         assert "sim/good_runner.py" not in by_file(findings)
 
+    def test_pool_factory_carries_its_initializer(self, findings):
+        # factory_server.py submits what server.py submits, but builds
+        # its pool through good_runner.new_pool, which wires it.
+        assert "service/factory_server.py" not in by_file(findings)
+
 
 class TestTagSafety:
     @pytest.fixture(scope="class")

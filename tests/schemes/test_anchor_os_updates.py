@@ -1,6 +1,7 @@
 """Tests for OS mapping updates flowing through the anchor scheme:
 incremental page-table maintenance plus targeted TLB shootdowns."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PageFaultError
@@ -11,11 +12,28 @@ from repro.vmos.mapping import MemoryMapping
 PROT_R = 0b01
 
 
-@pytest.fixture
-def scheme():
+def new_scheme():
     mapping = MemoryMapping()
     mapping.map_run(0, FrameRange(10_000, 64))
     return AnchorScheme(mapping, distance=16)
+
+
+@pytest.fixture
+def scheme():
+    return new_scheme()
+
+
+def count_scalar_accesses(scheme, monkeypatch):
+    """Record every reference the scheme's scalar ``access`` serves."""
+    served = []
+    access = scheme.access
+
+    def counted(vpn):
+        served.append(vpn)
+        return access(vpn)
+
+    monkeypatch.setattr(scheme, "access", counted)
+    return served
 
 
 class TestUnmap:
@@ -80,3 +98,37 @@ class TestProtect:
         scheme.access(16)  # anchor@16 resident, cont 4
         scheme.l1.flush()
         assert scheme.access(20) == scheme.config.latency.page_walk
+
+
+class TestBlockPathInvariant:
+    """The batched replay assumes every L2 entry under the scheme's tag
+    is what the current plan would fill.  An incremental update's
+    targeted shootdown breaks that, so blocks run the scalar loop until
+    the next replan restores it."""
+
+    BLOCK = np.array([v for v in range(64) if v != 20] * 2, dtype=np.int64)
+
+    def test_update_sends_blocks_to_the_scalar_loop(self, monkeypatch):
+        batched, scalar = new_scheme(), new_scheme()
+        batched.access_block(np.arange(64, dtype=np.int64))
+        for vpn in range(64):
+            scalar.access(vpn)
+        for twin in (batched, scalar):
+            twin.unmap_page(20)
+        served = count_scalar_accesses(batched, monkeypatch)
+        batched.access_block(self.BLOCK)
+        assert len(served) == self.BLOCK.size
+        for vpn in self.BLOCK.tolist():
+            scalar.access(vpn)
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
+        assert batched.l1.state() == scalar.l1.state()
+        assert batched.l2.array.state() == scalar.l2.array.state()
+
+    def test_replan_returns_to_the_batched_path(self, scheme, monkeypatch):
+        scheme.access_block(np.arange(64, dtype=np.int64))
+        scheme.unmap_page(20)
+        scheme.rebuild(scheme.mapping)
+        served = count_scalar_accesses(scheme, monkeypatch)
+        scheme.access_block(self.BLOCK)
+        assert served == []
+        assert scheme.stats.accesses == 64 + self.BLOCK.size

@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import sanitize
 from repro.params import DEFAULT_MACHINE, SCENARIO_ORDER
 from repro.schemes.registry import make_scheme, scheme_names
 from repro.vmos.scenarios import build_mapping
@@ -133,6 +134,24 @@ def test_prototype_incremental_unmap_does_not_leak_into_clone(vmas):
     proto.unmap_page(victim)
     assert proto.directory is not clone.directory
     assert victim in clone.directory.small
+
+
+@pytest.mark.parametrize("scheme_name", ("anchor-dyn", "anchor-region"))
+def test_shared_region_table_is_sealed(vmas, scheme_name, monkeypatch):
+    """A clone's L2 shares its region table with the prototype's
+    (``AnchorL2TLB.fresh``), under the declared hardware the sanitizer
+    skips; the table seals itself at install instead."""
+    monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
+    proto = make_scheme(scheme_name, build_mapping(vmas, "medium", seed=23))
+    clone = proto.clone_fresh()
+    table = clone.l2.table
+    assert table is proto.l2.table
+    with pytest.raises(ValueError):
+        table.starts[0] = 0
+    with pytest.raises(ValueError):
+        table.dlogs[0] = 0
+    with pytest.raises(TypeError):
+        table.shifts[0] = 0
 
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)

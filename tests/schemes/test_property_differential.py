@@ -220,8 +220,9 @@ class TestRandomMappingDifferential:
         through ``access_block`` and the other through ``access``.
         Incremental shootdowns leave stale survivors in the L2 (drifted
         entries, and small entries for pages a merge has since
-        anchored) that only the batched path's resident-state caches
-        can reconcile; every block must still end bit-identical.
+        anchored), so the batched scheme runs its blocks through the
+        scalar loop until a replan; every block must still end
+        bit-identical.
         anchor-region runs two explicit regions split inside the
         window, so the second one starts off its distance alignment."""
         import dataclasses

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
+import signal
 import socket
 import time
 
@@ -222,6 +224,19 @@ class TestFailureHandling:
             # ...and good requests still work.
             reply, _ = submit_and_wait(good, host, port)
         assert reply.payload["stats"]["accesses"] == 10_000
+
+    def test_service_survives_a_killed_worker(self):
+        """SIGKILL breaks the warm pool for good; the service replaces
+        it and resubmits, so the next computed request still answers."""
+        with ServiceThread(workers=1) as service_thread:
+            host, port = service_thread.host, service_thread.port
+            (pid,) = service_thread.service._pool._processes
+            os.kill(pid, signal.SIGKILL)
+            envelopes = list(submit(request_of(seed=11), host, port))
+            metrics = status(host, port)["metrics"]
+        assert envelopes[-1]["event"] == "result"
+        assert metrics["computed"] == 1
+        assert metrics["errors"] == 0
 
     def test_submit_and_wait_raises_on_error(self):
         with ServiceThread() as service_thread:

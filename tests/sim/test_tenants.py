@@ -239,6 +239,23 @@ class TestTaggedIsolationAndContention:
         assert walks["partitioned"] <= walks["tagged"] <= walks["flush"]
         assert walks["partitioned"] < walks["flush"]
 
+    def test_mapping_sync_flushes_only_its_own_tag(self):
+        """One tenant's remap shoots down its own tagged entries on the
+        shared hierarchy, never its neighbour's."""
+        first = BaselineScheme(make_mapping())
+        second = BaselineScheme(make_mapping())
+        for name, structure in first.structures().items():
+            setattr(second, name, getattr(second, name).attach(structure))
+        first.set_asid(1)
+        first.access_block(np.arange(64, dtype=np.int64))
+        assert first.l2.tag_occupancy(1) == 64
+        second.set_asid(2)  # switch-in: the shared arrays now run tag 2
+        second.mapping.unmap_page(7)
+        second.mapping.map_page(7, 99_999)
+        second.sync_mapping()
+        assert first.l2.tag_occupancy(1) == 64
+        assert second.translate(7) == 99_999
+
     def test_anchor_distance_saved_and_restored(self):
         fleet = TenantFleet(size=6, workloads=("gups",),
                             scenarios=("low", "max"), references=3000, seed=4)
@@ -490,9 +507,10 @@ class TestAsidAllocator:
     def test_wrapping_anchor_fleet_matches_scalar(
         self, asid_bits, active_pool, quantum, monkeypatch
     ):
-        """While live tenants keep distinct tags, the anchor replay's
-        resident-state caches stay exact across ASID recycling: the
-        fleet's payload equals the scalar loop's, byte for byte."""
+        """While live tenants keep distinct tags, every entry under a
+        tenant's tag is its own, so the anchor replay stays exact across
+        ASID recycling: the fleet's payload equals the scalar loop's,
+        byte for byte."""
         fleet = TenantFleet(size=8, workloads=("gups", "omnetpp"),
                             scenarios=("low", "max"), references=800,
                             seed=1, mapping_variants=2)
