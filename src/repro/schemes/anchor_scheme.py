@@ -122,6 +122,12 @@ class AnchorScheme(TranslationScheme):
         # The clone's fresh L2 holds nothing the plan disagrees with.
         self._drifted = False
 
+    def flush(self) -> None:
+        super().flush()
+        # The tenant's L2 entries are gone, so none can disagree with
+        # the plan: the block path batches again.
+        self._drifted = False
+
     def _own_directory_of(self, vpn: int) -> AnchorDirectory:
         """The plan of ``vpn``'s row, privatised (with every other row's
         plan) if a clone shares them, ready for in-place mutation."""
@@ -265,8 +271,8 @@ class AnchorScheme(TranslationScheme):
 
         The batching rests on one invariant: every L2 entry under the
         scheme's tag is what the current plan would fill.  Only the
-        §3.3 incremental updates break it; until the next replan
-        restores it, blocks run the scalar loop.
+        §3.3 incremental updates break it; until the next replan or
+        flush restores it, blocks run the scalar loop.
         """
         if self._drifted:
             return super().access_block(vpns)
@@ -485,7 +491,7 @@ class AnchorScheme(TranslationScheme):
         # shootdown reaches the page and its spanning anchors only:
         # other resident entries may now disagree with the edited plan
         # (a merge anchoring a resident small page), so the block path
-        # stays scalar until the next replan.
+        # stays scalar until the next replan or flush.
         self._block_cache = None
         self._drifted = True
         self.l1.small.invalidate(vpn, vpn)

@@ -73,11 +73,10 @@ class PrefetchScheme(TranslationScheme):
         self,
         mapping: MemoryMapping,
         config: MachineConfig = DEFAULT_MACHINE,
-        predictor_entries: int = 64,
     ) -> None:
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
-        self.predictor = DistancePredictor(predictor_entries)
+        self.predictor = DistancePredictor()
         # Live reference to the page table — never goes stale.
         self._small = mapping.frozen().page_table
         self.prefetches_issued = 0
@@ -86,7 +85,7 @@ class PrefetchScheme(TranslationScheme):
 
     def _reset_clone(self) -> None:
         super()._reset_clone()
-        self.predictor = DistancePredictor(self.predictor.capacity)
+        self.predictor = DistancePredictor()
         self.prefetches_issued = 0
         self.prefetch_hits = 0
         self._prefetched = set()
@@ -182,8 +181,8 @@ class PrefetchScheme(TranslationScheme):
             # DistancePredictor.observe_and_predict + _issue_prefetch,
             # inlined with the predictor state in locals (written back
             # after the loop): this runs once per real-or-hidden L2
-            # miss, nearly every row on TLB-hostile traces, and the
-            # call and attribute overhead dominates the epoch.
+            # miss, nearly every row on TLB-hostile traces.  Failed the
+            # pay-or-go test; kept to avoid a slowdown (lru.py module doc).
             if last_vpn is not None:
                 distance = vpn - last_vpn
                 if last_distance is not None:

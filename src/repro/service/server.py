@@ -211,7 +211,7 @@ class SimService:
                     break
                 try:
                     message = json.loads(raw.decode("utf-8"))
-                except ValueError:
+                except (ValueError, RecursionError):
                     await self._send(
                         writer, {"event": "error", "error": "malformed JSON"}
                     )

@@ -22,14 +22,15 @@ accesses with numpy instead of one Python call per reference:
    the previous occurrence is a certain hit (at most ``ways - 1``
    intervening accesses cannot evict); no previous occurrence is a
    certain miss; a window of ``ways`` pairwise-distinct accesses after
-   the previous occurrence (checked with a windowed maximum over the
-   ``prev`` links) is a certain miss; ``ways`` first-in-window
-   accesses inside any fixed-width window right after the previous
-   occurrence (a prefix sum per width) is a certain miss too —
-   the multi-scale pass that keeps high-turnover streams like the
-   page-walk caches' PD level off the exact resolver;
-4. resolve the few remaining accesses with an exact per-access
-   distinct-count walk;
+   the previous occurrence (a windowed maximum over the ``prev``
+   links) is a certain miss; ``ways`` first-in-window accesses inside
+   any fixed-width window right after the previous occurrence (a
+   prefix sum per width) is a certain miss too — the multi-scale pass
+   that keeps high-turnover streams like the page-walk caches' PD
+   level off the exact resolver;
+4. resolve the few remaining accesses exactly, counting the distinct
+   keys in widening windows (one scan per access whose window outgrows
+   65,536 positions);
 5. select each touched set's final content — its last ``ways``
    distinct keys — in one pass over the ``prev`` links, and write it
    back as a delta: resident entries that were evicted or re-accessed
@@ -39,6 +40,18 @@ accesses with numpy instead of one Python call per reference:
 
 A call therefore costs its block plus the resident entries of the sets
 it touches; sets the block never touches are neither read nor written.
+
+Beside that one general path sits one shortcut that paid when removed
+alone (EXPERIMENTS.md, "Kernel fast paths"): the multi-scale pass of
+step 3, worth +7.4% engine-gups ``refs_per_s`` (9 of 10 pairs).  Three
+more failed that test and are kept only to avoid a slowdown: int32
+packing in the grouping and linking sorts, skipping the grouping sort
+on one-set arrays, and the distance predictor inlined into
+:class:`~repro.schemes.prefetch_scheme.PrefetchScheme`'s replay.  None
+read "improved" alone, but without all three engine-gups ran 11.2%
+below this kernel with its former single-key path, scatter probe,
+van-Herk maximum and distinct-count exit, and without the inlined
+predictor alone 4.9% below it (10 of 10 pairs each).
 
 Preconditions (asserted by the parity suite rather than at runtime,
 since they hold by construction for every caller):
@@ -105,6 +118,7 @@ def _sort_with_positions(
     total = values.shape[0]
     pos_bits = max(total - 1, 1).bit_length()
     if hi.bit_length() + pos_bits <= 31:
+        # Failed the pay-or-go test; kept to avoid a slowdown (module doc).
         combo = values.astype(np.int32)
         combo <<= pos_bits
         combo |= np.arange(total, dtype=np.int32)
@@ -124,11 +138,11 @@ def previous_occurrence(keys: np.ndarray) -> np.ndarray:
     """``prev[i]``: position of the previous occurrence of ``keys[i]``
     in the block, or -1.
 
-    Used by fast paths whose per-access outcome depends on the *last
-    same-key access* rather than on array residency alone (e.g. CoLT,
-    where a resident coalesced entry covers the probe iff the probe
-    shares a contiguity run with the entry's builder).  Keys must be
-    non-negative.
+    The LRU kernel's recency links.  Also used by fast paths whose
+    per-access outcome depends on the *last same-key access* rather
+    than on array residency alone (e.g. CoLT, where a resident
+    coalesced entry covers the probe iff the probe shares a contiguity
+    run with the entry's builder).  Keys must be non-negative.
     """
     n = keys.shape[0]
     if n == 0:
@@ -150,15 +164,13 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     order.  Mutates ``tlb``'s per-set dicts in place to their final
     state and returns a boolean hit array.
 
-    Final values follow one rule on every path — the single-key path,
-    the fully associative scatter probe and the general path: each key
-    the block accesses that is resident afterwards holds
-    ``value_of(key)``, hits included, and the keys sit at MRU in order
-    of last access.  Every other entry keeps its value and its relative
-    order, and ``value_of`` is asked about no other key.  A hit
-    therefore refreshes the stored value, which is what schemes whose
-    scalar probe can hit the array, find its slot uncovered, and
-    rebuild the entry in place (CoLT, cluster) rely on.
+    Final values follow one rule: each key the block accesses that is
+    resident afterwards holds ``value_of(key)``, hits included, and the
+    keys sit at MRU in order of last access.  Every other entry keeps
+    its value and its relative order, and ``value_of`` is asked about
+    no other key.  A hit therefore refreshes the stored value, which is
+    what schemes whose scalar probe can hit the array, find its slot
+    uncovered, and rebuild the entry in place (CoLT, cluster) rely on.
 
     When the array carries a nonzero address-space tag (``tlb.tag``),
     the incoming keys are packed with that tag exactly as the scalar
@@ -181,23 +193,6 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     if tag:
         keys = keys | np.int64(tag << TAG_SHIFT)
 
-    max_key = int(keys.max())
-    if int(keys.min()) == max_key:
-        # Single distinct key (constant streams — the upper page-walk
-        # cache levels, single-page blocks): one promote-or-insert, all
-        # later accesses certain hits.  Same key means same set.
-        key = max_key
-        bucket = buckets[int(set_indices[0]) & mask]
-        hits[:] = True
-        if key in bucket:
-            del bucket[key]          # promote
-        else:
-            hits[0] = False
-            if len(bucket) >= ways:
-                del bucket[next(iter(bucket))]
-        bucket[key] = value_of(int(raw_keys[0]))
-        return hits
-
     # Synthetic prefix: replaying the resident entries of the touched
     # sets (LRU -> MRU) into an empty array reproduces their current
     # state exactly, so the windowed logic below needs no special
@@ -216,40 +211,15 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
         prefix = np.fromiter(
             chain.from_iterable(resident), dtype=np.int64, count=n0)
         all_keys = np.concatenate([prefix, keys])
-        max_key = max(max_key, int(prefix.max()))
     else:
         all_keys = np.asarray(keys, dtype=np.int64)
     total = n0 + n
 
     idx = np.arange(total, dtype=np.int32)
     if mask == 0:
-        # Fully associative array (the page-walk-cache levels): grouping
-        # by set is the identity, so skip the grouping sort entirely.
-        min_key = int(all_keys.min())
-        key_range = max_key - min_key + 1
-        if key_range <= max(64, 2 * ways):
-            # Scatter probe: with a small key range, first/last
-            # occurrences come from two plain fancy scatters — no sort.
-            # If the distinct keys all fit in the set, nothing is ever
-            # evicted and hits/final state follow immediately (the
-            # upper page-walk-cache levels every block).
-            dense = (all_keys - min_key).astype(np.int32, copy=False)
-            first_at = np.full(key_range, total, dtype=np.int32)
-            first_at[dense[::-1]] = idx[::-1]
-            last_at = np.full(key_range, -1, dtype=np.int32)
-            last_at[dense] = idx
-            live = np.flatnonzero(last_at >= 0)
-            if live.shape[0] <= ways:
-                hits[:] = (idx > first_at[dense])[n0:]
-                # Nothing is evicted: the keys the block accessed move
-                # to MRU in order of last access, the rest stay put.
-                at = np.sort(last_at[last_at >= n0])
-                bucket = buckets[0]
-                for key, raw in zip(all_keys[at].tolist(),
-                                    raw_keys[at - n0].tolist()):
-                    bucket.pop(key, None)
-                    bucket[key] = value_of(raw)
-                return hits
+        # One set (the page-walk-cache levels): grouping by set is the
+        # identity, so skip the grouping sort.
+        # Failed the pay-or-go test; kept to avoid a slowdown (module doc).
         g_pos = idx
         g_keys = all_keys
         g_sets = np.zeros(total, dtype=np.int64)
@@ -272,57 +242,21 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     # prev[i]: grouped position of the previous access to the same key
     # (-1 if none).  Same key implies same set, so linking over the
     # whole grouped array stays within one segment.
-    s_keys, s_pos = _sort_with_positions(g_keys, max_key)
-    s_pos = s_pos.astype(np.int32, copy=False)
-    prev = np.empty(total, dtype=np.int32)
-    prev[s_pos[1:]] = np.where(
-        s_keys[1:] == s_keys[:-1], s_pos[:-1], np.int32(-1))
-    prev[s_pos[0]] = -1
-
+    prev = previous_occurrence(g_keys)
     gap = idx - prev
-    # The sorted keys are already in hand, so the stream's distinct-key
-    # count is one comparison pass.  When every key fits in one set
-    # (per-set distinct can only be smaller) nothing is ever evicted:
-    # every revisit hits, every first sight misses, and the whole
-    # certify/resolve machinery below is skipped — the common shape for
-    # the upper page-walk-cache levels, whose tag space is tiny.
-    distinct_total = 1 + int(np.count_nonzero(s_keys[1:] != s_keys[:-1]))
-    if distinct_total <= ways:
-        g_hits = prev >= 0
-        unresolved = np.empty(0, dtype=np.int32)
-    else:
-        certain_hit = (prev >= 0) & (gap <= ways)
-        # Windowed max of prev over the last `ways` positions: if every
-        # one of those accesses saw its key for the first time since
-        # before the window, they are `ways` pairwise-distinct keys, all
-        # different from key i (whose own prev is older still) — a
-        # certain eviction.
-        w_start = idx - np.int32(ways)
-        w_max = np.full(total, -1, dtype=np.int32)
-        if ways > 4 and total > ways:
-            # van Herk / Gil-Werman: sliding-window max in three passes
-            # (block prefix/suffix maxima) instead of `ways` shifted
-            # passes.  -1 padding is neutral (prev >= -1 everywhere).
-            pad = (-total) % ways
-            padded = (np.concatenate([prev, np.full(pad, -1, dtype=np.int32)])
-                      if pad else prev)
-            blocks = padded.reshape(-1, ways)
-            prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-            suffix = np.maximum.accumulate(
-                blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-            # max over the closed window [j - ways + 1, j] ...
-            win = np.maximum(suffix[:total - ways + 1], prefix[ways - 1:total])
-            # ... shifted so w_max[i] covers [i - ways, i - 1].
-            w_max[ways:] = win[:total - ways]
-        else:
-            for w in range(1, ways + 1):
-                np.maximum(w_max[w:], prev[:-w], out=w_max[w:])
-        certain_miss = (prev < 0) | (
-            (gap > ways) & (w_start >= seg_start) & (w_max < w_start))
-
-        g_hits = certain_hit
-        unresolved = np.flatnonzero(
-            ~(certain_hit | certain_miss)).astype(np.int32)
+    certain_hit = (prev >= 0) & (gap <= ways)
+    # Windowed max of prev over the last `ways` positions: if every one
+    # of those accesses saw its key for the first time since before the
+    # window, they are `ways` pairwise-distinct keys, all different from
+    # key i (whose own prev is older still) — a certain eviction.
+    w_start = idx - np.int32(ways)
+    w_max = np.full(total, -1, dtype=np.int32)
+    for w in range(1, ways + 1):
+        np.maximum(w_max[w:], prev[:-w], out=w_max[w:])
+    certain_miss = (prev < 0) | (
+        (gap > ways) & (w_start >= seg_start) & (w_max < w_start))
+    g_hits = certain_hit
+    unresolved = np.flatnonzero(~(certain_hit | certain_miss)).astype(np.int32)
 
     # Multi-scale miss certification for the survivors: for a fixed
     # width w, an access j with prev[j] < j - w inside the window
@@ -333,7 +267,7 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     # `ways` of them certify the eviction.  High-turnover single-set
     # streams (the PD page-walk cache: hundreds of hot tags through 32
     # ways) land almost entirely here instead of on the quadratic
-    # resolver below.
+    # resolver below.  Earns engine-gups +7.4% refs_per_s (9/10 pairs).
     for width in (2 * ways, 4 * ways):
         # Each width pass costs O(total); below this population the
         # windowed matrix resolver is cheaper outright.

@@ -104,7 +104,7 @@ class TestBlockPathInvariant:
     """The batched replay assumes every L2 entry under the scheme's tag
     is what the current plan would fill.  An incremental update's
     targeted shootdown breaks that, so blocks run the scalar loop until
-    the next replan restores it."""
+    the next replan or flush restores it."""
 
     BLOCK = np.array([v for v in range(64) if v != 20] * 2, dtype=np.int64)
 
@@ -132,3 +132,22 @@ class TestBlockPathInvariant:
         scheme.access_block(self.BLOCK)
         assert served == []
         assert scheme.stats.accesses == 64 + self.BLOCK.size
+
+    def test_flush_returns_to_the_batched_path(self, monkeypatch):
+        # A flush empties the tenant's L2 entries, so nothing resident
+        # can disagree with the edited plan any more.
+        batched, scalar = new_scheme(), new_scheme()
+        batched.access_block(np.arange(64, dtype=np.int64))
+        for vpn in range(64):
+            scalar.access(vpn)
+        for twin in (batched, scalar):
+            twin.unmap_page(20)
+            twin.flush()
+        served = count_scalar_accesses(batched, monkeypatch)
+        batched.access_block(self.BLOCK)
+        assert served == []
+        for vpn in self.BLOCK.tolist():
+            scalar.access(vpn)
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
+        assert batched.l1.state() == scalar.l1.state()
+        assert batched.l2.array.state() == scalar.l2.array.state()

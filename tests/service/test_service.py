@@ -271,11 +271,14 @@ class TestFailureHandling:
         (b"null", "JSON object"),
         (b'"x"', "JSON object"),
         (b'{"op": "status", "pad": "' + b"x" * 200_000 + b'"}', "too long"),
-    ], ids=["list", "number", "null", "string", "oversize"])
+        # Inside the line limit, but too deep for the JSON decoder.
+        (b"[" * 30_000 + b"]" * 30_000, "malformed JSON"),
+    ], ids=["list", "number", "null", "string", "oversize", "deep-nesting"])
     def test_bad_line_answered_not_dropped(self, line, error):
-        """A line that is valid JSON but no object keeps the connection
-        serving; an oversize line is answered, then the server hangs up.
-        Either way the service itself keeps serving new connections."""
+        """A line that does not parse to a JSON object keeps the
+        connection serving; an oversize line is answered, then the server
+        hangs up.  Either way the service itself keeps serving new
+        connections."""
         oversize = error == "too long"
         with ServiceThread() as service_thread:
             host, port = service_thread.host, service_thread.port

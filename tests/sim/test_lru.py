@@ -41,8 +41,8 @@ def run_both(entries, ways, sets, keys, seed_entries=()):
     assert batched.state() == scalar.state()
 
 
-#: (entries, ways); (1, 1) and (4, 4) are one-set arrays, which run the
-#: fully associative paths.
+#: (entries, ways); (1, 1) and (4, 4) are one-set arrays, whose
+#: accesses need no grouping by set.
 GEOMETRIES = [(1, 1), (4, 2), (4, 4), (8, 2), (8, 4), (16, 4), (64, 8)]
 
 
@@ -69,12 +69,26 @@ class TestSimulateBlock:
         run_both(16, 2, keys >> 2, keys)
 
     def test_run_heavy_trace_hits_step_cap(self):
-        # One hot key pounded between two occurrences of a cold key:
-        # the back-walk exceeds its step cap and must escape to the
-        # exact windowed count.
+        # One hot pair pounded between two occurrences of a cold key:
+        # each widening window finds only two distinct keys, until one
+        # spans the whole gap and settles the cold key as a hit.
         ways = 4
         keys = [99] + [1, 2] * (40 * ways) + [99]
         run_both(8, ways, [0] * len(keys), keys)
+
+    @pytest.mark.parametrize("entries,ways,set_of", [
+        (4, 4, lambda key: 0),
+        (8, 4, lambda key: key & 1),
+    ], ids=["one-set", "two-sets"])
+    def test_straggler_scan(self, entries, ways, set_of):
+        # Key 99's two accesses lie tens of thousands of positions apart
+        # in its set, with at most two distinct keys between them: the
+        # resolver's widening windows stop short of the gap (they give
+        # up past 65,536 positions), so it takes the one exact scan per
+        # straggler.  The trailing keys take the block past `ways`
+        # distinct keys.
+        keys = [99] + [1, 2] * 40_000 + [99, 5, 6, 7, 8]
+        run_both(entries, ways, [set_of(key) for key in keys], keys)
 
     def test_empty_block(self):
         tlb = SetAssociativeTLB(8, 2)
