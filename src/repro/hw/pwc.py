@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.tlb import SetAssociativeTLB, Structure
+from repro.hw.tlb import KEY_MASK, SetAssociativeTLB, Structure
 from repro.sim.lru import simulate_block
 
 # Upper-level index widths (9 bits per level).
@@ -94,7 +94,9 @@ class PageWalkCache(Structure):
         """Batch :meth:`accesses_for` over a block of walks, in order.
 
         ``vpns`` are the walk VPNs of one reference block in trace
-        order; ``huge`` marks the 2 MiB walks (``None`` = all 4 KiB).
+        order, each optionally carrying its tenant's address-space tag
+        above ``TAG_SHIFT`` (a fleet round); ``huge`` marks the 2 MiB
+        walks (``None`` = all 4 KiB).
         Returns the per-walk memory-access counts and leaves the caches
         (contents, LRU order, hit/probe counters) bit-identical to the
         scalar loop.
@@ -112,19 +114,23 @@ class PageWalkCache(Structure):
             return np.zeros(0, dtype=np.int64)
         filled = True
         value_of = lambda tag: filled  # noqa: E731 — walks store True
-        # Each level is one set, so a tag doubles as its set index.
-        pdpt = vpns >> _L3_SHIFT
-        pml4 = vpns >> _L4_SHIFT
+        # A walk of a fleet round carries its tenant's address-space tag
+        # above TAG_SHIFT; every level's key keeps it over the shifted
+        # VPN.  Each level is one set, so a key doubles as its set index.
+        tags = vpns & ~KEY_MASK
+        vpns = vpns & KEY_MASK
+        pdpt = (vpns >> _L3_SHIFT) | tags
+        pml4 = (vpns >> _L4_SHIFT) | tags
         pdpt_hit = simulate_block(self._pdpt, pdpt, pdpt, value_of)
         pml4_hit = simulate_block(self._pml4, pml4, pml4, value_of)
         pd_hit = np.zeros(n, dtype=bool)
         if huge is None:
-            pd = vpns >> _L2_SHIFT
+            pd = (vpns >> _L2_SHIFT) | tags
             pd_hit = simulate_block(self._pd, pd, pd, value_of)
             huge = np.zeros(n, dtype=bool)
         else:
             small = ~huge
-            pd = vpns[small] >> _L2_SHIFT
+            pd = (vpns[small] >> _L2_SHIFT) | tags[small]
             pd_hit[small] = simulate_block(self._pd, pd, pd, value_of)
         accesses = np.where(
             huge,

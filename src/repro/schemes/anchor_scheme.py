@@ -33,16 +33,20 @@ import numpy as np
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.anchor_tlb import KIND_ANCHOR, KIND_HUGE, AnchorL2TLB
+from repro.hw.tlb import KEY_MASK, TAG_SHIFT
 from repro.schemes.base import TranslationScheme
 from repro.sim.lru import isin_sorted, simulate_block
 from repro.vmos.anchor import AnchorDirectory
 from repro.vmos.contiguity import contiguity_histogram
 from repro.vmos.distance import select_distance
-from repro.vmos.mapping import MemoryMapping, sorted_arrays
+from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
 from repro.vmos.regions import AnchorRegion, RegionTable
 from repro.vmos.shootdown import ShootdownLog
 
 _HUGE_SHIFT = 9
+
+# A miss row's L2 outcome, the column of its tenant's stats row.
+_WALK, _SMALL_HIT, _HUGE_HIT, _COALESCED = range(4)
 
 
 def _merged(plans: list[dict[int, int]]) -> dict[int, int]:
@@ -253,7 +257,7 @@ class AnchorScheme(TranslationScheme):
         return self._block_cache
 
     def access_block(self, vpns: np.ndarray) -> None:
-        """Vectorised fast path.
+        """Vectorised fast path, for one tenant's block or a fleet round.
 
         The L1 arrays are promote-or-insert LRU (every head is filled
         with its directory translation whatever the L2 outcome), so both
@@ -269,58 +273,102 @@ class AnchorScheme(TranslationScheme):
         carries its region's shift (``dlog``) into every anchor key and
         set it builds.
 
-        The batching rests on one invariant: every L2 entry under the
-        scheme's tag is what the current plan would fill.  Only the
+        A fleet round's rows carry their tenants' tags (see
+        :meth:`TranslationScheme.access_block`).  Each tenant's run is
+        looked up in that tenant's own plan; then every shared structure
+        — both L1 arrays, the L2 and each page-walk-cache level — takes
+        one :func:`simulate_block` call over rows keyed with their own
+        tag, and one ``bincount`` splits the outcomes into per-tenant
+        stats.  A block of one tenant's untagged rows is the one-run
+        case under the scheme's current tag.
+
+        The batching rests on one invariant: every L2 entry under a
+        tenant's tag is what its current plan would fill.  Only the
         §3.3 incremental updates break it; until the next replan or
-        flush restores it, blocks run the scalar loop.
+        flush restores it, that tenant's blocks run the scalar loop, and
+        a round holding it runs the base loop.
         """
-        if self._drifted:
-            return super().access_block(vpns)
-        if vpns.shape[0] == 0:
-            return
-        hg, sm, an, huge, small_dir, anchor_cont, ok = self._directory_arrays()
-        stage = self._l1_stage(vpns, sm, hg, small_dir, huge) if ok else None
-        if stage is None:
-            return super().access_block(vpns)
-        heads, is_huge, pfn_heads, hbase, hit1 = stage
         n = vpns.shape[0]
+        if n == 0:
+            return
+        runs = self._tenant_runs(vpns)
+        rows = vpns & KEY_MASK
+        if runs is None:
+            runs = [(self, self.l2.array.tag, 0, n)]
+        # Each run's plan, by tag for value_of; each tenant's anchors
+        # numbered from its own offset, one id space for every anchor
+        # the block can touch.
+        stage_runs = []
+        plan_of = {}
+        numbered: dict[AnchorScheme, tuple[int, KeyIndex, int]] = {}
+        anchor_ids = 0
+        for tenant, tag, _, stop in runs:
+            if tenant._drifted:
+                return TranslationScheme.access_block(self, vpns)
+            hg, sm, an, huge, small, anchors, ok = tenant._directory_arrays()
+            if not ok:
+                return TranslationScheme.access_block(self, vpns)
+            tag_base = tag << TAG_SHIFT
+            if tenant not in numbered:
+                numbered[tenant] = (anchor_ids, an, tag_base)
+                anchor_ids += an.keys.size
+            stage_runs.append((tag_base, stop, sm, hg, small, huge))
+            plan_of[tag] = (small, huge, anchors)
+        stage = self._l1_stage(rows, stage_runs)
+        if stage is None:
+            return TranslationScheme.access_block(self, vpns)
+        heads, owner, is_huge, pfn_heads, hbase, hit1 = stage
 
         miss = ~hit1
-        table = self.l2.table
         array = self.l2.array
         imask = array.index_mask
         ways = array.ways
         buckets = array._sets
-        # The replay builds raw keys, bypassing the array's tag packing;
-        # OR the active tenant's tag base in explicitly (0 when untagged)
-        # so tagged entries of other tenants never alias but still
-        # contend for ways.  simulate_block packs the same bits itself.
-        tbase = array._tag_base
         mk = heads[miss]
         m = mk.shape[0]
+        m_owner = owner[miss]
         m_huge = is_huge[miss]
         m_hb = hbase[miss]
-        # Every mapped page lies in a region: its row's shift.
-        dlog = table.dlogs[table.rows_of(mk)]
-        avpn = mk >> dlog << dlog
-        an_keys = an.keys
-        na = an_keys.size
-        # Row of each miss's anchor in the plan (-1, the spare last slot
-        # of the per-anchor arrays below, when it has none).
-        aid = an.rows_of(avpn)
-        af = aid >= 0
-        cont = an.values_of(aid)
-        appn, _ = sm.lookup(avpn)
         m_pfn = pfn_heads[miss]
+        # Each tenant's misses in its own plan: the run's shift (every
+        # mapped page lies in a region), and the anchor it would use
+        # (-1, the spare last slot of the per-anchor arrays below, when
+        # it has none).
+        dlog = np.empty(m, dtype=np.int64)
+        aid = np.empty(m, dtype=np.int64)
+        cont = np.empty(m, dtype=np.int64)
+        appn = np.empty(m, dtype=np.int64)
+        p = len(runs)
+        misses = np.bincount(m_owner, minlength=p)
+        start = 0
+        stops = np.cumsum(misses).tolist()
+        for (tenant, *_), (_, _, sm, *_), stop in zip(runs, stage_runs, stops):
+            offset, an, _ = numbered[tenant]
+            table = tenant.l2.table
+            seg = mk[start:stop]
+            d = table.dlogs[table.rows_of(seg)]
+            seg_avpn = seg >> d << d
+            rows_in_plan = an.rows_of(seg_avpn)
+            dlog[start:stop] = d
+            aid[start:stop] = np.where(
+                rows_in_plan >= 0, rows_in_plan + offset, -1)
+            cont[start:stop] = an.values_of(rows_in_plan)
+            appn[start:stop] = sm.lookup(seg_avpn)[0]
+            start = stop
+        # The replay builds raw keys, bypassing the array's tag packing:
+        # every row ORs in its own tenant's tag base, so entries of
+        # different tenants never alias but still contend for ways.
+        tb = np.array([run[0] for run in stage_runs], dtype=np.int64)[m_owner]
+        avpn = mk >> dlog << dlog
         small_m = ~m_huge
         anchored = small_m & (mk - avpn < cont)
         unanch = small_m & ~anchored
         aidx = (mk >> dlog) & imask
-        pak = ((avpn << 2) | KIND_ANCHOR) | np.int64(tbase)
+        pak = ((avpn << 2) | KIND_ANCHOR) | tb
 
         main_keys = np.where(
             m_huge, ((mk >> _HUGE_SHIFT) << 2) | KIND_HUGE,
-            np.where(anchored, (avpn << 2) | KIND_ANCHOR, mk << 2))
+            np.where(anchored, (avpn << 2) | KIND_ANCHOR, mk << 2)) | tb
         main_sets = np.where(
             m_huge, (mk >> _HUGE_SHIFT) & imask,
             np.where(anchored, aidx, mk & imask))
@@ -329,25 +377,28 @@ class AnchorScheme(TranslationScheme):
         # touches few distinct anchors, so probing their buckets beats
         # snapshotting the whole array.  The same anchor VPN indexes a
         # different set under a different shift, so probe once per
-        # distinct shift in the table (once for a one-row table).
-        probe = af & small_m
+        # distinct shift in the tenants' tables.
+        probe = (aid >= 0) & small_m
         resident = np.zeros(m, dtype=bool)
-        for shift in sorted(set(table.shifts)):
-            rows = probe & (dlog == shift)
-            touched = np.zeros(na + 1, dtype=bool)
-            touched[aid[rows]] = True
-            rf = np.zeros(na + 1, dtype=bool)
-            for j in np.flatnonzero(touched[:na]).tolist():
-                av = int(an_keys[j])
-                key = ((av << 2) | KIND_ANCHOR) | tbase
-                rf[j] = key in buckets[(av >> shift) & imask]
-            resident |= rows & rf[aid]
+        shifts = {s for tenant in numbered for s in tenant.l2.table.shifts}
+        for shift in sorted(shifts):
+            at = probe & (dlog == shift)
+            touched = np.zeros(anchor_ids + 1, dtype=bool)
+            touched[aid[at]] = True
+            found = np.zeros(anchor_ids + 1, dtype=bool)
+            for offset, an, tag_base in numbered.values():
+                ids = np.flatnonzero(touched[offset:offset + an.keys.size])
+                found[ids + offset] = [
+                    (((av << 2) | KIND_ANCHOR) | tag_base)
+                    in buckets[(av >> shift) & imask]
+                    for av in an.keys[ids].tolist()]
+            resident |= at & found[aid]
 
         # Candidate weak touches: an unanchored miss probes its anchor
         # key and promotes it if resident — possible only if that key
         # was resident at block start or an in-block anchored row
         # inserts it.  Their sets replay exactly.
-        inblk = np.zeros(na + 1, dtype=bool)
+        inblk = np.zeros(anchor_ids + 1, dtype=bool)
         inblk[aid[anchored]] = True
         cand = unanch & (resident | (probe & inblk[aid]))
         bad_sets = np.unique(aidx[cand])
@@ -366,6 +417,8 @@ class AnchorScheme(TranslationScheme):
         clean = ~row_bad
 
         def value_of(key: int):
+            small_dir, huge, anchor_cont = plan_of[key >> TAG_SHIFT]
+            key &= KEY_MASK
             kind = key & 3
             base = key >> 2
             if kind == KIND_ANCHOR:
@@ -377,85 +430,82 @@ class AnchorScheme(TranslationScheme):
         hit2 = np.zeros(m, dtype=bool)
         hit2[clean] = simulate_block(
             array, main_sets[clean], main_keys[clean], value_of)
-        walk_mask = clean & ~hit2
-        ch = clean & hit2
-        l2_huge = int(np.count_nonzero(ch & m_huge))
-        coalesced = int(np.count_nonzero(ch & anchored))
-        l2_small = int(np.count_nonzero(ch & unanch))
+        # Each miss row's L2 outcome; the exact replay below overwrites
+        # the contaminated rows'.
+        outcome = np.where(hit2, np.where(
+            m_huge, _HUGE_HIT, np.where(anchored, _COALESCED, _SMALL_HIT)),
+            _WALK)
 
         # Exact replay of the contaminated sets, plus the weak anchor
-        # promotions of clean unanchored misses, in trace order.
-        for i in np.flatnonzero(row_bad | weak_only).tolist():
-            if weak_only[i]:
-                if hit2[i]:  # main probe hit: the anchor is never probed
-                    continue
-                abucket = buckets[int(aidx[i])]
-                akey = int(pak[i])
+        # promotions of clean unanchored misses whose main probe missed,
+        # in trace order, over plain lists of the replayed rows' columns.
+        # A row first probes its own entry: its huge entry, or its small
+        # entry under the row's own tag.
+        replay = np.flatnonzero(row_bad | (weak_only & ~hit2))
+        codes = outcome[replay].tolist()
+        small_keys = (mk << 2) | tb  # | KIND_SMALL
+        columns = [column[replay].tolist() for column in (
+            weak_only, m_huge, np.where(m_huge, main_sets, mk & imask),
+            np.where(m_huge, main_keys, small_keys), aidx, pak, mk - avpn,
+            cont, appn, np.where(m_huge, m_hb, m_pfn))]
+        for j, (weak, huge_row, own_set, own_key, aset, akey, offset,
+                contiguity, anchor_pfn, value) in enumerate(zip(*columns)):
+            if weak:
+                abucket = buckets[aset]
                 entry = abucket.get(akey)
                 if entry is not None:
                     del abucket[akey]
                     abucket[akey] = entry
                 continue
-            vpn = int(mk[i])
-            if m_huge[i]:
-                bucket = buckets[int(main_sets[i])]
-                key = int(main_keys[i]) | tbase
-                value = bucket.get(key)
-                if value is not None:
-                    del bucket[key]
-                    bucket[key] = value
-                    l2_huge += 1
-                else:
-                    walk_mask[i] = True
-                    if len(bucket) >= ways:
-                        del bucket[next(iter(bucket))]
-                    bucket[key] = int(m_hb[i])
-                continue
-            bucket = buckets[vpn & imask]
-            skey = (vpn << 2) | tbase  # | KIND_SMALL
-            value = bucket.get(skey)
-            if value is not None:
-                del bucket[skey]
-                bucket[skey] = value
-                l2_small += 1
-                continue
-            abucket = buckets[int(aidx[i])]
-            akey = int(pak[i])
-            entry = abucket.get(akey)
-            av = int(avpn[i])
+            bucket = buckets[own_set]
+            entry = bucket.get(own_key)
             if entry is not None:
-                # The probe touches LRU even when contiguity misses.
-                del abucket[akey]
-                abucket[akey] = entry
-                if vpn - av < entry[1]:
-                    coalesced += 1
-                    continue
-            walk_mask[i] = True
-            if vpn - av < int(cont[i]):
-                if akey in abucket:
+                del bucket[own_key]
+                bucket[own_key] = entry
+                codes[j] = _HUGE_HIT if huge_row else _SMALL_HIT
+                continue
+            if not huge_row:
+                abucket = buckets[aset]
+                entry = abucket.get(akey)
+                if entry is not None:
+                    # The probe touches LRU even when contiguity misses.
                     del abucket[akey]
-                elif len(abucket) >= ways:
-                    del abucket[next(iter(abucket))]
-                abucket[akey] = (int(appn[i]), int(cont[i]))
-            else:
-                if len(bucket) >= ways:
-                    del bucket[next(iter(bucket))]
-                bucket[skey] = int(m_pfn[i])
+                    abucket[akey] = entry
+                    if offset < entry[1]:
+                        codes[j] = _COALESCED
+                        continue
+                if offset < contiguity:
+                    if akey in abucket:
+                        del abucket[akey]
+                    elif len(abucket) >= ways:
+                        del abucket[next(iter(abucket))]
+                    abucket[akey] = (anchor_pfn, contiguity)
+                    continue
+            if len(bucket) >= ways:
+                del bucket[next(iter(bucket))]
+            bucket[own_key] = value
+        outcome[replay] = codes
 
-        walks = int(np.count_nonzero(walk_mask))
-        walk_pt = 0
-        if self.pwc is not None:
-            walk_pt = self._block_walk_accesses(
-                mk[walk_mask], m_huge[walk_mask])
-        self.stats.bulk_update(
-            accesses=n,
-            l1_hits=n - heads.shape[0] + int(np.count_nonzero(hit1)),
-            l2_small_hits=l2_small,
-            l2_huge_hits=l2_huge,
-            coalesced_hits=coalesced,
-            walks=walks,
-            walk_pt_accesses=walk_pt,
-        )
+        walked = outcome == _WALK
+        walk_pt = [0] * p
+        if self.pwc is not None and walked.any():
+            accesses = self.pwc.accesses_for_block(
+                mk[walked] | tb[walked], m_huge[walked])
+            walk_pt = np.bincount(
+                m_owner[walked], weights=accesses, minlength=p
+            ).astype(np.int64).tolist()
+        l2 = np.bincount(m_owner * 4 + outcome, minlength=4 * p).reshape(p, 4)
+        for r, (tenant, _, start, stop) in enumerate(runs):
+            walks, small_hits, huge_hits, coalesced = l2[r].tolist()
+            tenant.stats.bulk_update(
+                accesses=stop - start,
+                l1_hits=stop - start - int(misses[r]),
+                l2_small_hits=small_hits,
+                l2_huge_hits=huge_hits,
+                coalesced_hits=coalesced,
+                walks=walks,
+                walk_pt_accesses=walk_pt[r],
+            )
 
     # ------------------------------------------------------------------
     # Dynamic distance management (epoch boundary hook)

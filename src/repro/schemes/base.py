@@ -31,6 +31,7 @@ from repro.params import (
     DEFAULT_MACHINE, GIGA_PAGE_PAGES, HUGE_PAGE_PAGES, MachineConfig)
 from repro.hw.l1 import L1TLB
 from repro.hw.pwc import PageWalkCache
+from repro.hw.tlb import KEY_MASK, TAG_SHIFT
 from repro.sim.lru import collapse_runs, simulate_block
 from repro.sim.stats import TranslationStats
 from repro.vmos.mapping import FrozenMapping, KeyIndex, MemoryMapping
@@ -77,6 +78,12 @@ class TranslationScheme(abc.ABC):
     #: page-walk caches off), is skipped.
     hardware: tuple[str, ...] = ("l1", "pwc")
 
+    #: The ASID -> tenant table of a tagged fleet whose tenants share one
+    #: hierarchy, or ``None``.  ``simulate_shard`` fills it as it binds
+    #: and tags the live tenants, and every tenant holds the same table,
+    #: so any of them can route the rows of a scheduling round.
+    tenants: dict[int, "TranslationScheme"] | None = None
+
     def __init__(
         self,
         mapping: MemoryMapping,
@@ -108,10 +115,15 @@ class TranslationScheme(abc.ABC):
         their own mutators (e.g. ``AnchorScheme.unmap_page``) resync
         ``_synced_version`` themselves and never see the full rebuild.
         """
-        version = self.mapping.version
-        if version != self._synced_version:
-            self._synced_version = version
+        if self.mapping_changed:
+            self._synced_version = self.mapping.version
             self._on_mapping_update(self.mapping.frozen())
+
+    @property
+    def mapping_changed(self) -> bool:
+        """True when the next :meth:`sync_mapping` adopts a new mapping
+        version (the tenant scheduler cuts a round before it)."""
+        return self.mapping.version != self._synced_version
 
     def _on_mapping_update(self, frozen: FrozenMapping) -> None:
         """React to a mapping mutation (default: full TLB shootdown).
@@ -145,48 +157,108 @@ class TranslationScheme(abc.ABC):
         fast path is unavailable — in practice only when the block
         contains an unmapped page, so the per-reference loop raises the
         page fault at exactly the right reference.
+
+        A block whose rows carry address-space tags above ``TAG_SHIFT``
+        is a multi-tenant block: a tagged fleet's scheduling round.  It
+        means this: for each run of rows under one tag, in order, select
+        that tag and hand the untagged rows to the tenant's own
+        ``access_block``.  That is the per-quantum loop, and the
+        reference a scheme's own round replay must match.  No tagged row
+        is a mapped page, so every override's unmapped-page fallback
+        routes a round here.
         """
+        runs = self._tenant_runs(vpns)
+        if runs is not None:
+            for tenant, tag, start, stop in runs:
+                tenant.set_asid(tag)
+                tenant.access_block(vpns[start:stop] & KEY_MASK)
+            return
         access = self.access
         for vpn in vpns.tolist():
             access(vpn)
 
+    def _tenant_runs(
+        self, vpns: np.ndarray
+    ) -> list[tuple["TranslationScheme", int, int, int]] | None:
+        """``(tenant, tag, start, stop)`` per run of rows under one tag,
+        in block order, through the fleet's ASID table; ``None`` for a
+        block of one tenant's untagged rows.
+
+        A round's rows all carry tags (live fleet tenants never hold tag
+        0), and a tenant's own block carries none, so the first row
+        tells the two apart.
+        """
+        if self.tenants is None or vpns.shape[0] == 0 or vpns[0] <= KEY_MASK:
+            return None
+        tags = vpns >> TAG_SHIFT
+        cuts = (np.flatnonzero(tags[1:] != tags[:-1]) + 1).tolist()
+        table = self.tenants
+        return [
+            (table[tag], tag, start, stop)
+            for tag, start, stop in zip(
+                tags[[0, *cuts]].tolist(), [0, *cuts], [*cuts, vpns.shape[0]])
+        ]
+
     def _l1_stage(
         self,
-        vpns: np.ndarray,
-        small_index: KeyIndex,
-        huge_index: KeyIndex,
-        small: dict[int, int],
-        huge: dict[int, int],
+        rows: np.ndarray,
+        runs: list[tuple[int, int, KeyIndex, KeyIndex, dict, dict]],
     ) -> tuple[np.ndarray, ...] | None:
         """The L1 stage of a block fast path over 4 KiB and 2 MiB pages.
 
+        ``rows`` are untagged VPNs, split into tenant runs: one
+        ``(tag_base, stop, small_index, huge_index, small, huge)`` per
+        run, in block order, giving the run's address-space tag base and
+        its plan (the 4 KiB and 2 MiB window indexes, and the dicts
+        behind them).  Cluster and rmm pass one run under tag base 0,
+        which takes the arrays' tag register; a fleet round passes one
+        run per tenant quantum.
+
         Collapses repeated references into heads, classifies each head
-        by page size through the 2 MiB window index, and resolves both
-        L1 arrays with :func:`simulate_block` (promote-or-insert: every
-        head fills its own translation, whatever the L2 does).  Returns
-        ``(heads, is_huge, pfn, hbase, hit1)`` — per head its page-size
+        by page size through its plan's 2 MiB window index, and resolves
+        each L1 array with one :func:`simulate_block` over keys carrying
+        their run's tag (promote-or-insert: every head fills its own
+        translation, whatever the L2 does).  Returns ``(heads, owner,
+        is_huge, pfn, hbase, hit1)`` — per head its run, page-size
         class, 4 KiB PFN (0 on 2 MiB heads), 2 MiB base PFN and L1
         outcome — or ``None``, before touching any state, when the block
-        holds an unmapped page: the caller then falls back to the scalar
+        holds an unmapped page: the caller then falls back to the base
         loop, which faults at exactly the right reference.
         """
-        heads = collapse_runs(vpns)
-        hvpn = heads >> _HUGE_SHIFT
-        hbase, is_huge = huge_index.lookup(hvpn << _HUGE_SHIFT)
+        parts = []
+        start = 0
+        for _, stop, small_index, huge_index, _, _ in runs:
+            heads = collapse_runs(rows[start:stop])
+            hbase, is_huge = huge_index.lookup(
+                (heads >> _HUGE_SHIFT) << _HUGE_SHIFT)
+            is_small = ~is_huge
+            pfn_small, found = small_index.lookup(heads[is_small])
+            if not found.all():
+                return None
+            pfn = np.zeros(heads.shape[0], dtype=np.int64)
+            pfn[is_small] = pfn_small
+            parts.append((heads, is_huge, pfn, hbase))
+            start = stop
+        heads, is_huge, pfn, hbase = (
+            parts[0] if len(parts) == 1
+            else [np.concatenate(column) for column in zip(*parts)])
+        counts = [part[0].shape[0] for part in parts]
+        owner = np.repeat(np.arange(len(runs)), counts)
+        tag = np.repeat(np.array([run[0] for run in runs], dtype=np.int64),
+                        counts)
+        smalls = {run[0] >> TAG_SHIFT: run[4] for run in runs}
+        huges = {run[0] >> TAG_SHIFT: run[5] for run in runs}
         is_small = ~is_huge
-        small_heads = heads[is_small]
-        pfn_small, found = small_index.lookup(small_heads)
-        if not found.all():
-            return None
         hit1 = np.empty(heads.shape[0], dtype=bool)
+        keys = heads[is_small] | tag[is_small]
         hit1[is_small] = simulate_block(
-            self.l1.small, small_heads, small_heads, small.__getitem__)
-        hv = hvpn[is_huge]
-        huge_value = lambda h: huge[h << _HUGE_SHIFT]  # noqa: E731
-        hit1[is_huge] = simulate_block(self.l1.huge, hv, hv, huge_value)
-        pfn = np.zeros(heads.shape[0], dtype=np.int64)
-        pfn[is_small] = pfn_small
-        return heads, is_huge, pfn, hbase, hit1
+            self.l1.small, keys, keys,
+            lambda key: smalls[key >> TAG_SHIFT][key & KEY_MASK])
+        keys = (heads[is_huge] >> _HUGE_SHIFT) | tag[is_huge]
+        hit1[is_huge] = simulate_block(
+            self.l1.huge, keys, keys,
+            lambda key: huges[key >> TAG_SHIFT][(key & KEY_MASK) << _HUGE_SHIFT])
+        return heads, owner, is_huge, pfn, hbase, hit1
 
     def structures(self) -> dict[str, Any]:
         """The declared :attr:`hardware` this instance holds, by name."""

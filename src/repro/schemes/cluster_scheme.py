@@ -178,10 +178,11 @@ class ClusterScheme(TranslationScheme):
         small_index, huge_index = self._sorted_views()
         huge = self._huge
         small = self._small
-        stage = self._l1_stage(vpns, small_index, huge_index, small, huge)
+        stage = self._l1_stage(
+            vpns, [(0, vpns.shape[0], small_index, huge_index, small, huge)])
         if stage is None:
             return super().access_block(vpns)
-        heads, is_huge, pfn_heads, _, hit1 = stage
+        heads, _, is_huge, pfn_heads, _, hit1 = stage
         n = vpns.shape[0]
 
         miss = ~hit1

@@ -133,11 +133,11 @@ class RMMScheme(TranslationScheme):
             return
         frozen = self.mapping.frozen()
         small_index, huge_index = self._sorted_views()
-        stage = self._l1_stage(
-            vpns, small_index, huge_index, self._small, self._huge)
+        stage = self._l1_stage(vpns, [(
+            0, vpns.shape[0], small_index, huge_index, self._small, self._huge)])
         if stage is None:
             return super().access_block(vpns)
-        heads, is_huge, pfn_heads, hbase, hit1 = stage
+        heads, _, is_huge, pfn_heads, hbase, hit1 = stage
         n = vpns.shape[0]
 
         miss = ~hit1

@@ -41,6 +41,14 @@ accesses with numpy instead of one Python call per reference:
 A call therefore costs its block plus the resident entries of the sets
 it touches; sets the block never touches are neither read nor written.
 
+Row tags.  A key packs its address-space tag (ASID) above
+:data:`~repro.hw.tlb.TAG_SHIFT`, where no VPN reaches.  A row whose tag
+field is empty takes the array's tag register, as the scalar methods
+do; a row that carries a tag keeps it.  So a tagged fleet replays a
+whole scheduling round — several tenants' quanta, each row keyed with
+its own tenant's ASID — in one call per shared structure: rows of
+different tags never alias, they only contend for ways.
+
 Beside that one general path sits one shortcut that paid when removed
 alone (EXPERIMENTS.md, "Kernel fast paths"): the multi-scale pass of
 step 3, worth +7.4% engine-gups ``refs_per_s`` (9 of 10 pairs).  Three
@@ -68,7 +76,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.hw.tlb import TAG_SHIFT
+from repro.hw.tlb import KEY_MASK, TAG_SHIFT
 
 __all__ = [
     "collapse_runs",
@@ -172,14 +180,17 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     what schemes whose scalar probe can hit the array, find its slot
     uncovered, and rebuild the entry in place (CoLT, cluster) rely on.
 
-    When the array carries a nonzero address-space tag (``tlb.tag``),
-    the incoming keys are packed with that tag exactly as the scalar
-    ``lookup``/``insert`` methods pack theirs, so tagged lookups stay
-    vectorised: other tenants' resident entries never match (their keys
-    differ in the high bits) but still occupy ways and age through LRU —
-    the shared-TLB contention.  The block never accesses them, so they
-    keep their values under any tag, 0 included; ``value_of`` sees the
-    caller's untagged keys.
+    Keys may carry an address-space tag above ``TAG_SHIFT``, row by
+    row.  A key whose tag field is empty takes the array's tag register
+    (``tlb.tag``), exactly as the scalar ``lookup``/``insert`` methods
+    pack theirs; a key that carries a tag keeps it, so one call can
+    replay a fleet round whose rows belong to several tenants, each
+    keyed with its own ASID.  Either way tagged lookups stay vectorised:
+    other tenants' resident entries never match (their keys differ in
+    the high bits) but still occupy ways and age through LRU — the
+    shared-TLB contention.  Entries the block never accesses keep their
+    values under any tag, 0 included.  ``value_of`` sees the caller's
+    keys, tagged or not.
     """
     n = keys.shape[0]
     hits = np.zeros(n, dtype=bool)
@@ -191,7 +202,9 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     tag = getattr(tlb, "tag", 0)
     raw_keys = keys
     if tag:
-        keys = keys | np.int64(tag << TAG_SHIFT)
+        # Rows that carry their own tag keep it; the rest take the
+        # array's tag register.
+        keys = np.where(keys > KEY_MASK, keys, keys | np.int64(tag << TAG_SHIFT))
 
     # Synthetic prefix: replaying the resident entries of the touched
     # sets (LRU -> MRU) into an empty array reproduces their current

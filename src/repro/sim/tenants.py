@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.params import DEFAULT_MACHINE, SCENARIO_ORDER, MachineConfig
-from repro.hw.tlb import TAG_BITS
+from repro.hw.tlb import TAG_BITS, TAG_SHIFT
 from repro.sim.stats import COUNTER_FIELDS, TranslationStats
 from repro.sim.trace import Trace
 from repro.sim.trace_store import TraceStore
@@ -205,6 +205,19 @@ def run_schedule(
     references instead — the knob the flush-vs-tagged sensitivity
     experiment turns.
 
+    Under ``tagged``, when the tenants share one hierarchy (their
+    schemes hold the fleet's ASID table, ``scheme.tenants``), each
+    round's quanta replay as one multi-tenant block: concatenated in
+    schedule order, each reference carrying its tenant's ASID above
+    ``TAG_SHIFT``, in a single ``access_block`` call, so every shared
+    structure takes one kernel call per round rather than per quantum.
+    Switch and distance-register bookkeeping still runs per quantum, in
+    order, and a round is cut before any ``sync_mapping`` that adopts a
+    new mapping version (its shootdown must land between the quanta it
+    separates).  A page fault surfaces when its round replays, after the
+    bookkeeping of the round's later quanta.  Otherwise every quantum is
+    its own ``access_block``.
+
     Returns the last tenant that actually ran (feed it back in as
     ``previous`` to continue the timeline across waves).
     """
@@ -213,6 +226,16 @@ def run_schedule(
         counters = ScheduleCounters()
 
     active = list(members)
+    batched = (policy == "tagged" and bool(active)
+               and active[0].scheme.tenants is not None)
+    pending: list[np.ndarray] = []
+
+    def replay() -> None:
+        # Any tenant's scheme routes the round through the ASID table;
+        # take the last one to run.
+        previous.scheme.access_block(np.concatenate(pending))
+        pending.clear()
+
     while active:
         counters.rounds += 1
         storm = storm_every > 0 and counters.rounds % storm_every == 0
@@ -225,6 +248,10 @@ def run_schedule(
                 # Exhausted with nothing left to run: drop silently.
                 active.remove(member)
                 continue
+            if pending and member.scheme.mapping_changed:
+                # Before the switch-in, so the round's tags stay those of
+                # the quanta it holds.
+                replay()
             if previous is not member:
                 if previous is not None:
                     counters.switches += 1
@@ -239,12 +266,17 @@ def run_schedule(
                 if policy == "tagged":
                     _activate(member, registers)
             member.scheme.sync_mapping()
-            member.scheme.access_block(block)
+            if batched:
+                pending.append(block | np.int64(member.asid << TAG_SHIFT))
+            else:
+                member.scheme.access_block(block)
             member.executed += int(block.shape[0])
             member.slices += 1
             previous = member
             if block.shape[0] < q:
                 active.remove(member)
+        if pending:
+            replay()
     return previous
 
 
@@ -662,6 +694,9 @@ def simulate_shard(
     prototypes: dict[tuple[str, str, int], Any] = {}
     shared: dict[str, Any] | None = None
     allocator: _AsidAllocator | None = None
+    #: The live wave's tenants by ASID (tag 0 is never allocated).
+    asids: dict[int, Any] = {}
+    mapped: dict[str, np.ndarray] = {}
     chunk = max(tenancy.quantum, tenancy.storm_quantum, 1024)
     phases = {"mapping": 0.0, "scheme": 0.0, "kernel": 0.0}
 
@@ -717,16 +752,24 @@ def simulate_shard(
         A store hit serves the whole trace as one read-only mmap
         buffer — every slice the cursor hands out is a view into the
         shared page cache, so concurrent shards replaying the same
-        trace key cost one copy of the bytes machine-wide.  A miss
-        falls back to streaming generation (bit-identical by the
-        chunk-invariance contract).
+        trace key cost one copy of the bytes machine-wide.  With
+        ``trace_variants`` set, each distinct trace is mapped once per
+        shard and kept in ``mapped`` (at most ``workloads x
+        trace_variants`` maps); without, every tenant's trace is its
+        own and nothing is kept.  A miss falls back to streaming
+        generation (bit-identical by the chunk-invariance contract).
         """
         if trace_store is not None:
-            stored = trace_store.get(
-                TraceStore.key(spec.workload, spec.references, spec.seed)
-            )
-            if stored is not None:
-                return _Cursor(iter([stored.vpns]))
+            key = TraceStore.key(spec.workload, spec.references, spec.seed)
+            vpns = mapped.get(key)
+            if vpns is None:
+                stored = trace_store.get(key)
+                if stored is not None:
+                    vpns = stored.vpns
+                    if fleet.trace_variants:
+                        mapped[key] = vpns
+            if vpns is not None:
+                return _Cursor(iter([vpns]))
         source = get_workload(spec.workload).trace_source(
             spec.references, seed=spec.seed
         )
@@ -734,13 +777,15 @@ def simulate_shard(
 
     def bind_shared(s: Any) -> None:
         """Point this tenant's scheme at the one physical hierarchy: the
-        first tenant's (fresh, empty) structures become everyone's."""
+        first tenant's (fresh, empty) structures become everyone's, and
+        the shard's ASID table routes every round's rows."""
         nonlocal shared, allocator
         if shared is None:
             shared = s.structures()
             allocator = _AsidAllocator(shared.values(), bits=tenancy.asid_bits)
         for name, structure in s.structures().items():
             setattr(s, name, structure.attach(shared[name]))
+        s.tenants = asids
 
     previous: TenantRun | None = None
     waves = 0
@@ -765,6 +810,7 @@ def simulate_shard(
                 bind_shared(scheme_obj)
                 assert allocator is not None
                 member.asid = allocator.allocate()
+                asids[member.asid] = scheme_obj
                 _save_distance(member, registers)
             members.append(member)
         kernel_start = time.perf_counter()
@@ -779,6 +825,7 @@ def simulate_shard(
             previous=previous,
         )
         phases["kernel"] += time.perf_counter() - kernel_start
+        asids.clear()
         for member in members:
             member.scheme.stats.check_conservation()
             total.accumulate(member.scheme.stats)

@@ -41,17 +41,19 @@ def test_no_tracked_bytecode():
     assert findings == [], f"tracked bytecode:\n{rendered}"
 
 
-def test_seeded_violation_is_caught():
-    """The acceptance scenario: a bare default_rng in sim/ must fail."""
-    scratch = SRC / "sim" / "_lint_canary.py"
-    assert not scratch.exists()
-    scratch.write_text(
+def test_seeded_violation_is_caught(tmp_path):
+    """The acceptance scenario: a bare default_rng in sim/ must fail.
+
+    The canary lives in a package root of its own, never in the live
+    tree, so concurrent test sessions in one checkout cannot collide.
+    """
+    canary = tmp_path / "repro" / "sim" / "_lint_canary.py"
+    canary.parent.mkdir(parents=True)
+    canary.write_text(
         "import numpy as np\nRNG = np.random.default_rng(0)\n")
-    try:
-        result = run_checks([SRC], root=REPO_ROOT, repo_checks=False)
-        assert result.exit_code == 1
-        assert any(f.rule == "determinism"
-                   and f.path.endswith("sim/_lint_canary.py")
-                   for f in result.findings)
-    finally:
-        scratch.unlink()
+    result = run_checks([tmp_path / "repro"], root=tmp_path,
+                        repo_checks=False)
+    assert result.exit_code == 1
+    assert any(f.rule == "determinism"
+               and f.path.endswith("sim/_lint_canary.py")
+               for f in result.findings)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hw.tlb import SetAssociativeTLB
+from repro.hw.tlb import KEY_MASK, TAG_SHIFT, SetAssociativeTLB
 from repro.sim.lru import collapse_runs, isin_sorted, simulate_block
 from repro.vmos.mapping import KeyIndex, sorted_arrays
 
@@ -142,6 +142,44 @@ class TestSimulateBlock:
             got = simulate_block(batched, keys, keys, tagged_value)
             assert got.tolist() == expected.tolist()
             assert batched.state() == scalar.state()
+
+    @pytest.mark.parametrize("entries,ways", GEOMETRIES)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 11)),
+                      min_size=1, max_size=120),
+        seeded=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 11)),
+                        max_size=12),
+        register=st.integers(0, 4),
+    )
+    def test_property_mixed_tag_rows(self, entries, ways, rows, seeded,
+                                     register):
+        """A fleet round in one call: rows of mixed tags, each key
+        carrying its own tag above TAG_SHIFT, leave the same hits and
+        state as the scalar lookup/insert loop with the tag switched per
+        row — whatever tag the array's register holds, and with
+        residents of several tags in the touched sets."""
+        scalar = SetAssociativeTLB(entries, ways)
+        batched = SetAssociativeTLB(entries, ways)
+        for tag, key in seeded:
+            for tlb in (scalar, batched):
+                tlb.set_tag(tag)
+                tlb.insert(key, key, ("value", tag, key))
+        batched.set_tag(register)
+        expected = np.zeros(len(rows), dtype=bool)
+        for i, (tag, key) in enumerate(rows):
+            scalar.set_tag(tag)
+            if scalar.lookup(key, key) is not None:
+                expected[i] = True
+            else:
+                scalar.insert(key, key, ("value", tag, key))
+        keys = np.asarray([key | tag << TAG_SHIFT for tag, key in rows],
+                          dtype=np.int64)
+        got = simulate_block(
+            batched, keys, keys,
+            lambda key: ("value", key >> TAG_SHIFT, key & KEY_MASK))
+        assert got.tolist() == expected.tolist()
+        assert batched.state() == scalar.state()
 
     def test_value_of_sees_only_accessed_keys(self):
         """A block touching two of four sets: ``value_of`` is asked only

@@ -1,16 +1,24 @@
 """Tests for fleet-scale multi-tenant scheduling (repro.sim.tenants)."""
 
+import contextlib
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
+import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import PageFaultError
 from repro.hw.tlb import TAG_BITS, TAG_SHIFT
 from repro.mem.frames import FrameRange
-from repro.params import DEFAULT_MACHINE
+from repro.params import DEFAULT_MACHINE, MachineConfig, TLBGeometry
+from repro.schemes import anchor_scheme
 from repro.schemes.anchor_scheme import AnchorScheme
 from repro.schemes.base import TranslationScheme
 from repro.schemes.baseline import BaselineScheme
@@ -31,6 +39,7 @@ from repro.sim.trace import Trace
 from repro.util.proc import peak_rss_bytes
 from repro.vmos.distance import DistanceRegisterFile
 from repro.vmos.mapping import MemoryMapping
+from repro.vmos.vma import VMA
 
 
 def make_mapping(pages=256, base=10_000):
@@ -547,6 +556,238 @@ class TestAsidAllocator:
             t_row = {k: v for k, v in t_row.items() if k != "asid"}
             f_row = {k: v for k, v in f_row.items() if k != "asid"}
             assert t_row == f_row
+
+
+def _base_loop():
+    """Patch ``AnchorScheme.access_block`` to hand every multi-tenant
+    block to the base loop (the meaning of a round), keeping the
+    scheme's own replay for each tenant's untagged run."""
+    original = AnchorScheme.access_block
+
+    def access_block(self, vpns):
+        if self._tenant_runs(vpns) is not None:
+            return TranslationScheme.access_block(self, vpns)
+        return original(self, vpns)
+    return mock.patch.object(AnchorScheme, "access_block", access_block)
+
+
+#: A small machine, so short rounds still evict and contaminate sets.
+ROUND_MACHINE = MachineConfig(
+    l1_4k=TLBGeometry(8, 2),
+    l1_2m=TLBGeometry(4, 2),
+    l1_1g=TLBGeometry(4, 2),
+    l2_1g=TLBGeometry(4, 2),
+    l2=TLBGeometry(32, 4),
+)
+
+
+def _fragmented_mapping(seed: int) -> MemoryMapping:
+    """Two VMAs of different fragmentation (short runs, then long
+    ones, so anchor-region picks two distances) plus one aligned 2 MiB
+    run for THP promotion."""
+    rng = np.random.default_rng(seed)
+    mapping = MemoryMapping()
+    vpn, pfn = 0, 1 << 20
+    for end, sizes in ((768, (1, 2, 3, 5)), (1536, (16, 40, 100))):
+        while vpn < end:
+            size = min(int(rng.choice(sizes)), end - vpn)
+            pfn += int(rng.integers(1, 50))
+            mapping.map_run(vpn, FrameRange(pfn, size))
+            vpn += size
+            pfn += size
+    mapping.map_run(2048, FrameRange(1 << 22, 512))
+    mapping.vmas = [VMA(0, 768), VMA(768, 768), VMA(2048, 512)]
+    return mapping
+
+
+class _HookedCursor:
+    """A cursor that runs ``hook`` just before its ``at``-th take."""
+
+    def __init__(self, cursor, at, hook):
+        self._cursor, self._at, self._hook, self._takes = cursor, at, hook, 0
+
+    def take(self, n):
+        self._takes += 1
+        if self._takes == self._at:
+            self._hook()
+        return self._cursor.take(n)
+
+
+#: The round cuts the differential below injects.
+EVENTS = ("none", "remap", "unmapped", "drift")
+
+
+def _run_round_fleet(name, pwc, tenants, quantum, storm, seed, event, at,
+                     variant):
+    """One tagged schedule of ``tenants`` anchor tenants on one shared
+    hierarchy, replayed as ``variant``: ``"rounds"`` (the ASID table
+    set, the scheme's own round replay), ``"base"`` (the table set,
+    rounds through the base loop) or ``"quanta"`` (no table: one
+    ``access_block`` per quantum).  Returns the page fault raised, if
+    any, and the stats and shared hardware state it ends in."""
+    machine = dataclasses.replace(ROUND_MACHINE, pwc=pwc)
+    rng = np.random.default_rng(seed)
+    schemes = [make_scheme(name, _fragmented_mapping(seed + i), machine)
+               for i in range(tenants)]
+    shared = schemes[0].structures()
+    table = {}
+    members = []
+    for asid, scheme in enumerate(schemes, start=1):
+        for attr, structure in scheme.structures().items():
+            setattr(scheme, attr, structure.attach(shared[attr]))
+        if variant != "quanta":
+            scheme.tenants = table
+            table[asid] = scheme
+        # A local random walk over the mapped pages, but for the last
+        # few 4 KiB leaves, which stay free for the drift event to unmap.
+        pool = scheme.mapping.frozen().vpns
+        pool = pool[(pool < 1520) | (pool >= 2048)]
+        steps = rng.integers(-3, 4, int(rng.integers(50, 400)))
+        vpns = pool[np.cumsum(steps) % pool.shape[0]].astype(np.int64)
+        if event == "unmapped" and asid == tenants:
+            vpns[int(rng.integers(0, vpns.shape[0]))] = 10_000
+        members.append(TenantRun(name=f"t{asid}", scheme=scheme,
+                                 cursor=_Cursor(iter([vpns])), asid=asid))
+    if event == "remap":
+        # The last tenant's own mapping moves a page: its next sync
+        # adopts the new version, cutting the round before it.
+        last = members[-1].scheme.mapping
+        page = int(last.frozen().vpns[5])
+
+        def remap():
+            pfn = last.unmap_page(page)
+            last.map_page(page, pfn + 7)
+        members[-1].cursor = _HookedCursor(members[-1].cursor, at, remap)
+    elif event == "drift":
+        # The first tenant unmaps a page it never touches: an
+        # incremental shootdown, so its plan has drifted.
+        first = members[0].scheme
+        members[0].cursor = _HookedCursor(
+            members[0].cursor, at, lambda: first.unmap_page(1535))
+    storm_every, storm_quantum = storm
+    fault = None
+    with _base_loop() if variant == "base" else contextlib.nullcontext():
+        try:
+            run_schedule(members, quantum=quantum, policy="tagged",
+                         storm_every=storm_every, storm_quantum=storm_quantum,
+                         registers=DistanceRegisterFile())
+        except PageFaultError as exc:
+            fault = str(exc)
+    state = {
+        "stats": [scheme.stats.snapshot() for scheme in schemes],
+        "l1": schemes[0].l1.state(),
+        "l2": schemes[0].l2.array.state(),
+    }
+    if pwc:
+        pwc_hw = schemes[0].pwc
+        state["pwc"] = (pwc_hw.state(), pwc_hw.hits, pwc_hw.probes)
+    return fault, state
+
+
+#: The contaminated-set replay's per-row tag base, and two mutants that
+#: drop it: one leaves the small key untagged, one takes the array's
+#: tag register (the last tenant switched in) for every row.
+ROW_TAG_LINE = "small_keys = (mk << 2) | tb"
+ROW_TAG_MUTANTS = ("small_keys = mk << 2",
+                   "small_keys = (mk << 2) | array._tag_base")
+
+
+def _mutated_access_block(replacement):
+    """``AnchorScheme.access_block`` with the contaminated-set replay's
+    per-row tag base replaced, compiled in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(AnchorScheme.access_block))
+    assert source.count(ROW_TAG_LINE) == 1
+    namespace = dict(vars(anchor_scheme))
+    exec(compile(source.replace(ROW_TAG_LINE, replacement),
+                 anchor_scheme.__file__, "exec"), namespace)
+    return namespace["access_block"]
+
+
+#: A contended fleet whose rounds hit contaminated sets of several
+#: tenants: the mutation test's input.
+MUTATION_FLEET = TenantFleet(size=12, workloads=("gups", "omnetpp"),
+                             scenarios=("low", "max"), references=1200,
+                             seed=7, mapping_variants=2)
+
+
+class TestRoundReplay:
+    """A tagged fleet replays each scheduling round as one multi-tenant
+    block; the base loop (``TranslationScheme.access_block``: each
+    tenant's run under its own tag, in order) defines what that block
+    means, and the anchor scheme's one replay must match it."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(name=st.sampled_from(["anchor-dyn", "anchor-region"]),
+           pwc=st.booleans(), quantum=st.integers(20, 400),
+           active_pool=st.integers(1, 5),
+           storm=st.sampled_from([(0, 0), (2, 37), (3, 5)]),
+           seed=st.integers(0, 40))
+    def test_fleet_rounds_match_base_loop(self, name, pwc, quantum,
+                                          active_pool, storm, seed):
+        """Whole fleets: waves of ``active_pool`` tenants, storms, ASID
+        recycling, PWC off and on."""
+        fleet = TenantFleet(size=6, workloads=("gups", "omnetpp"),
+                            scenarios=("low", "max"), references=500,
+                            seed=seed, mapping_variants=2)
+        knobs = dict(scheme=name, policy="tagged", quantum=quantum,
+                     active_pool=active_pool, storm_every=storm[0],
+                     storm_quantum=storm[1],
+                     machine=dataclasses.replace(DEFAULT_MACHINE, pwc=pwc))
+        rounds = simulate_fleet(fleet, **knobs).to_dict()
+        with _base_loop():
+            base = simulate_fleet(fleet, **knobs).to_dict()
+        assert rounds == base
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["anchor-dyn", "anchor-region"]),
+           pwc=st.booleans(), tenants=st.integers(1, 4),
+           quantum=st.integers(1, 80),
+           storm=st.sampled_from([(0, 0), (2, 7), (3, 1)]),
+           seed=st.integers(0, 1000), event=st.sampled_from(EVENTS),
+           at=st.integers(1, 4))
+    def test_round_cuts_match_base_loop_and_quanta(
+            self, name, pwc, tenants, quantum, storm, seed, event, at):
+        """Round replay, the base loop and one block per quantum end in
+        the same stats and shared state — through a mapping remapped
+        between quanta (the round is cut before that tenant's sync), a
+        block with an unmapped page (the page fault, raised by the
+        scalar loop) and a tenant drifted by ``unmap_page`` (the round
+        runs the base loop)."""
+        runs = [_run_round_fleet(name, pwc, tenants, quantum, storm, seed,
+                                 event, at, variant)
+                for variant in ("rounds", "base", "quanta")]
+        assert runs[0] == runs[1] == runs[2]
+        if event == "unmapped":
+            assert runs[0][0] is not None
+
+    def test_rounds_route_through_one_call(self):
+        """Each round is one ``access_block`` call of tagged rows."""
+        calls = []
+        original = AnchorScheme.access_block
+
+        def spy(self, vpns):
+            calls.append(self._tenant_runs(vpns) is not None)
+            return original(self, vpns)
+
+        with mock.patch.object(AnchorScheme, "access_block", spy):
+            fault, _ = _run_round_fleet("anchor-dyn", False, 3, 40, (0, 0),
+                                        1, "none", 1, "rounds")
+        assert fault is None
+        assert calls and all(calls)
+
+    @pytest.mark.parametrize("replacement", ROW_TAG_MUTANTS)
+    def test_dropping_row_tags_fails_the_differential(self, replacement):
+        """The differential is tight: a replay whose contaminated sets
+        lose their per-row tag base no longer matches the base loop."""
+        knobs = dict(scheme="anchor-dyn", policy="tagged", quantum=150,
+                     active_pool=4)
+        with _base_loop():
+            base = simulate_fleet(MUTATION_FLEET, **knobs).to_dict()
+        assert simulate_fleet(MUTATION_FLEET, **knobs).to_dict() == base
+        with mock.patch.object(AnchorScheme, "access_block",
+                               _mutated_access_block(replacement)):
+            mutant = simulate_fleet(MUTATION_FLEET, **knobs).to_dict()
+        assert mutant != base
 
 
 class TestDistanceRegisterFile:
