@@ -60,12 +60,13 @@ class AnchorL2TLB(Structure):
         self.array.flush()
 
     def restore_distance(self, distance: int) -> None:
-        """Restore a tenant's distance register on a context switch.
+        """Load a tenant's distance register, flushing nothing.
 
         Per §3.1 the distance is per-process context reloaded alongside
         CR3.  Unlike :meth:`set_distance` this does *not* flush: the
         incoming tenant's entries (created under this same distance) are
-        exactly the ones its tagged lookups can hit, so they survive.
+        exactly the ones its tagged lookups can hit, so they survive.  A
+        §3.3 change flushes its own tenant's tag after the load.
         """
         if distance != self.distance:
             self.table = RegionTable.spanning(distance)
@@ -136,15 +137,13 @@ class AnchorL2TLB(Structure):
 
     # -- shootdown support ----------------------------------------------
 
-    def invalidate_small(self, vpn: int) -> bool:
-        return self.array.invalidate(vpn, (vpn << 2) | KIND_SMALL)
+    # ``tag`` names the entry's tenant, as INVPCID's single-address form.
+    def invalidate_small(self, vpn: int, tag: int = 0) -> bool:
+        return self.array.invalidate(vpn, (vpn << 2) | KIND_SMALL, tag)
 
-    def invalidate_huge(self, hvpn: int) -> bool:
-        return self.array.invalidate(hvpn, (hvpn << 2) | KIND_HUGE)
-
-    def invalidate_anchor(self, avpn: int) -> bool:
+    def invalidate_anchor(self, avpn: int, tag: int = 0) -> bool:
         index = avpn >> self.table.shift_of(avpn)
-        return self.array.invalidate(index, (avpn << 2) | KIND_ANCHOR)
+        return self.array.invalidate(index, (avpn << 2) | KIND_ANCHOR, tag)
 
     def flush(self) -> None:
         self.array.flush()

@@ -112,8 +112,7 @@ class PageWalkCache(Structure):
         n = vpns.shape[0]
         if n == 0:
             return np.zeros(0, dtype=np.int64)
-        filled = True
-        value_of = lambda tag: filled  # noqa: E731 — walks store True
+        filled = np.ones(n, dtype=bool)  # walks store True
         # A walk of a fleet round carries its tenant's address-space tag
         # above TAG_SHIFT; every level's key keeps it over the shifted
         # VPN.  Each level is one set, so a key doubles as its set index.
@@ -121,17 +120,17 @@ class PageWalkCache(Structure):
         vpns = vpns & KEY_MASK
         pdpt = (vpns >> _L3_SHIFT) | tags
         pml4 = (vpns >> _L4_SHIFT) | tags
-        pdpt_hit = simulate_block(self._pdpt, pdpt, pdpt, value_of)
-        pml4_hit = simulate_block(self._pml4, pml4, pml4, value_of)
+        pdpt_hit = simulate_block(self._pdpt, pdpt, pdpt, filled)
+        pml4_hit = simulate_block(self._pml4, pml4, pml4, filled)
         pd_hit = np.zeros(n, dtype=bool)
         if huge is None:
             pd = (vpns >> _L2_SHIFT) | tags
-            pd_hit = simulate_block(self._pd, pd, pd, value_of)
+            pd_hit = simulate_block(self._pd, pd, pd, filled)
             huge = np.zeros(n, dtype=bool)
         else:
             small = ~huge
             pd = (vpns[small] >> _L2_SHIFT) | tags[small]
-            pd_hit[small] = simulate_block(self._pd, pd, pd, value_of)
+            pd_hit[small] = simulate_block(self._pd, pd, pd, filled[small])
         accesses = np.where(
             huge,
             np.where(pdpt_hit, 1, np.where(pml4_hit, 2, 3)),

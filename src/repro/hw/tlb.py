@@ -140,9 +140,10 @@ class SetAssociativeTLB(Structure):
             del bucket[next(iter(bucket))]
         bucket[key] = value
 
-    def invalidate(self, index: int, key: int) -> bool:
-        bucket = self._sets[index & self.index_mask]
-        return bucket.pop(key | self._tag_base, None) is not None
+    def invalidate(self, index: int, key: int, tag: int = 0) -> bool:
+        """Drop ``key`` under ``tag`` (0: the tag register)."""
+        key |= tag << TAG_SHIFT if tag else self._tag_base
+        return self._sets[index & self.index_mask].pop(key, None) is not None
 
     def flush(self) -> None:
         """Drop the selected tag's entries (every entry when untagged):

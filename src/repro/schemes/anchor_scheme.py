@@ -93,9 +93,9 @@ class AnchorScheme(TranslationScheme):
         """One coverage plan per region row, over the current mapping.
 
         Every caller empties the scheme's L2 entries around the replan
-        (a new L2, ``set_distance`` or a flush), so afterwards each entry
-        under the scheme's tag is again what this plan would fill: the
-        invariant :meth:`access_block` batches on.
+        (a new L2 or a flush), so afterwards each entry under the
+        scheme's tag is again what this plan would fill: the invariant
+        :meth:`access_block` batches on.
         """
         self._directories = AnchorDirectory.build_regions(
             self.mapping,
@@ -244,16 +244,13 @@ class AnchorScheme(TranslationScheme):
         """
         if self._block_cache is None:
             plans = self._directories
-            huge = _merged([plan.huge for plan in plans])
-            small = _merged([plan.small for plan in plans])
-            anchors = _merged([plan.anchor_contiguity for plan in plans])
-            hg = sorted_arrays(huge)
-            sm = sorted_arrays(small)
-            an = sorted_arrays(anchors)
+            hg = sorted_arrays(_merged([plan.huge for plan in plans]))
+            sm = sorted_arrays(_merged([plan.small for plan in plans]))
+            an = sorted_arrays(
+                _merged([plan.anchor_contiguity for plan in plans]))
             # Every anchor sits on a 4 KiB leaf by construction; if that
             # ever broke, the block path could not resolve APPNs safely.
-            anchors_ok = sm.contains_all(an.keys)
-            self._block_cache = (hg, sm, an, huge, small, anchors, anchors_ok)
+            self._block_cache = (hg, sm, an, sm.contains_all(an.keys))
         return self._block_cache
 
     def access_block(self, vpns: np.ndarray) -> None:
@@ -295,25 +292,22 @@ class AnchorScheme(TranslationScheme):
         rows = vpns & KEY_MASK
         if runs is None:
             runs = [(self, self.l2.array.tag, 0, n)]
-        # Each run's plan, by tag for value_of; each tenant's anchors
-        # numbered from its own offset, one id space for every anchor
-        # the block can touch.
+        # Each run's plan; each tenant's anchors numbered from its own
+        # offset, one id space for every anchor the block can touch.
         stage_runs = []
-        plan_of = {}
         numbered: dict[AnchorScheme, tuple[int, KeyIndex, int]] = {}
         anchor_ids = 0
         for tenant, tag, _, stop in runs:
             if tenant._drifted:
                 return TranslationScheme.access_block(self, vpns)
-            hg, sm, an, huge, small, anchors, ok = tenant._directory_arrays()
+            hg, sm, an, ok = tenant._directory_arrays()
             if not ok:
                 return TranslationScheme.access_block(self, vpns)
             tag_base = tag << TAG_SHIFT
             if tenant not in numbered:
                 numbered[tenant] = (anchor_ids, an, tag_base)
                 anchor_ids += an.keys.size
-            stage_runs.append((tag_base, stop, sm, hg, small, huge))
-            plan_of[tag] = (small, huge, anchors)
+            stage_runs.append((tag_base, stop, sm, hg))
         stage = self._l1_stage(rows, stage_runs)
         if stage is None:
             return TranslationScheme.access_block(self, vpns)
@@ -328,8 +322,8 @@ class AnchorScheme(TranslationScheme):
         m = mk.shape[0]
         m_owner = owner[miss]
         m_huge = is_huge[miss]
-        m_hb = hbase[miss]
-        m_pfn = pfn_heads[miss]
+        # The value a walk fills for each row's own entry.
+        m_fill = np.where(m_huge, hbase[miss], pfn_heads[miss])
         # Each tenant's misses in its own plan: the run's shift (every
         # mapped page lies in a region), and the anchor it would use
         # (-1, the spare last slot of the per-anchor arrays below, when
@@ -409,27 +403,24 @@ class AnchorScheme(TranslationScheme):
             row_bad = np.zeros(m, dtype=bool)
             weak_only = row_bad
 
-        # Batched main stream over the clean sets only.  The kernel
-        # asks value_of about each accessed key that survives into the
-        # final state, once per key rather than per row; the invariant
-        # guarantees a key that hits a resident entry resolves to that
-        # entry's value.
-        clean = ~row_bad
+        # Batched main stream over the clean sets only.  Each row fills
+        # its main entry: the anchor's (APPN, contiguity), else its own
+        # value.  The kernel reads them only at the rows that leave a key
+        # resident; the invariant guarantees a row that hits a resident
+        # entry would fill that entry's value.
+        clean = np.flatnonzero(~row_bad)
 
-        def value_of(key: int):
-            small_dir, huge, anchor_cont = plan_of[key >> TAG_SHIFT]
-            key &= KEY_MASK
-            kind = key & 3
-            base = key >> 2
-            if kind == KIND_ANCHOR:
-                return (small_dir[base], anchor_cont[base])
-            if kind == KIND_HUGE:
-                return huge[base << _HUGE_SHIFT]
-            return small_dir[base]
+        def main_fills(rows: np.ndarray) -> list:
+            rows = clean[rows]
+            return [
+                (anchor_pfn, contiguity) if is_anchor else value
+                for is_anchor, anchor_pfn, contiguity, value in zip(
+                    anchored[rows].tolist(), appn[rows].tolist(),
+                    cont[rows].tolist(), m_fill[rows].tolist())]
 
         hit2 = np.zeros(m, dtype=bool)
         hit2[clean] = simulate_block(
-            array, main_sets[clean], main_keys[clean], value_of)
+            array, main_sets[clean], main_keys[clean], main_fills)
         # Each miss row's L2 outcome; the exact replay below overwrites
         # the contaminated rows'.
         outcome = np.where(hit2, np.where(
@@ -447,7 +438,7 @@ class AnchorScheme(TranslationScheme):
         columns = [column[replay].tolist() for column in (
             weak_only, m_huge, np.where(m_huge, main_sets, mk & imask),
             np.where(m_huge, main_keys, small_keys), aidx, pak, mk - avpn,
-            cont, appn, np.where(m_huge, m_hb, m_pfn))]
+            cont, appn, m_fill)]
         for j, (weak, huge_row, own_set, own_key, aset, akey, offset,
                 contiguity, anchor_pfn, value) in enumerate(zip(*columns)):
             if weak:
@@ -514,9 +505,10 @@ class AnchorScheme(TranslationScheme):
     def reselect_distance(self) -> tuple[int, bool]:
         """Re-run Algorithm 1 (an OS epoch tick, §4.1).
 
-        Re-plans the one-row table and flushes the TLBs when the pick
-        changes; the OS-side cost lands in :attr:`shootdowns`.  Returns
-        ``(distance, changed)``.
+        Re-plans the one-row table and flushes the scheme's L1 and L2
+        entries, under its own ASID, when the pick changes; the OS-side
+        cost lands in :attr:`shootdowns`.  Returns ``(distance,
+        changed)``.
         """
         if not self.dynamic:
             return self.distance, False
@@ -524,9 +516,9 @@ class AnchorScheme(TranslationScheme):
         if picked == self.distance:
             return picked, False
         self.shootdowns.record_distance_change(self.mapping.mapped_pages, picked)
-        self.l2.set_distance(picked)
+        self.l2.restore_distance(picked)
         self._build_directories()
-        self.l1.flush()
+        self._flush_own(self.l1, self.l2)
         return picked, True
 
     # ------------------------------------------------------------------
@@ -544,10 +536,11 @@ class AnchorScheme(TranslationScheme):
         # stays scalar until the next replan or flush.
         self._block_cache = None
         self._drifted = True
-        self.l1.small.invalidate(vpn, vpn)
-        self.l2.invalidate_small(vpn)
+        # Under its own ASID: the tag register may hold another tenant's.
+        self.l1.small.invalidate(vpn, vpn, self.asid)
+        self.l2.invalidate_small(vpn, self.asid)
         for avpn in anchors:
-            self.l2.invalidate_anchor(avpn)
+            self.l2.invalidate_anchor(avpn, self.asid)
         self.shootdowns.record_unmap(1, directory.distance)
 
     def unmap_page(self, vpn: int) -> int:

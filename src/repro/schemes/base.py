@@ -84,6 +84,11 @@ class TranslationScheme(abc.ABC):
     #: so any of them can route the rows of a scheduling round.
     tenants: dict[int, "TranslationScheme"] | None = None
 
+    #: The ASID :meth:`set_asid` last selected (0: untagged).  The
+    #: scheme's own flushes and shootdowns name it, never the shared
+    #: arrays' tag register, which holds whichever tenant ran last.
+    asid: int = 0
+
     def __init__(
         self,
         mapping: MemoryMapping,
@@ -133,10 +138,11 @@ class TranslationScheme(abc.ABC):
         snapshots, then call ``super()._on_mapping_update(frozen)`` (or
         :meth:`flush` directly) — resident TLB entries may translate
         through frames the OS just remapped, and
-        :func:`repro.sim.lru.simulate_block` stores ``value_of`` — the
-        current mapping — for every key a block hits, where the scalar
-        path keeps the resident value; the two agree only while resident
-        values match the current mapping.
+        :func:`repro.sim.lru.simulate_block` stores a hitting row's value,
+        looked up in the current mapping, where the scalar path keeps the
+        resident value; the two agree only while resident values match
+        the current mapping.  The flush names the scheme's own ASID, so a
+        tagged neighbour's entries survive it.
         """
         self.flush()
 
@@ -202,32 +208,32 @@ class TranslationScheme(abc.ABC):
     def _l1_stage(
         self,
         rows: np.ndarray,
-        runs: list[tuple[int, int, KeyIndex, KeyIndex, dict, dict]],
+        runs: list[tuple[int, int, KeyIndex, KeyIndex]],
     ) -> tuple[np.ndarray, ...] | None:
         """The L1 stage of a block fast path over 4 KiB and 2 MiB pages.
 
         ``rows`` are untagged VPNs, split into tenant runs: one
-        ``(tag_base, stop, small_index, huge_index, small, huge)`` per
-        run, in block order, giving the run's address-space tag base and
-        its plan (the 4 KiB and 2 MiB window indexes, and the dicts
-        behind them).  Cluster and rmm pass one run under tag base 0,
-        which takes the arrays' tag register; a fleet round passes one
-        run per tenant quantum.
+        ``(tag_base, stop, small_index, huge_index)`` per run, in block
+        order, giving the run's address-space tag base and its plan's
+        4 KiB and 2 MiB window indexes.  Cluster and rmm pass one run
+        under tag base 0, which takes the arrays' tag register; a fleet
+        round passes one run per tenant quantum.
 
         Collapses repeated references into heads, classifies each head
         by page size through its plan's 2 MiB window index, and resolves
         each L1 array with one :func:`simulate_block` over keys carrying
-        their run's tag (promote-or-insert: every head fills its own
-        translation, whatever the L2 does).  Returns ``(heads, owner,
-        is_huge, pfn, hbase, hit1)`` — per head its run, page-size
-        class, 4 KiB PFN (0 on 2 MiB heads), 2 MiB base PFN and L1
-        outcome — or ``None``, before touching any state, when the block
-        holds an unmapped page: the caller then falls back to the base
-        loop, which faults at exactly the right reference.
+        their run's tag (promote-or-insert: every head fills the PFN or
+        2 MiB base its plan looked up, whatever the L2 does).  Returns
+        ``(heads, owner, is_huge, pfn, hbase, hit1)`` — per head its
+        run, page-size class, 4 KiB PFN (0 on 2 MiB heads), 2 MiB base
+        PFN and L1 outcome — or ``None``, before touching any state,
+        when the block holds an unmapped page: the caller then falls
+        back to the base loop, which faults at exactly the right
+        reference.
         """
         parts = []
         start = 0
-        for _, stop, small_index, huge_index, _, _ in runs:
+        for _, stop, small_index, huge_index in runs:
             heads = collapse_runs(rows[start:stop])
             hbase, is_huge = huge_index.lookup(
                 (heads >> _HUGE_SHIFT) << _HUGE_SHIFT)
@@ -246,18 +252,14 @@ class TranslationScheme(abc.ABC):
         owner = np.repeat(np.arange(len(runs)), counts)
         tag = np.repeat(np.array([run[0] for run in runs], dtype=np.int64),
                         counts)
-        smalls = {run[0] >> TAG_SHIFT: run[4] for run in runs}
-        huges = {run[0] >> TAG_SHIFT: run[5] for run in runs}
         is_small = ~is_huge
         hit1 = np.empty(heads.shape[0], dtype=bool)
         keys = heads[is_small] | tag[is_small]
         hit1[is_small] = simulate_block(
-            self.l1.small, keys, keys,
-            lambda key: smalls[key >> TAG_SHIFT][key & KEY_MASK])
+            self.l1.small, keys, keys, pfn[is_small])
         keys = (heads[is_huge] >> _HUGE_SHIFT) | tag[is_huge]
         hit1[is_huge] = simulate_block(
-            self.l1.huge, keys, keys,
-            lambda key: huges[key >> TAG_SHIFT][(key & KEY_MASK) << _HUGE_SHIFT])
+            self.l1.huge, keys, keys, hbase[is_huge])
         return heads, owner, is_huge, pfn, hbase, hit1
 
     def structures(self) -> dict[str, Any]:
@@ -271,9 +273,17 @@ class TranslationScheme(abc.ABC):
 
     def flush(self) -> None:
         """Flush the scheme's TLB state (context switch / shootdown);
-        under an address-space tag, only that tag's entries."""
-        for structure in self.structures().values():
-            structure.flush()
+        under an address-space tag, only its own ASID's entries."""
+        self._flush_own(*self.structures().values())
+
+    def _flush_own(self, *structures: Any) -> None:
+        """Drop this scheme's :attr:`asid` entries from ``structures``
+        (under ASID 0, whatever each one's ``flush`` drops)."""
+        for structure in structures:
+            if self.asid:
+                structure.flush_tag(self.asid)
+            else:
+                structure.flush()
 
     def set_asid(self, asid: int) -> None:
         """Select this tenant's address-space tag on every TLB structure.
@@ -285,6 +295,7 @@ class TranslationScheme(abc.ABC):
         """
         for structure in self.structures().values():
             structure.set_tag(asid)
+        self.asid = asid
 
     # ------------------------------------------------------------------
     # Prototype cloning (fleet-scale construction amortisation)
@@ -327,6 +338,7 @@ class TranslationScheme(abc.ABC):
         clone.__dict__.update(self.__dict__)
         for name, structure in self.structures().items():
             setattr(clone, name, structure.fresh())
+        clone.asid = 0
         clone.stats = TranslationStats(latency=self.config.latency)
         clone._reset_clone()
         return clone

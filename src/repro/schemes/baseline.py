@@ -62,14 +62,14 @@ class BaselineScheme(TranslationScheme):
         if vpns.shape[0] == 0:
             return
         heads = collapse_runs(vpns)
-        if not self.mapping.frozen().contains_all(heads):
+        pfn, found = self.mapping.frozen().translate_block(heads)
+        if not found.all():
             # An unmapped page in the block: the scalar loop raises the
             # page fault at exactly the right reference.
             return super().access_block(vpns)
-        small = self._small
-        hit1 = simulate_block(self.l1.small, heads, heads, small.__getitem__)
+        hit1 = simulate_block(self.l1.small, heads, heads, pfn)
         miss1 = heads[~hit1]
-        hit2 = simulate_block(self.l2, miss1, miss1, small.__getitem__)
+        hit2 = simulate_block(self.l2, miss1, miss1, pfn[~hit1])
         l2_hits = int(np.count_nonzero(hit2))
         walk_vpns = miss1[~hit2]
         self.stats.bulk_update(

@@ -176,13 +176,11 @@ class ClusterScheme(TranslationScheme):
         if vpns.shape[0] == 0:
             return
         small_index, huge_index = self._sorted_views()
-        huge = self._huge
-        small = self._small
         stage = self._l1_stage(
-            vpns, [(0, vpns.shape[0], small_index, huge_index, small, huge)])
+            vpns, [(0, vpns.shape[0], small_index, huge_index)])
         if stage is None:
             return super().access_block(vpns)
-        heads, _, is_huge, pfn_heads, _, hit1 = stage
+        heads, _, is_huge, pfn_heads, hbase, hit1 = stage
         n = vpns.shape[0]
 
         miss = ~hit1
@@ -206,13 +204,8 @@ class ClusterScheme(TranslationScheme):
             reg_huge,
             ((rk >> _HUGE_SHIFT) << 1) | _KIND_HUGE,
             rk << 1)
-
-        def reg_value_of(key: int):
-            if key & _KIND_HUGE:
-                return huge[(key >> 1) << _HUGE_SHIFT]
-            return small[key >> 1]
-
-        hit2 = simulate_block(self.regular, reg_sets, reg_keys, reg_value_of)
+        reg_fill = np.where(m_huge, hbase[miss], pfn)[reg_rows]
+        hit2 = simulate_block(self.regular, reg_sets, reg_keys, reg_fill)
         l2_huge = int(np.count_nonzero(hit2 & reg_huge))
         l2_small = int(np.count_nonzero(hit2)) - l2_huge
         walk_mask = np.zeros(mk.shape[0], dtype=bool)
@@ -258,18 +251,18 @@ class ClusterScheme(TranslationScheme):
         cvc = strong_vc[clean]
         cpc = strong_pc[clean]
         c_offs = strong_offs[clean]
-        # Last build per vcluster wins, like the walks.  Entries are
-        # materialised lazily: value_of only runs for the block's own
-        # keys that survive into the final state, not per access.
-        last_row = dict(zip(cvc.tolist(), range(cvc.shape[0])))
 
-        def c_value_of(vc: int) -> ClusterEntry:
-            j = last_row[vc]
-            return ClusterEntry(
-                vc, int(cpc[j]) << _CLUSTER_SHIFT,
-                tuple(int(o) if o >= 0 else None for o in c_offs[j]))
+        def entries(rows: np.ndarray) -> list[ClusterEntry]:
+            # Each row builds what its walk would; the kernel keeps the
+            # last build per vcluster, and only for survivors.
+            return [
+                ClusterEntry(vc, pc << _CLUSTER_SHIFT,
+                             tuple(o if o >= 0 else None for o in offs))
+                for vc, pc, offs in zip(cvc[rows].tolist(),
+                                        cpc[rows].tolist(),
+                                        c_offs[rows].tolist())]
 
-        array_hit = simulate_block(carr, cvc, cvc, c_value_of)
+        array_hit = simulate_block(carr, cvc, cvc, entries)
         prev = previous_occurrence(cvc)
         has_prev = prev >= 0
         covered = np.zeros(cvc.shape[0], dtype=bool)

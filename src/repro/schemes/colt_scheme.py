@@ -91,12 +91,12 @@ class ColtScheme(TranslationScheme):
             return
         frozen = self.mapping.frozen()
         heads = collapse_runs(vpns)
-        if not frozen.contains_all(heads):
+        pfn, found = frozen.translate_block(heads)
+        if not found.all():
             # An unmapped page in the block: the scalar loop raises the
             # page fault at exactly the right reference.
             return super().access_block(vpns)
-        small = self._small
-        hit1 = simulate_block(self.l1.small, heads, heads, small.__getitem__)
+        hit1 = simulate_block(self.l1.small, heads, heads, pfn)
         mk = heads[~hit1]
         lines = mk >> _LINE_SHIFT
         # The entry any walk at mk[i] would build: the adjacency run
@@ -111,24 +111,21 @@ class ColtScheme(TranslationScheme):
         ent_pfn = frozen.run_pfn[run] + (ent_start - run_start)
 
         # Entries resident before the block, for the coverage checks on
-        # first probes (the kernel asks value_of only about the block's
-        # own lines).  Snapshot keys are as stored — tag-packed — so
-        # every lookup below packs the array's current tag.
+        # first probes (the kernel rewrites only the block's own lines).
+        # Snapshot keys are as stored — tag-packed — so every lookup
+        # below packs the array's current tag.
         tag_base = self.l2.tag << TAG_SHIFT
         snapshot = {
             key: entry
             for bucket in self.l2._sets
             for key, entry in bucket.items()
         }
-        built = dict(zip(
-            lines.tolist(),
-            zip(ent_start.tolist(), ent_pfn.tolist(), ent_pages.tolist()),
-        ))
 
-        def value_of(line: int) -> ColtEntry:
-            return ColtEntry(*built[line])
+        def entries(rows: np.ndarray) -> list[ColtEntry]:
+            return list(map(ColtEntry, ent_start[rows].tolist(),
+                            ent_pfn[rows].tolist(), ent_pages[rows].tolist()))
 
-        array_hit = simulate_block(self.l2, lines, lines, value_of)
+        array_hit = simulate_block(self.l2, lines, lines, entries)
         prev = previous_occurrence(lines)
         has_prev = prev >= 0
         covered = np.zeros(mk.shape[0], dtype=bool)

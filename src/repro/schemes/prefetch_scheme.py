@@ -130,14 +130,14 @@ class PrefetchScheme(TranslationScheme):
             return
         frozen = self.mapping.frozen()
         heads = collapse_runs(vpns)
-        if not frozen.contains_all(heads):
+        pfn, found = frozen.translate_block(heads)
+        if not found.all():
             # An unmapped page in the block: the scalar loop raises the
             # page fault at exactly the right reference.
             return super().access_block(vpns)
-        small = self._small
-        hit1 = simulate_block(self.l1.small, heads, heads, small.__getitem__)
+        hit1 = simulate_block(self.l1.small, heads, heads, pfn)
         mk = heads[~hit1]
-        pfn_mk, _ = frozen.translate_block(mk)
+        pfn_mk = pfn[~hit1]
         buckets = self.l2._sets
         tbase = self.l2._tag_base
         ways = self.l2.ways
@@ -148,7 +148,7 @@ class PrefetchScheme(TranslationScheme):
         pcap = predictor.capacity
         last_vpn = predictor._last_vpn
         last_distance = predictor._last_distance
-        small_get = small.get
+        small_get = self._small.get
         tpop = table.pop
         tget = table.get
         l2_insert = self.l2.insert

@@ -133,8 +133,8 @@ class RMMScheme(TranslationScheme):
             return
         frozen = self.mapping.frozen()
         small_index, huge_index = self._sorted_views()
-        stage = self._l1_stage(vpns, [(
-            0, vpns.shape[0], small_index, huge_index, self._small, self._huge)])
+        stage = self._l1_stage(
+            vpns, [(0, vpns.shape[0], small_index, huge_index)])
         if stage is None:
             return super().access_block(vpns)
         heads, _, is_huge, pfn_heads, hbase, hit1 = stage

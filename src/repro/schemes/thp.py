@@ -154,37 +154,35 @@ class THPScheme(TranslationScheme):
         small_map, huge_map, giga_map = self._membership_views()
         heads = collapse_runs(vpns)
         hvpn = heads >> _HUGE_SHIFT
-        is_huge = huge_map.mask(hvpn << _HUGE_SHIFT)
+        hbase, is_huge = huge_map.lookup(hvpn << _HUGE_SHIFT)
         if self._giga:
             gvpn = heads >> _GIGA_SHIFT
-            is_giga = giga_map.mask(gvpn << _GIGA_SHIFT)
+            gbase, is_giga = giga_map.lookup(gvpn << _GIGA_SHIFT)
             is_huge &= ~is_giga
         else:
             is_giga = None
         is_small = ~is_huge if is_giga is None else ~(is_huge | is_giga)
         small_heads = heads[is_small]
-        if not small_map.contains_all(small_heads):
+        pfn_small, found = small_map.lookup(small_heads)
+        if not found.all():
             # An unmapped page: the scalar loop faults at the right spot.
             return super().access_block(vpns)
 
-        small = self._small
-        huge = self._huge
         hit1 = np.empty(heads.shape[0], dtype=bool)
         hit1[is_small] = simulate_block(
-            self.l1.small, small_heads, small_heads, small.__getitem__)
+            self.l1.small, small_heads, small_heads, pfn_small)
         hv = hvpn[is_huge]
-        huge_value = lambda h: huge[h << _HUGE_SHIFT]  # noqa: E731
-        hit1[is_huge] = simulate_block(self.l1.huge, hv, hv, huge_value)
+        hit1[is_huge] = simulate_block(self.l1.huge, hv, hv, hbase[is_huge])
         l2_giga_hits = 0
         giga_walks = 0
         if is_giga is not None:
-            giga = self._giga
             gv = gvpn[is_giga]
-            giga_value = lambda g: giga[g << _GIGA_SHIFT]  # noqa: E731
-            hit1_g = simulate_block(self.l1.giga, gv, gv, giga_value)
+            g_fill = gbase[is_giga]
+            hit1_g = simulate_block(self.l1.giga, gv, gv, g_fill)
             hit1[is_giga] = hit1_g
             g_miss = gv[~hit1_g]
-            hit2_g = simulate_block(self.l2_giga, g_miss, g_miss, giga_value)
+            hit2_g = simulate_block(
+                self.l2_giga, g_miss, g_miss, g_fill[~hit1_g])
             l2_giga_hits = int(np.count_nonzero(hit2_g))
             giga_walks = g_miss.shape[0] - l2_giga_hits
 
@@ -196,7 +194,9 @@ class THPScheme(TranslationScheme):
         l2_keys = np.where(
             is_huge, (hvpn << 1) | _KIND_HUGE, heads << 1)[shared]
         l2_sets = np.where(is_huge, hvpn, heads)[shared]
-        hit2 = simulate_block(self.l2, l2_sets, l2_keys, self._l2_value)
+        fill = hbase.copy()
+        fill[is_small] = pfn_small
+        hit2 = simulate_block(self.l2, l2_sets, l2_keys, fill[shared])
         huge_kind = (l2_keys & 1).astype(bool)
         l2_small_hits = int(np.count_nonzero(hit2 & ~huge_kind))
         l2_huge_hits = int(np.count_nonzero(hit2 & huge_kind))
@@ -222,11 +222,6 @@ class THPScheme(TranslationScheme):
                    + giga_walks),
             walk_pt_accesses=walk_pt,
         )
-
-    def _l2_value(self, key: int):
-        if key & 1:
-            return self._huge[(key >> 1) << _HUGE_SHIFT]
-        return self._small[key >> 1]
 
     def _translate(self, vpn: int) -> int:
         giga_base = self._giga.get((vpn >> _GIGA_SHIFT) << _GIGA_SHIFT)

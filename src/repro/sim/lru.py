@@ -66,8 +66,8 @@ since they hold by construction for every caller):
 
 * every occurrence of a key uses the same set index (true here because
   the set index is always derived from the key);
-* ``value_of(key)`` returns the value the scalar path would insert for
-  ``key`` on a miss.  It is asked only about keys the block accesses.
+* each row's value is what the scalar path would insert on that row's
+  miss, and an entry a row hits already holds that value.
 """
 
 from __future__ import annotations
@@ -164,21 +164,26 @@ def previous_occurrence(keys: np.ndarray) -> np.ndarray:
     return prev
 
 
-def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
+def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, values):
     """Drive ``(set_indices[i], keys[i])`` accesses through ``tlb``.
 
-    Equivalent to ``lookup(set, key)`` followed by
-    ``insert(set, key, value_of(key))`` on a miss, for every position in
-    order.  Mutates ``tlb``'s per-set dicts in place to their final
+    Equivalent to ``lookup(set, key)`` followed by ``insert(set, key,
+    value)`` on a miss, for every row in order, ``value`` being the row's
+    fill value.  Mutates ``tlb``'s per-set dicts in place to their final
     state and returns a boolean hit array.
 
+    ``values`` is an array aligned with ``keys`` or, for object values, a
+    function mapping an int array of rows to a list of their values.  It
+    is read only at rows that leave a key resident (the function in one
+    call), and stored as plain Python values, like the scalar loop's.
+
     Final values follow one rule: each key the block accesses that is
-    resident afterwards holds ``value_of(key)``, hits included, and the
-    keys sit at MRU in order of last access.  Every other entry keeps
-    its value and its relative order, and ``value_of`` is asked about
-    no other key.  A hit therefore refreshes the stored value, which is
-    what schemes whose scalar probe can hit the array, find its slot
-    uncovered, and rebuild the entry in place (CoLT, cluster) rely on.
+    resident afterwards holds the value of its last access row, hits
+    included, and the keys sit at MRU in order of last access.  Every
+    other entry keeps its value and its relative order.  A hit therefore
+    refreshes the stored value, which is what schemes whose scalar probe
+    can hit the array, find its slot uncovered, and rebuild the entry in
+    place (CoLT, cluster) rely on.
 
     Keys may carry an address-space tag above ``TAG_SHIFT``, row by
     row.  A key whose tag field is empty takes the array's tag register
@@ -189,8 +194,7 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     other tenants' resident entries never match (their keys differ in
     the high bits) but still occupy ways and age through LRU — the
     shared-TLB contention.  Entries the block never accesses keep their
-    values under any tag, 0 included.  ``value_of`` sees the caller's
-    keys, tagged or not.
+    values under any tag, 0 included.
     """
     n = keys.shape[0]
     hits = np.zeros(n, dtype=bool)
@@ -200,7 +204,6 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     ways = tlb.ways
     mask = tlb.index_mask
     tag = getattr(tlb, "tag", 0)
-    raw_keys = keys
     if tag:
         # Rows that carry their own tag keep it; the rest take the
         # array's tag register.
@@ -363,7 +366,9 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, value_of):
     for index, key in zip(g_sets[gone].tolist(), g_keys[gone].tolist()):
         del buckets[index][key]
     new = np.flatnonzero(keep & ~from_prefix)
-    for index, key, raw in zip(g_sets[new].tolist(), g_keys[new].tolist(),
-                               raw_keys[g_pos[new] - n0].tolist()):
-        buckets[index][key] = value_of(raw)
+    rows = g_pos[new] - n0
+    fills = values(rows) if callable(values) else values[rows].tolist()
+    for index, key, value in zip(g_sets[new].tolist(), g_keys[new].tolist(),
+                                 fills):
+        buckets[index][key] = value
     return hits

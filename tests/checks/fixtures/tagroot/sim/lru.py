@@ -1,7 +1,7 @@
 from hw.tlb import TAG_SHIFT
 
 
-def simulate_block(tlb, set_indices, keys, value_of):
+def simulate_block(tlb, set_indices, keys, values):
     """Batched resolver: packs the array's tag into every key itself."""
     tag = tlb.tag
     if tag:

@@ -15,6 +15,8 @@ import socket
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import ServiceThread, status, submit, submit_and_wait
 from repro.sim.api import (
@@ -299,6 +301,108 @@ class TestFailureHandling:
         else:
             assert json.loads(after)["event"] == "status"
         assert fresh["event"] == "status"
+
+
+#: What a bad submit's ``error`` envelope carries: the ``repr`` of the
+#: exception ``SimRequest.from_dict`` raised.
+SUBMIT_ERROR = "Error("
+
+#: A submit body that passes ``SimRequest.from_dict``.  The fuzz below
+#: only ever sends it broken, so nothing it draws executes.
+VALID_REQUEST = request_of().to_dict()
+
+
+@st.composite
+def bad_lines(draw):
+    """One protocol line that must be answered with exactly one
+    ``error`` envelope, and a substring that error carries."""
+    kind = draw(st.sampled_from([
+        "utf8", "truncated", "malformed", "not-object", "unknown-op",
+        "bad-submit"]))
+    if kind == "utf8":
+        # 0xff never occurs in UTF-8.
+        tail = draw(st.binary(max_size=40)).replace(b"\n", b"")
+        return b"\xff" + tail, "malformed JSON"
+    if kind == "truncated":
+        text = json.dumps(draw(st.sampled_from([
+            {"op": "status"}, {"op": "submit", "request": VALID_REQUEST}])))
+        # No proper prefix of an object closes its brace.
+        cut = draw(st.integers(1, len(text) - 1))
+        return text[:cut].encode(), "malformed JSON"
+    if kind == "malformed":
+        return draw(st.sampled_from([
+            b"", b"   ", b"{op: status}", b'{"op": }', b"[1, 2",
+            b"{'op': 'status'}", b'{"op": "status",}', b"nul"])), \
+            "malformed JSON"
+    if kind == "not-object":
+        value = draw(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.text(max_size=12),
+            st.lists(st.integers(), max_size=3)))
+        return json.dumps(value).encode(), "JSON object"
+    if kind == "unknown-op":
+        op = draw(st.one_of(
+            st.text(max_size=12).filter(
+                lambda op: op not in ("submit", "status", "drain")),
+            st.none(), st.booleans(), st.integers(),
+            st.lists(st.integers(), max_size=2)))
+        message = draw(st.sampled_from([{"op": op}, {"cmd": op}]))
+        return json.dumps(message).encode(), "unknown op"
+    broken = dict(VALID_REQUEST)
+    how = draw(st.sampled_from(
+        ["missing-field", "references", "not-object", "no-request"]))
+    if how == "missing-field":
+        del broken[draw(st.sampled_from(
+            ["workload", "scenario", "scheme", "references"]))]
+    elif how == "references":
+        broken["references"] = draw(st.sampled_from(
+            ["many", "1.5", None, [1], {"n": 1}]))
+    elif how == "not-object":
+        broken = draw(st.one_of(
+            st.none(), st.integers(), st.text(max_size=12),
+            st.lists(st.integers(), max_size=3)))
+    message = {"op": "submit"}
+    if how != "no-request":
+        message["request"] = broken
+    return json.dumps(message).encode(), SUBMIT_ERROR
+
+
+class TestProtocolFuzz:
+    def test_every_bad_line_gets_one_error_in_order(self):
+        """Any run of bad lines on one connection: one ``error`` envelope
+        per line, in order, then a ``status`` that still answers on that
+        connection and on a fresh one, counting exactly the bad submits
+        as errors."""
+        with ServiceThread(workers=0) as service_thread:
+            host, port = service_thread.host, service_thread.port
+
+            @settings(max_examples=60, deadline=None)
+            @given(lines=st.lists(bad_lines(), min_size=1, max_size=8))
+            def check(lines):
+                with socket.create_connection((host, port), timeout=30) \
+                        as sock, sock.makefile("rwb") as stream:
+                    # Pipelined: every line goes out before any answer
+                    # is read, so the answers' order is the server's.
+                    stream.write(b'{"op": "status"}\n')
+                    for line, _ in lines:
+                        stream.write(line + b"\n")
+                    stream.write(b'{"op": "status"}\n')
+                    stream.flush()
+                    envelopes = [json.loads(stream.readline())
+                                 for _ in range(len(lines) + 2)]
+                fresh = status(host, port)
+                leading, *answers, trailing = envelopes
+                for (line, expected), envelope in zip(lines, answers):
+                    assert envelope["event"] == "error", (line, envelope)
+                    assert expected in envelope["error"], (line, envelope)
+                bad_submits = sum(
+                    expected == SUBMIT_ERROR for _, expected in lines)
+                errors = leading["metrics"]["errors"] + bad_submits
+                assert trailing["event"] == fresh["event"] == "status"
+                assert trailing["metrics"]["errors"] == errors
+                assert fresh["metrics"]["errors"] == errors
+                assert fresh["metrics"]["computed"] == 0
+
+            check()
 
 
 class TestBackpressure:

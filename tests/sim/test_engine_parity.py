@@ -92,6 +92,19 @@ def hw_state(scheme):
     return state
 
 
+def typed(value):
+    """``value`` with every leaf paired with its type, so a numpy scalar
+    stored where the scalar loop stores an ``int`` or ``bool`` (which
+    ``==`` alone cannot tell apart) no longer compares equal."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [typed(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return type(value), typed(dataclasses.astuple(value))
+    return type(value), value
+
+
 def run_engine(scheme_name, mapping, trace, machine, engine, epoch):
     scheme = make_scheme(scheme_name, mapping, machine)
     result = run_trace(scheme, trace, epoch_references=epoch, engine=engine)
@@ -145,6 +158,8 @@ class TestGoldenParity:
             outputs[engine] = (
                 scheme.stats.snapshot(), result.epoch_stats, hw_state(scheme))
         assert outputs["batched"] == outputs["scalar"]
+        # Every stored value also has the scalar loop's type.
+        assert typed(outputs["batched"][2]) == typed(outputs["scalar"][2])
         # PWC runs charge per-step walk cycles, so the walks must have
         # recorded their page-table accesses.
         if outputs["batched"][0]["walks"]:
@@ -241,7 +256,7 @@ class TestGoldenParity:
         """A tenant under ASID 0 shares the TLBs with another tag's
         resident entries.  The batched engine must leave those entries
         alone — value and place — exactly as the scalar loop does,
-        never resolving their tag-packed keys through ``value_of``."""
+        never rewriting an entry its block did not access."""
         mapping = MemoryMapping()
         mapping.map_run(0, FrameRange(1000, 64))
         first = np.arange(0, 64, 3, dtype=np.int64)

@@ -12,10 +12,6 @@ from repro.sim.lru import collapse_runs, isin_sorted, simulate_block
 from repro.vmos.mapping import KeyIndex, sorted_arrays
 
 
-def value_of(key: int) -> int:
-    return key * 3 + 1
-
-
 def reference_hits(tlb: SetAssociativeTLB, sets, keys) -> np.ndarray:
     """Drive the scalar TLB: lookup, insert-on-miss, per access."""
     hits = np.zeros(len(keys), dtype=bool)
@@ -23,7 +19,7 @@ def reference_hits(tlb: SetAssociativeTLB, sets, keys) -> np.ndarray:
         if tlb.lookup(index, key) is not None:
             hits[i] = True
         else:
-            tlb.insert(index, key, value_of(key))
+            tlb.insert(index, key, key * 3 + 1)
     return hits
 
 
@@ -31,12 +27,12 @@ def run_both(entries, ways, sets, keys, seed_entries=()):
     scalar = SetAssociativeTLB(entries, ways)
     batched = SetAssociativeTLB(entries, ways)
     for index, key in seed_entries:
-        scalar.insert(index, key, value_of(key))
-        batched.insert(index, key, value_of(key))
+        scalar.insert(index, key, key * 3 + 1)
+        batched.insert(index, key, key * 3 + 1)
     sets = np.asarray(sets, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.int64)
     expected = reference_hits(scalar, sets.tolist(), keys.tolist())
-    got = simulate_block(batched, sets, keys, value_of)
+    got = simulate_block(batched, sets, keys, keys * 3 + 1)
     assert got.tolist() == expected.tolist()
     assert batched.state() == scalar.state()
 
@@ -92,9 +88,8 @@ class TestSimulateBlock:
 
     def test_empty_block(self):
         tlb = SetAssociativeTLB(8, 2)
-        out = simulate_block(
-            tlb, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            value_of)
+        empty = np.empty(0, dtype=np.int64)
+        out = simulate_block(tlb, empty, empty, empty)
         assert out.size == 0
 
     @settings(max_examples=60, deadline=None)
@@ -127,9 +122,6 @@ class TestSimulateBlock:
         scalar = SetAssociativeTLB(entries, ways)
         batched = SetAssociativeTLB(entries, ways)
         for tag, block in blocks:
-            def tagged_value(key, tag=tag):
-                return ("value", tag, key)
-
             scalar.set_tag(tag)
             batched.set_tag(tag)
             expected = np.zeros(len(block), dtype=bool)
@@ -137,9 +129,13 @@ class TestSimulateBlock:
                 if scalar.lookup(key, key) is not None:
                     expected[i] = True
                 else:
-                    scalar.insert(key, key, tagged_value(key))
+                    scalar.insert(key, key, ("value", tag, key))
             keys = np.asarray(block, dtype=np.int64)
-            got = simulate_block(batched, keys, keys, tagged_value)
+
+            def tagged_values(rows, tag=tag, keys=keys):
+                return [("value", tag, key) for key in keys[rows].tolist()]
+
+            got = simulate_block(batched, keys, keys, tagged_values)
             assert got.tolist() == expected.tolist()
             assert batched.state() == scalar.state()
 
@@ -177,41 +173,76 @@ class TestSimulateBlock:
                           dtype=np.int64)
         got = simulate_block(
             batched, keys, keys,
-            lambda key: ("value", key >> TAG_SHIFT, key & KEY_MASK))
+            lambda rows: [("value", key >> TAG_SHIFT, key & KEY_MASK)
+                          for key in keys[rows].tolist()])
         assert got.tolist() == expected.tolist()
         assert batched.state() == scalar.state()
 
-    def test_value_of_sees_only_accessed_keys(self):
-        """A block touching two of four sets: ``value_of`` is asked only
-        about the block's keys, the touched sets' unaccessed entries keep
-        their values and relative order, and the other sets are left
-        exactly as they were."""
+    def test_function_form_reads_only_surviving_rows(self):
+        """A block touching two of four sets: the function form is
+        called once, with exactly the rows that leave a key resident —
+        each key's last access row — while the touched sets' unaccessed
+        entries keep their values and relative order, and the other sets
+        are left exactly as they were."""
         tlb = SetAssociativeTLB(16, 4)
         for key in range(16):
             tlb.insert(key, key, ("resident", key))
         before = tlb.state()
         # Set 0 holds 0, 4, 8, 12 and set 1 holds 1, 5, 9, 13 (LRU ->
-        # MRU): hits on 4, 1, 5 and misses on 16, 0 evicting 0 and 8.
-        block = [4, 1, 16, 0, 5]
-        asked = []
+        # MRU).  Key 4 hits, four new keys push it out, and its return
+        # evicts 16; keys 1 and 5 hit.
+        block = [4, 1, 16, 20, 24, 28, 5, 4]
+        calls = []
 
-        def spy(key):
-            asked.append(key)
-            return ("fresh", key)
+        def fills(rows):
+            calls.append(rows.tolist())
+            return [("fresh", row) for row in rows.tolist()]
 
         keys = np.asarray(block, dtype=np.int64)
-        hits = simulate_block(tlb, keys, keys, spy)
-        assert hits.tolist() == [True, True, False, False, True]
-        assert set(asked) <= set(block)
+        hits = simulate_block(tlb, keys, keys, fills)
+        assert hits.tolist() == [True, True, False, False, False, False,
+                                 True, False]
+        # Row 0 (key 4's first access) and row 2 (key 16, evicted in
+        # the block) are never read.
+        assert len(calls) == 1
+        assert sorted(calls[0]) == [1, 3, 4, 5, 6, 7]
         after = tlb.state()
-        # Unaccessed survivors first, in their old order and with their
-        # old values; then the block's keys by last access, hits
-        # included, holding value_of's values.
-        assert after[0] == [(12, ("resident", 12)), (4, ("fresh", 4)),
-                            (16, ("fresh", 16)), (0, ("fresh", 0))]
+        assert after[0] == [(20, ("fresh", 3)), (24, ("fresh", 4)),
+                            (28, ("fresh", 5)), (4, ("fresh", 7))]
         assert after[1] == [(9, ("resident", 9)), (13, ("resident", 13)),
-                            (1, ("fresh", 1)), (5, ("fresh", 5))]
+                            (1, ("fresh", 1)), (5, ("fresh", 6))]
         assert after[2:] == before[2:]
+
+    @pytest.mark.parametrize("entries,ways", [(4, 4), (16, 4)],
+                             ids=["one-set", "four-sets"])
+    def test_last_row_value_wins(self, entries, ways):
+        """A key accessed twice with different row values holds its
+        last row's value, whether the second access hits or the key
+        was resident before the block."""
+        tlb = SetAssociativeTLB(entries, ways)
+        tlb.insert(9, 9, 0)
+        keys = np.asarray([5, 7, 5, 9], dtype=np.int64)
+        hits = simulate_block(tlb, keys, keys,
+                              np.asarray([10, 20, 30, 40], dtype=np.int64))
+        assert hits.tolist() == [False, False, True, True]
+        stored = dict(item for bucket in tlb.state() for item in bucket)
+        assert stored == {5: 30, 7: 20, 9: 40}
+
+    @pytest.mark.parametrize("values, kind", [
+        (np.arange(6, dtype=np.int64) * 3, int),
+        (np.arange(6, dtype=np.int32), int),
+        (np.ones(6, dtype=bool), bool),
+    ], ids=["int64", "int32", "bool"])
+    def test_stored_values_are_python_scalars(self, values, kind):
+        """Array values are stored as the scalar loop stores them: plain
+        ``int`` or ``bool``, never numpy scalars (which ``state()``'s
+        ``==`` would not tell apart)."""
+        tlb = SetAssociativeTLB(8, 2)
+        keys = np.asarray([1, 2, 3, 1, 6, 2], dtype=np.int64)
+        simulate_block(tlb, keys, keys, values)
+        stored = [value for bucket in tlb.state() for _, value in bucket]
+        assert stored
+        assert all(type(value) is kind for value in stored)
 
 
 @st.composite

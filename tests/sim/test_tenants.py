@@ -265,6 +265,61 @@ class TestTaggedIsolationAndContention:
         assert first.l2.tag_occupancy(1) == 64
         assert second.translate(7) == 99_999
 
+    @staticmethod
+    def anchor_pair():
+        """Two anchor tenants over 64-page mappings on one hierarchy: A
+        touched page 20 under ASID 1, then B switched in (ASID 2) and
+        touched page 21, so the shared tag register holds B's tag."""
+        first = AnchorScheme(make_mapping(64))
+        second = AnchorScheme(make_mapping(64))
+        for name, structure in first.structures().items():
+            setattr(second, name, getattr(second, name).attach(structure))
+        first.set_asid(1)
+        first.access(20)
+        second.set_asid(2)
+        second.access(21)
+        l1, l2 = first.l1.small, first.l2.array
+        assert l1.tag_occupancy(1) == l1.tag_occupancy(2) == 1
+        assert l2.tag_occupancy(1) == l2.tag_occupancy(2) == 1
+        return first, second, l1, l2
+
+    def test_shootdown_names_its_own_asid(self):
+        """An unmap on a tenant that is not switched in shoots down its
+        own page and spanning anchor, not the running tenant's."""
+        first, second, l1, l2 = self.anchor_pair()
+        first.unmap_page(20)
+        assert l1.tag_occupancy(1) == l2.tag_occupancy(1) == 0
+        assert l1.tag_occupancy(2) == l2.tag_occupancy(2) == 1
+        first.set_asid(1)
+        with pytest.raises(PageFaultError):
+            first.access(20)
+        second.set_asid(2)
+        assert second.access(21) == 0          # B's L1 entry survived
+
+    def test_translate_sync_flushes_its_own_asid(self):
+        """A remap adopted through ``translate`` flushes the remapping
+        tenant's entries, so its next access walks to the new frame,
+        and leaves the running tenant's alone."""
+        first, second, l1, l2 = self.anchor_pair()
+        pfn = first.mapping.unmap_page(20)
+        first.mapping.map_page(20, pfn + 1000)
+        assert first.translate(20) == pfn + 1000
+        assert l1.tag_occupancy(1) == l2.tag_occupancy(1) == 0
+        assert l1.tag_occupancy(2) == l2.tag_occupancy(2) == 1
+        first.set_asid(1)
+        assert first.access(20) == first.config.latency.page_walk
+        assert l1.lookup(20, 20) == pfn + 1000
+
+    def test_distance_change_flushes_its_own_asid(self):
+        """An Algorithm 1 re-pick on a tenant that is not switched in
+        flushes that tenant's L1 and L2 entries, not the running one's."""
+        first, second, l1, l2 = self.anchor_pair()
+        first.l2.restore_distance(2)    # a stale pick to move away from
+        first._build_directories()
+        assert first.reselect_distance()[1]
+        assert l1.tag_occupancy(1) == l2.tag_occupancy(1) == 0
+        assert l1.tag_occupancy(2) == l2.tag_occupancy(2) == 1
+
     def test_anchor_distance_saved_and_restored(self):
         fleet = TenantFleet(size=6, workloads=("gups",),
                             scenarios=("low", "max"), references=3000, seed=4)
