@@ -15,8 +15,9 @@ import ast
 
 from repro.checks.base import Checker, dotted_name
 
-#: The FrozenMapping column attributes (plus the live page-table ref
-#: and the page index over ``vpns``/``pfns``).
+#: The FrozenMapping column attributes, the page index over
+#: ``vpns``/``pfns``, and the mapping's live page dict, which only the
+#: ``MemoryMapping`` mutators may write (they bump the version).
 _COLUMNS = {
     "vpns", "pfns",
     "chunk_vpn", "chunk_pfn", "chunk_pages",

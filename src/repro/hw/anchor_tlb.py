@@ -53,20 +53,15 @@ class AnchorL2TLB(Structure):
         """The anchor-distance register (``None`` for a multi-row table)."""
         return self.table.distance
 
-    def set_distance(self, distance: int) -> None:
-        """Change the anchor distance register, flushing the running
-        tenant's entries (§3.3)."""
-        self.table = RegionTable.spanning(distance)
-        self.array.flush()
-
     def restore_distance(self, distance: int) -> None:
-        """Load a tenant's distance register, flushing nothing.
+        """Load the anchor-distance register, flushing nothing.
 
         Per §3.1 the distance is per-process context reloaded alongside
-        CR3.  Unlike :meth:`set_distance` this does *not* flush: the
-        incoming tenant's entries (created under this same distance) are
-        exactly the ones its tagged lookups can hit, so they survive.  A
-        §3.3 change flushes its own tenant's tag after the load.
+        CR3: the incoming tenant's entries (created under this same
+        distance) are exactly the ones its tagged lookups can hit, so
+        they survive.  A §3.3 distance change flushes its own tenant's
+        entries after the load (``AnchorScheme.reselect_distance``).
+        A distance that is not a power of two raises ``ValueError``.
         """
         if distance != self.distance:
             self.table = RegionTable.spanning(distance)

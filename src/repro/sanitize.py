@@ -40,15 +40,16 @@ import numpy as np
 ENV_VAR = "ANCHOR_TLB_SANITIZE"
 
 #: Attributes never guarded besides the scheme's declared hardware:
-#: the stats ``clone_fresh`` replaces per clone, and the live mapping
-#: whose arrays the OS layer legitimately mutates.
-_PER_CLONE_ATTRS = frozenset({"stats", "mapping", "config"})
+#: the stats ``clone_fresh`` replaces per clone, the live mapping,
+#: which the OS layer legitimately mutates, and a fleet's ASID table,
+#: which holds other tenants rather than shared plans.
+_PER_CLONE_ATTRS = frozenset({"stats", "mapping", "config", "tenants"})
 
-#: How deep to chase arrays through tuples/lists/dicts and the slots
-#: of slotted objects.  The share protocol nests at most two levels
-#: (e.g. a view tuple of :class:`~repro.vmos.mapping.KeyIndex` objects,
-#: or a ``FrozenMapping``'s page index).
-_MAX_DEPTH = 3
+#: How deep to chase arrays through tuples/lists/dicts and the slots or
+#: ``__dict__`` of other objects.  The share protocol nests at most
+#: three levels (the anchor scheme's list of plans, each a tuple of
+#: :class:`~repro.vmos.mapping.KeyIndex` objects).
+_MAX_DEPTH = 4
 
 
 def enabled() -> bool:
@@ -58,10 +59,12 @@ def enabled() -> bool:
 
 
 def _slot_values(value: Any) -> Iterator[Any]:
-    """The values held in a slotted object's slots, base classes too."""
+    """The values held in an object's slots, base classes too, and in
+    its ``__dict__``."""
     for cls in type(value).__mro__:
         for slot in getattr(cls, "__slots__", ()):
             yield getattr(value, slot, None)
+    yield from getattr(value, "__dict__", {}).values()
 
 
 def _arrays_in(value: Any, depth: int = _MAX_DEPTH) -> Iterator[np.ndarray]:

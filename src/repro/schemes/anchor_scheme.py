@@ -39,7 +39,7 @@ from repro.sim.lru import isin_sorted, simulate_block
 from repro.vmos.anchor import AnchorDirectory
 from repro.vmos.contiguity import contiguity_histogram
 from repro.vmos.distance import select_distance
-from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
+from repro.vmos.mapping import KeyIndex, MemoryMapping
 from repro.vmos.regions import AnchorRegion, RegionTable
 from repro.vmos.shootdown import ShootdownLog
 
@@ -47,16 +47,6 @@ _HUGE_SHIFT = 9
 
 # A miss row's L2 outcome, the column of its tenant's stats row.
 _WALK, _SMALL_HIT, _HUGE_HIT, _COALESCED = range(4)
-
-
-def _merged(plans: list[dict[int, int]]) -> dict[int, int]:
-    """One dict over every row's plan (the row's own dict for one row)."""
-    if len(plans) == 1:
-        return plans[0]
-    merged: dict[int, int] = {}
-    for plan in plans:
-        merged.update(plan)
-    return merged
 
 
 class AnchorScheme(TranslationScheme):
@@ -137,16 +127,7 @@ class AnchorScheme(TranslationScheme):
         plan) if a clone shares them, ready for in-place mutation."""
         row = self.l2.table.row_of(vpn)
         if self._dir_shared:
-            self._directories = [
-                AnchorDirectory(
-                    distance=shared.distance,
-                    huge=dict(shared.huge),
-                    anchor_contiguity=dict(shared.anchor_contiguity),
-                    small=dict(shared.small),
-                    protections=dict(shared.protections),
-                )
-                for shared in self._directories
-            ]
+            self._directories = [shared.copy() for shared in self._directories]
             self._dir_shared = False
         return self._directories[row]
 
@@ -234,20 +215,20 @@ class AnchorScheme(TranslationScheme):
         """Indexes over the coverage plans, rebuilt lazily after any
         OS-side update (reselect, map/unmap/protect, rebuild).
 
-        The rows' plans merge losslessly: regions are disjoint and each
-        plan keys only VPNs of its own region.  An anchor of one region
-        can still be a row of another region's anchor window (when a
-        region starts off its distance alignment), but its contiguity
-        stops at its own region's end, so it never covers that row —
-        the merged lookup reaches the same walk decision as the row's
-        own plan.
+        The rows' plans concatenate losslessly: regions are disjoint and
+        sorted, and each plan keys only VPNs of its own region.  An
+        anchor of one region can still be a row of another region's
+        anchor window (when a region starts off its distance alignment),
+        but its contiguity stops at its own region's end, so it never
+        covers that row — the merged lookup reaches the same walk
+        decision as the row's own plan.
         """
         if self._block_cache is None:
-            plans = self._directories
-            hg = sorted_arrays(_merged([plan.huge for plan in plans]))
-            sm = sorted_arrays(_merged([plan.small for plan in plans]))
-            an = sorted_arrays(
-                _merged([plan.anchor_contiguity for plan in plans]))
+            rows = [plan.indexes() for plan in self._directories]
+            hg, sm, an = rows[0] if len(rows) == 1 else (
+                KeyIndex(np.concatenate([index.keys for index in column]),
+                         np.concatenate([index.values for index in column]))
+                for column in zip(*rows))
             # Every anchor sits on a 4 KiB leaf by construction; if that
             # ever broke, the block path could not resolve APPNs safely.
             self._block_cache = (hg, sm, an, sm.contains_all(an.keys))

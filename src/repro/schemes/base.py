@@ -21,6 +21,7 @@ Two declared capabilities replace the old duck typing:
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -100,6 +101,14 @@ class TranslationScheme(abc.ABC):
         self.pwc = PageWalkCache() if config.pwc else None
         self.stats = TranslationStats(latency=config.latency)
         self._synced_version = mapping.version
+
+    @cached_property
+    def _small(self) -> dict[int, int]:
+        """The 4 KiB pages as a dict, for the scalar loop: the mapping's
+        live page table, built on first use and kept current by the
+        mapping itself.  Schemes that promote pages override it with
+        their plan's view; block paths read columns instead."""
+        return self.mapping.page_table
 
     # ------------------------------------------------------------------
     # Mapping-version synchronisation (§3.3 shootdown semantics)
@@ -420,32 +429,36 @@ class TranslationScheme(abc.ABC):
         """Scheme-specific translation; caller has synced the mapping."""
 
 
-def _promote(
-    mapping: MemoryMapping, window: int
-) -> tuple[dict[int, int], dict[int, int]]:
+def drop_views(scheme: TranslationScheme, *names: str) -> None:
+    """Forget the scheme's cached dict views ``names`` after a replan;
+    each is rebuilt from the new plan on its next scalar use."""
+    for name in names:
+        vars(scheme).pop(name, None)
+
+
+def _promote(mapping: MemoryMapping, window: int) -> tuple[KeyIndex, KeyIndex]:
     frozen = mapping.frozen()
     bases, pfns = frozen.promotable(window)
-    return dict(zip(bases.tolist(), pfns.tolist())), frozen.page_dict(bases, window)
+    return KeyIndex(bases, pfns), frozen.pages_outside(bases, window)
 
 
-def promote_giga_pages(
-    mapping: MemoryMapping,
-) -> tuple[dict[int, int], dict[int, int]]:
+def promote_giga_pages(mapping: MemoryMapping) -> tuple[KeyIndex, KeyIndex]:
     """1 GiB promotion: aligned, fully contiguous 262,144-page windows.
 
-    Returns ``(giga, rest)``: ``giga`` maps each promoted window's base
-    VPN to its base PFN; ``rest`` holds everything else (still eligible
-    for 2 MiB promotion).
+    Returns ``(giga, rest)`` as :class:`KeyIndex` columns: ``giga`` maps
+    each promoted window's base VPN to its base PFN; ``rest`` holds
+    everything else (still eligible for 2 MiB promotion).
     """
     return _promote(mapping, GIGA_PAGE_PAGES)
 
 
-def promote_huge_pages(mapping: MemoryMapping) -> tuple[dict[int, int], dict[int, int]]:
+def promote_huge_pages(mapping: MemoryMapping) -> tuple[KeyIndex, KeyIndex]:
     """THP promotion used by every 2 MiB-capable scheme except anchor.
 
-    Returns ``(huge, small)``: ``huge`` maps each promoted window's base
-    VPN to its base PFN, ``small`` holds the remaining 4 KiB pages.
-    Promotion requires a full 512-page run whose VA and PA share the
-    2 MiB alignment phase.
+    Returns ``(huge, small)`` as :class:`KeyIndex` columns: ``huge``
+    maps each promoted window's base VPN to its base PFN, ``small``
+    holds the remaining 4 KiB pages (the page index itself when nothing
+    is promoted).  Promotion requires a full 512-page run whose VA and
+    PA share the 2 MiB alignment phase.
     """
     return _promote(mapping, HUGE_PAGE_PAGES)

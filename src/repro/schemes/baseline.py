@@ -30,10 +30,6 @@ class BaselineScheme(TranslationScheme):
     ) -> None:
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
-        # Live reference to the page table (not a copy): scalar lookups
-        # always see the current mapping, and the compiled array view
-        # comes version-checked from mapping.frozen() per block.
-        self._small = mapping.frozen().page_table
 
     def access(self, vpn: int) -> int:
         stats = self.stats

@@ -16,6 +16,8 @@ paper calls out in §5.2.1: when a workload's mapping clusters poorly the
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.errors import PageFaultError
@@ -28,14 +30,9 @@ from repro.params import (
 )
 from repro.hw.cluster import ClusterEntry, ClusterTLB, build_cluster_entry
 from repro.hw.tlb import KEY_MASK, SetAssociativeTLB, TAG_SHIFT
-from repro.schemes.base import TranslationScheme, promote_huge_pages
+from repro.schemes.base import TranslationScheme, drop_views, promote_huge_pages
 from repro.sim.lru import isin_sorted, previous_occurrence, simulate_block
-from repro.vmos.mapping import (
-    KeyIndex,
-    MemoryMapping,
-    cluster_slot_offsets,
-    sorted_arrays,
-)
+from repro.vmos.mapping import MemoryMapping, cluster_slot_offsets, empty_index
 
 _HUGE_SHIFT = 9
 _KIND_SMALL = 0
@@ -67,28 +64,28 @@ class ClusterScheme(TranslationScheme):
     def _build_promotions(self) -> None:
         """(Re-)derive the promotion split from the current mapping."""
         if self.use_thp:
-            self._huge, self._small = promote_huge_pages(self.mapping)
+            huge, small = promote_huge_pages(self.mapping)
         else:
-            # Live reference to the page table — never goes stale.
-            self._huge, self._small = {}, self.mapping.frozen().page_table
-        self._arrays: tuple[KeyIndex, KeyIndex] | None = None
+            # Without THP the small side is the page table itself, so
+            # the mapping's own page index serves it.
+            huge, small = empty_index(), self.mapping.frozen().index
+        self._arrays = (small, huge)
+        drop_views(self, "_small", "_huge")
 
     def _on_mapping_update(self, frozen) -> None:
         self._build_promotions()
         self.flush()
 
-    def _sorted_views(self) -> tuple[KeyIndex, KeyIndex]:
-        if self._arrays is None:
-            # Without THP the small view is the page table itself, so
-            # the mapping's own page index serves it.
-            small = (sorted_arrays(self._small) if self.use_thp
-                     else self.mapping.frozen().index)
-            self._arrays = (small, sorted_arrays(self._huge))
-        return self._arrays
+    # The plans' dict views, for the scalar loop.
+    @cached_property
+    def _small(self) -> dict[int, int]:
+        if not self.use_thp:
+            return self.mapping.page_table
+        return self._arrays[0].table()
 
-    def _prepare_share(self) -> None:
-        super()._prepare_share()
-        self._sorted_views()
+    @cached_property
+    def _huge(self) -> dict[int, int]:
+        return self._arrays[1].table()
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -175,7 +172,7 @@ class ClusterScheme(TranslationScheme):
         """
         if vpns.shape[0] == 0:
             return
-        small_index, huge_index = self._sorted_views()
+        small_index, huge_index = self._arrays
         stage = self._l1_stage(
             vpns, [(0, vpns.shape[0], small_index, huge_index)])
         if stage is None:

@@ -37,9 +37,6 @@ class ColtScheme(TranslationScheme):
     ) -> None:
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
-        # Live reference to the page table (kept current by the mapping
-        # itself); the compiled run arrays come from mapping.frozen().
-        self._small = mapping.frozen().page_table
 
     def access(self, vpn: int) -> int:
         stats = self.stats

@@ -77,8 +77,6 @@ class PrefetchScheme(TranslationScheme):
         super().__init__(mapping, config)
         self.l2 = SetAssociativeTLB(config.l2.entries, config.l2.ways)
         self.predictor = DistancePredictor()
-        # Live reference to the page table — never goes stale.
-        self._small = mapping.frozen().page_table
         self.prefetches_issued = 0
         self.prefetch_hits = 0
         self._prefetched: set[int] = set()
@@ -148,6 +146,7 @@ class PrefetchScheme(TranslationScheme):
         pcap = predictor.capacity
         last_vpn = predictor._last_vpn
         last_distance = predictor._last_distance
+        # Predicted pages are looked up one at a time: the page dict.
         small_get = self._small.get
         tpop = table.pop
         tget = table.get

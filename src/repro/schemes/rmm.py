@@ -13,14 +13,16 @@ degenerates to THP (Fig. 2), which is the paper's core motivation.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, MachineConfig
 from repro.hw.range_tlb import RangeTable, RangeTLB
 from repro.hw.tlb import SetAssociativeTLB
-from repro.schemes.base import TranslationScheme, promote_huge_pages
-from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
+from repro.schemes.base import TranslationScheme, drop_views, promote_huge_pages
+from repro.vmos.mapping import MemoryMapping
 
 _HUGE_SHIFT = 9
 _KIND_SMALL = 0
@@ -46,22 +48,22 @@ class RMMScheme(TranslationScheme):
     def _build_os_views(self) -> None:
         """(Re-)derive the OS-side structures from the current mapping."""
         self.range_table = RangeTable(self.mapping)
-        self._huge, self._small = promote_huge_pages(self.mapping)
-        self._arrays: tuple[KeyIndex, KeyIndex] | None = None
+        huge, small = promote_huge_pages(self.mapping)
+        self._arrays = (small, huge)
+        drop_views(self, "_small", "_huge")
 
     def _on_mapping_update(self, frozen) -> None:
         self._build_os_views()
         self.flush()
 
-    def _sorted_views(self) -> tuple[KeyIndex, KeyIndex]:
-        if self._arrays is None:
-            self._arrays = (sorted_arrays(self._small),
-                            sorted_arrays(self._huge))
-        return self._arrays
+    # The plans' dict views, for the scalar loop.
+    @cached_property
+    def _small(self) -> dict[int, int]:
+        return self._arrays[0].table()
 
-    def _prepare_share(self) -> None:
-        super()._prepare_share()
-        self._sorted_views()
+    @cached_property
+    def _huge(self) -> dict[int, int]:
+        return self._arrays[1].table()
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -132,7 +134,7 @@ class RMMScheme(TranslationScheme):
         if vpns.shape[0] == 0:
             return
         frozen = self.mapping.frozen()
-        small_index, huge_index = self._sorted_views()
+        small_index, huge_index = self._arrays
         stage = self._l1_stage(
             vpns, [(0, vpns.shape[0], small_index, huge_index)])
         if stage is None:

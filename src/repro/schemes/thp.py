@@ -9,14 +9,16 @@ chunks — the scheme is almost inert under the low/medium scenarios.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.errors import PageFaultError
 from repro.params import DEFAULT_MACHINE, GIGA_PAGE_PAGES, MachineConfig
 from repro.hw.tlb import SetAssociativeTLB
-from repro.schemes.base import TranslationScheme, promote_huge_pages
+from repro.schemes.base import TranslationScheme, drop_views, promote_huge_pages
 from repro.sim.lru import collapse_runs, simulate_block
-from repro.vmos.mapping import KeyIndex, MemoryMapping, sorted_arrays
+from repro.vmos.mapping import KeyIndex, MemoryMapping, empty_index
 
 _HUGE_SHIFT = 9
 _GIGA_SHIFT = 18
@@ -57,18 +59,16 @@ class THPScheme(TranslationScheme):
         self._build_promotions()
 
     def _build_promotions(self) -> None:
-        """(Re-)derive the promotion maps from the current mapping."""
-        self._huge, self._small = promote_huge_pages(self.mapping)
-        self._giga: dict[int, int] = {}
+        """(Re-)derive the promotion plans from the current mapping."""
+        huge, small = promote_huge_pages(self.mapping)
+        giga = empty_index()
         if self.use_giga:
-            bases, pfns = self.mapping.frozen().promotable(GIGA_PAGE_PAGES)
-            self._giga = dict(zip(bases.tolist(), pfns.tolist()))
+            giga = KeyIndex(*self.mapping.frozen().promotable(GIGA_PAGE_PAGES))
             # A 1 GiB page replaces the 2 MiB windows inside it.
-            self._huge = {
-                hvpn: pfn for hvpn, pfn in self._huge.items()
-                if hvpn & -GIGA_PAGE_PAGES not in self._giga
-            }
-        self._memberships: tuple[KeyIndex, ...] | None = None
+            keep = giga.rows_of(huge.keys & -GIGA_PAGE_PAGES) < 0
+            huge = KeyIndex(huge.keys[keep], huge.values[keep])
+        self._memberships = (small, huge, giga)
+        drop_views(self, "_small", "_huge", "_giga")
 
     def _on_mapping_update(self, frozen) -> None:
         # The OS re-promotes after the change; stale promotion windows
@@ -76,18 +76,18 @@ class THPScheme(TranslationScheme):
         self._build_promotions()
         self.flush()
 
-    def _membership_views(self) -> tuple[KeyIndex, ...]:
-        if self._memberships is None:
-            self._memberships = (
-                sorted_arrays(self._small),
-                sorted_arrays(self._huge),
-                sorted_arrays(self._giga),
-            )
-        return self._memberships
+    # The plans' dict views, for the scalar loop.
+    @cached_property
+    def _small(self) -> dict[int, int]:
+        return self._memberships[0].table()
 
-    def _prepare_share(self) -> None:
-        super()._prepare_share()
-        self._membership_views()
+    @cached_property
+    def _huge(self) -> dict[int, int]:
+        return self._memberships[1].table()
+
+    @cached_property
+    def _giga(self) -> dict[int, int]:
+        return self._memberships[2].table()
 
     def access(self, vpn: int) -> int:
         stats = self.stats
@@ -151,11 +151,11 @@ class THPScheme(TranslationScheme):
         """
         if vpns.shape[0] == 0:
             return
-        small_map, huge_map, giga_map = self._membership_views()
+        small_map, huge_map, giga_map = self._memberships
         heads = collapse_runs(vpns)
         hvpn = heads >> _HUGE_SHIFT
         hbase, is_huge = huge_map.lookup(hvpn << _HUGE_SHIFT)
-        if self._giga:
+        if giga_map.keys.size:
             gvpn = heads >> _GIGA_SHIFT
             gbase, is_giga = giga_map.lookup(gvpn << _GIGA_SHIFT)
             is_huge &= ~is_giga
@@ -237,8 +237,8 @@ class THPScheme(TranslationScheme):
 
     @property
     def huge_windows(self) -> int:
-        return len(self._huge)
+        return self._memberships[1].keys.size
 
     @property
     def giga_windows(self) -> int:
-        return len(self._giga)
+        return self._memberships[2].keys.size

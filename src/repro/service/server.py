@@ -188,24 +188,41 @@ class SimService:
         writer.write(json.dumps(envelope).encode("utf-8") + b"\n")
         await writer.drain()
 
+    @staticmethod
+    async def _discard_line(reader: asyncio.StreamReader, consumed: int) -> None:
+        """Drop what is left of an over-limit line, its newline too.
+
+        ``consumed`` is what the overrun already scanned: the bytes up to
+        the newline when the whole line had arrived, else everything
+        buffered.  Nothing past the line's newline is read.
+        """
+        while True:
+            await reader.readexactly(consumed)
+            try:
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.IncompleteReadError:
+                return  # EOF before the newline
+            except asyncio.LimitOverrunError as exc:
+                consumed = exc.consumed
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
             while True:
                 try:
-                    raw = await reader.readline()
-                except ValueError:  # the line overran the reader's limit
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    raw = exc.partial  # the last line, cut by EOF
+                except asyncio.LimitOverrunError as exc:
                     await self._send(writer, {
                         "event": "error", "error": "request line too long",
                     })
                     # Consume the rest of the line before hanging up:
                     # closing with unread input resets the connection,
                     # which can destroy the answer before it is read.
-                    while True:
-                        chunk = await reader.read(1 << 16)
-                        if not chunk or b"\n" in chunk:
-                            break
+                    await self._discard_line(reader, exc.consumed)
                     break
                 if not raw:
                     break

@@ -24,7 +24,7 @@ DESIGN.md §3).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,28 +37,79 @@ from repro.params import (
 )
 from repro.errors import MappingError
 from repro.vmos.mapping import DEFAULT_PROT as _DEFAULT_PROT
-from repro.vmos.mapping import MemoryMapping, expand_ranges, promotion_windows
+from repro.vmos.mapping import (
+    KeyIndex,
+    MemoryMapping,
+    expand_ranges,
+    promotion_windows,
+    sorted_arrays,
+)
 from repro.vmos.page_table import PageTable
 
 
-@dataclass
 class AnchorDirectory:
-    """The OS's coverage plan for one process at one anchor distance."""
+    """The OS's coverage plan for one process at one anchor distance.
 
-    distance: int
-    #: 2 MiB-promoted windows: hvpn (512-aligned VPN) -> base PFN.
-    huge: dict[int, int] = field(default_factory=dict)
-    #: anchor VPN -> contiguity count (pages), for d-aligned 4 KiB leaves.
-    anchor_contiguity: dict[int, int] = field(default_factory=dict)
-    #: VPN -> PFN for pages that keep 4 KiB leaves.
-    small: dict[int, int] = field(default_factory=dict)
-    #: VPN -> protection for pages with non-default protection (§3.3:
-    #: protection changes break coalescing runs).
-    protections: dict[int, int] = field(default_factory=dict)
+    A plan is born as three sorted :class:`KeyIndex` columns sliced from
+    the :class:`FrozenMapping` (see :meth:`indexes`): the 2 MiB windows,
+    the 4 KiB leaves and the anchors.  The dict views below are built
+    from them once, on first scalar use, in ascending order and as
+    Python ints; a §3.3 ``note_*`` edit changes the dicts in place and
+    drops the columns, which :meth:`indexes` then rebuilds from them.
+    """
 
-    def __post_init__(self) -> None:
-        if not is_pow2(self.distance):
+    def __init__(
+        self,
+        distance: int,
+        huge: KeyIndex,
+        small: KeyIndex,
+        anchors: KeyIndex,
+        protections: dict[int, int],
+    ) -> None:
+        if not is_pow2(distance):
             raise ValueError("anchor distance must be a power of two")
+        self.distance = distance
+        self._indexes: tuple[KeyIndex, KeyIndex, KeyIndex] | None = (
+            huge, small, anchors)
+        #: VPN -> protection for pages with non-default protection (§3.3:
+        #: protection changes break coalescing runs).
+        self.protections = protections
+
+    @cached_property
+    def huge(self) -> dict[int, int]:
+        """2 MiB-promoted windows: hvpn (512-aligned VPN) -> base PFN."""
+        return self._indexes[0].table()
+
+    @cached_property
+    def small(self) -> dict[int, int]:
+        """VPN -> PFN for pages that keep 4 KiB leaves."""
+        return self._indexes[1].table()
+
+    @cached_property
+    def anchor_contiguity(self) -> dict[int, int]:
+        """anchor VPN -> contiguity count (pages), for d-aligned 4 KiB
+        leaves."""
+        return self._indexes[2].table()
+
+    def indexes(self) -> tuple[KeyIndex, KeyIndex, KeyIndex]:
+        """The plan as ``(huge, small, anchors)`` :class:`KeyIndex`
+        columns, re-indexed from the dicts after a §3.3 edit."""
+        if self._indexes is None:
+            self._indexes = (sorted_arrays(self.huge), sorted_arrays(self.small),
+                             sorted_arrays(self.anchor_contiguity))
+        return self._indexes
+
+    def copy(self) -> "AnchorDirectory":
+        """A private twin for in-place edits: it shares the (read-only)
+        columns and builds its own dicts."""
+        return AnchorDirectory(self.distance, *self.indexes(),
+                               dict(self.protections))
+
+    def _edit(self) -> None:
+        """Materialise the dict views before an in-place edit, and drop
+        the columns it stales."""
+        _ = self.huge, self.small, self.anchor_contiguity
+        self._indexes = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -88,15 +139,15 @@ class AnchorDirectory:
 
         Everything comes from the :class:`FrozenMapping` columns: a
         region takes a ``searchsorted`` slice of the chunk columns,
-        clipped to its bounds, and of the sorted pages.
+        clipped to its bounds, and of the sorted pages.  A plan that
+        promotes nothing over the whole mapping keeps the page index
+        itself as its 4 KiB side.
         """
         frozen = mapping.frozen()
         chunk_end = frozen.chunk_vpn + frozen.chunk_pages
-        keys = sorted(frozen.page_table)
         protections = sorted(mapping._prot.items())
         directories = []
         for lo, hi, distance in regions:
-            directory = cls(distance=distance)
             first = np.searchsorted(chunk_end, lo, side="right")
             last = np.searchsorted(frozen.chunk_vpn, hi)
             vpn = np.maximum(frozen.chunk_vpn[first:last], lo)
@@ -104,7 +155,7 @@ class AnchorDirectory:
             end = np.minimum(chunk_end[first:last], hi)
             # Each chunk keeps 4 KiB leaves on [vpn, head) and [tail, end).
             head = tail = end
-            windows = np.empty(0, dtype=np.int64)
+            windows = window_pfns = np.empty(0, dtype=np.int64)
             if enable_thp:
                 # Anchors (coverage >= 2 MiB when d >= 512) own everything
                 # from the first d-aligned VPN on; promote only the head.
@@ -112,7 +163,6 @@ class AnchorDirectory:
                        if distance >= HUGE_PAGE_PAGES else None)
                 windows, window_pfns, head, tail = promotion_windows(
                     vpn, pfn, end, HUGE_PAGE_PAGES, cap)
-                directory.huge = dict(zip(windows.tolist(), window_pfns.tolist()))
             # Chunks are maximal, so these pieces are the maximal leaf
             # runs.  Every d-aligned leaf of a run is an anchor; its
             # contiguity runs to the end of the run, capped at 16 bits.
@@ -120,18 +170,21 @@ class AnchorDirectory:
             run_hi = np.stack((head, end), axis=1).ravel()
             anchors, owner = expand_ranges(
                 -(-run_lo // distance) * distance, run_hi, distance)
-            directory.anchor_contiguity = dict(zip(
-                anchors.tolist(),
-                np.minimum(run_hi[owner] - anchors, MAX_CONTIGUITY).tolist()))
             page_lo, page_hi = np.searchsorted(frozen.vpns, (lo, hi)).tolist()
-            directory.small = frozen.page_dict(
-                windows, HUGE_PAGE_PAGES, page_lo, page_hi, keys)
-            huge = directory.huge
-            directory.protections = {
-                v: prot for v, prot in protections
-                if lo <= v < hi and align_down(v, HUGE_PAGE_PAGES) not in huge
-            }
-            directories.append(directory)
+            promoted = set(windows.tolist())
+            directories.append(cls(
+                distance,
+                huge=KeyIndex(windows, window_pfns),
+                small=frozen.pages_outside(
+                    windows, HUGE_PAGE_PAGES, page_lo, page_hi),
+                anchors=KeyIndex(
+                    anchors, np.minimum(run_hi[owner] - anchors, MAX_CONTIGUITY)),
+                protections={
+                    v: prot for v, prot in protections
+                    if lo <= v < hi
+                    and align_down(v, HUGE_PAGE_PAGES) not in promoted
+                },
+            ))
         return directories
 
     def _protection_of(self, vpn: int) -> int:
@@ -156,6 +209,7 @@ class AnchorDirectory:
         """A 4 KiB page was unmapped; truncate the anchors that spanned it."""
         if vpn not in self.small:
             raise MappingError(f"vpn {vpn:#x} not a 4 KiB leaf")
+        self._edit()
         pfn = self.small.pop(vpn)
         self.protections.pop(vpn, None)
         self._truncate_anchors_at(vpn)
@@ -167,6 +221,7 @@ class AnchorDirectory:
             raise MappingError(f"vpn {vpn:#x} already mapped")
         if align_down(vpn, HUGE_PAGE_PAGES) in self.huge:
             raise MappingError(f"vpn {vpn:#x} lies in a huge-promoted window")
+        self._edit()
         self.small[vpn] = pfn
         if prot != _DEFAULT_PROT:
             self.protections[vpn] = prot
@@ -176,6 +231,7 @@ class AnchorDirectory:
         """A page's protection changed; split coalescing at the boundary."""
         if vpn not in self.small:
             raise MappingError(f"vpn {vpn:#x} not a 4 KiB leaf")
+        self._edit()
         if prot == _DEFAULT_PROT:
             self.protections.pop(vpn, None)
         else:

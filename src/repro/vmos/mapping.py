@@ -2,17 +2,21 @@
 
 This is the paper's central object of study: the function
 ``VPN -> PFN`` whose *contiguity structure* decides how well each
-translation scheme can coalesce.  The class keeps the mapping as a dict
-(sparse in VPN space) plus the VMA list, and offers the derived views
-everything else consumes: maximal contiguous chunks, the contiguity
-histogram, and ground-truth translation for the differential tests.
-:class:`KeyIndex` is the one bulk lookup over page-keyed arrays.
+translation scheme can coalesce.  A mapping is born as sorted int64
+``vpns``/``pfns`` columns (a builder hands over its ``(vpn, pfn,
+pages)`` runs in one :meth:`MemoryMapping.map_runs` call) plus the VMA
+list; the per-page dict is built only for scalar reads and in-place
+edits.  The class offers the derived views everything else consumes:
+maximal contiguous chunks, the contiguity histogram, and ground-truth
+translation for the differential tests.  :class:`KeyIndex` is the one
+bulk lookup over page-keyed arrays, and the form every coverage plan
+takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,9 +129,20 @@ class KeyIndex:
         """True when every query is a key (the fast-path pre-check)."""
         return queries.size == 0 or int(self.rows_of(queries).min()) >= 0
 
+    def table(self) -> dict[int, int]:
+        """The index as a dict of Python ints, in ascending key order:
+        the scalar view of a plan."""
+        return dict(zip(self.keys.tolist(), self.values.tolist()))
+
+
+def empty_index() -> KeyIndex:
+    """A :class:`KeyIndex` with no keys."""
+    return KeyIndex(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
 
 def sorted_arrays(table: dict[int, int]) -> KeyIndex:
-    """A dict of int -> int as a :class:`KeyIndex`."""
+    """A dict of int -> int as a :class:`KeyIndex`: re-indexes a plan
+    that an in-place §3.3 edit changed."""
     keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
     values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
     order = np.argsort(keys)
@@ -147,7 +162,8 @@ class FrozenMapping:
     scheme over the same mapping (see :meth:`MemoryMapping.frozen`);
     consumers compare ``frozen.version`` against ``mapping.version`` to
     detect staleness (``TranslationScheme.sync_mapping`` does exactly
-    that).
+    that).  It adopts the mapping's own sorted columns, so an unmutated
+    mapping compiles without reading a dict.
 
     Two run decompositions are exposed because the hardware models need
     both:
@@ -163,7 +179,6 @@ class FrozenMapping:
 
     __slots__ = (
         "version",
-        "page_table",
         "vpns",
         "pfns",
         "chunk_vpn",
@@ -178,16 +193,8 @@ class FrozenMapping:
 
     def __init__(self, mapping: "MemoryMapping") -> None:
         self.version = mapping.version
-        #: Direct reference to the live page table (no copy).  Safe to
-        #: read only while ``mapping.version == self.version``; any
-        #: mutation bumps the version and invalidates this view.
-        self.page_table = table = mapping._map
-        count = len(table)
-        vpns = np.fromiter(table.keys(), dtype=np.int64, count=count)
-        pfns = np.fromiter(table.values(), dtype=np.int64, count=count)
-        order = np.argsort(vpns)
-        self.vpns = vpns = vpns[order]
-        self.pfns = pfns = pfns[order]
+        self.vpns, self.pfns = vpns, pfns = mapping._columns()
+        count = vpns.shape[0]
         #: The page index over the two columns themselves (no copies).
         self.index = KeyIndex(vpns, pfns)
         # Runs break on a VPN or PFN gap; chunks also where the
@@ -226,27 +233,26 @@ class FrozenMapping:
         return promotion_windows(
             self.chunk_vpn, self.chunk_pfn, end, window)[:2]
 
-    def page_dict(
+    def pages_outside(
         self,
         windows: np.ndarray,
         window: int,
         lo: int = 0,
         hi: int | None = None,
-        keys: list[int] | None = None,
-    ) -> dict[int, int]:
-        """The live page table over ``vpns[lo:hi]``, ascending, minus the
-        pages in the ``window``-page windows at ascending ``windows``.
-
-        Keys and values are the table's own int objects, not fresh ones
-        from ``tolist()``; ``keys`` passes ``sorted(page_table)`` along.
+    ) -> KeyIndex:
+        """The page index over ``vpns[lo:hi]`` minus the pages in the
+        ``window``-page windows at ascending ``windows``: the 4 KiB side
+        of a promotion.  The page index itself when that is every page.
         """
-        table = self.page_table
-        kept = (sorted(table) if keys is None else keys)[lo:hi]
+        vpns, pfns = self.vpns[lo:hi], self.pfns[lo:hi]
         if windows.size:
-            heads = self.vpns[lo:hi] & -window
+            heads = vpns & -window
             slot = np.minimum(np.searchsorted(windows, heads), windows.size - 1)
-            kept = list(compress(kept, (windows[slot] != heads).tolist()))
-        return dict(zip(kept, map(table.__getitem__, kept)))
+            keep = windows[slot] != heads
+            vpns, pfns = vpns[keep], pfns[keep]
+        if vpns.shape[0] == len(self):
+            return self.index
+        return KeyIndex(vpns, pfns)
 
     def __len__(self) -> int:
         return self.vpns.shape[0]
@@ -285,16 +291,7 @@ class FrozenMapping:
         chunk order matches :meth:`MemoryMapping.chunks`."""
         return self._interval_of(self.chunk_vpn, self.chunk_pages, vpns)
 
-    # -- scalar queries -------------------------------------------------
 
-    def get(self, vpn: int) -> int | None:
-        return self.page_table.get(vpn)
-
-    def __contains__(self, vpn: int) -> bool:
-        return vpn in self.page_table
-
-
-@dataclass
 class MemoryMapping:
     """VPN -> PFN map for a process, with chunk-structure queries.
 
@@ -302,19 +299,75 @@ class MemoryMapping:
     permission combination).  Per paper §3.3, pages with differing
     permissions must not be coalesced even when physically contiguous,
     so a protection change ends a chunk.
+
+    The pages live in one of two forms.  :meth:`map_runs` into an empty
+    mapping stores them as sorted ``vpns``/``pfns`` int64 columns, and
+    :meth:`frozen` adopts those columns as they are.  The page dict
+    (:attr:`page_table`) is built from the columns on the first scalar
+    read or mutation, and from then on every mutation edits it in place,
+    one page at a time: a sorted-column insert per page would make
+    compaction, nested paging and page migration quadratic.  A mutation
+    drops the columns; the next :meth:`frozen` recompiles them from the
+    dict.
     """
 
-    vmas: list[VMA] = field(default_factory=list)
-    _map: dict[int, int] = field(default_factory=dict)
-    _prot: dict[int, int] = field(default_factory=dict)
-    #: Monotonic mutation counter.  Every map/unmap/mprotect bumps it;
-    #: compiled views (:class:`FrozenMapping`, scheme-side snapshots)
-    #: carry the version they were built from and must be refreshed
-    #: when it no longer matches (compaction and shootdown paths mutate
-    #: mappings long after the schemes were constructed).
-    version: int = field(default=0, compare=False)
-    _frozen_cache: FrozenMapping | None = field(
-        default=None, repr=False, compare=False)
+    def __init__(self, vmas: list[VMA] | None = None) -> None:
+        self.vmas: list[VMA] = [] if vmas is None else vmas
+        #: The page dict, or None until a scalar read or mutation needs it.
+        self._map: dict[int, int] | None = None
+        #: Sorted page columns, or None while a mutation has staled them.
+        #: At least one of the two forms is always present.
+        self._vpns: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self._pfns: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self._prot: dict[int, int] = {}
+        #: Monotonic mutation counter.  Every map/unmap/mprotect bumps it;
+        #: compiled views (:class:`FrozenMapping`, scheme-side snapshots)
+        #: carry the version they were built from and must be refreshed
+        #: when it no longer matches (compaction and shootdown paths mutate
+        #: mappings long after the schemes were constructed).
+        self.version = 0
+        self._frozen_cache: FrozenMapping | None = None
+
+    def __eq__(self, other: object) -> bool:
+        """Same VMAs, pages and protections; versions and compiled views
+        do not count."""
+        if not isinstance(other, MemoryMapping):
+            return NotImplemented
+        return (self.vmas == other.vmas and self._prot == other._prot
+                and all(map(np.array_equal, self._columns(), other._columns())))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"MemoryMapping(vmas={self.vmas!r}, pages={len(self)}, "
+                f"version={self.version})")
+
+    # ------------------------------------------------------------------
+    # The two forms
+    # ------------------------------------------------------------------
+
+    @property
+    def page_table(self) -> dict[int, int]:
+        """The live VPN -> PFN dict, built from the columns on first use.
+
+        Once built it is the mapping's state for good: every mutation
+        edits this same object, so a reference to it never goes stale.
+        """
+        if self._map is None:
+            self._map = dict(zip(self._vpns.tolist(), self._pfns.tolist()))
+        return self._map
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pages as sorted ``(vpns, pfns)`` int64 columns, compiled
+        from the page dict when a mutation has staled them."""
+        if self._vpns is None:
+            table = self._map
+            count = len(table)
+            vpns = np.fromiter(table.keys(), dtype=np.int64, count=count)
+            pfns = np.fromiter(table.values(), dtype=np.int64, count=count)
+            order = np.argsort(vpns)
+            self._vpns, self._pfns = vpns[order], pfns[order]
+        return self._vpns, self._pfns
 
     # ------------------------------------------------------------------
     # Construction
@@ -322,11 +375,35 @@ class MemoryMapping:
 
     def _mutated(self) -> None:
         self.version += 1
+        self._vpns = self._pfns = None
+
+    def map_runs(self, runs: Sequence[tuple[int, int, int]]) -> None:
+        """Map many runs in one call: each ``(vpn, pfn, pages)`` maps
+        ``pages`` consecutive VPNs from ``vpn`` onto the frames from
+        ``pfn`` on.
+
+        All or nothing, like :meth:`map_run`: runs overlapping each other
+        or a mapped page map nothing.  Into an empty mapping the runs
+        become its sorted columns and no page dict is built.
+        """
+        vpns, pfns = _run_pages(runs)
+        if self._map is None and not self._vpns.shape[0]:
+            self._vpns, self._pfns = vpns, pfns
+            self.version += 1
+            return
+        table = self.page_table
+        keys = vpns.tolist()
+        if not table.keys().isdisjoint(keys):
+            taken = next(v for v in keys if v in table)
+            raise MappingError(f"vpn {taken:#x} already mapped")
+        table.update(zip(keys, pfns.tolist()))
+        self._mutated()
 
     def map_page(self, vpn: int, pfn: int, prot: int = DEFAULT_PROT) -> None:
-        if vpn in self._map:
+        table = self.page_table
+        if vpn in table:
             raise MappingError(f"vpn {vpn:#x} already mapped")
-        self._map[vpn] = pfn
+        table[vpn] = pfn
         if prot != DEFAULT_PROT:
             self._prot[vpn] = prot
         self._mutated()
@@ -336,18 +413,19 @@ class MemoryMapping:
 
         All or nothing: a run overlapping a mapped page maps nothing.
         """
+        table = self.page_table
         vpns = range(vpn, vpn + frames.count)
-        if not self._map.keys().isdisjoint(vpns):
-            taken = next(v for v in vpns if v in self._map)
+        if not table.keys().isdisjoint(vpns):
+            taken = next(v for v in vpns if v in table)
             raise MappingError(f"vpn {taken:#x} already mapped")
-        self._map.update(zip(vpns, range(frames.start, frames.end)))
+        table.update(zip(vpns, range(frames.start, frames.end)))
         if prot != DEFAULT_PROT:
             self._prot.update(dict.fromkeys(vpns, prot))
         self._mutated()
 
     def unmap_page(self, vpn: int) -> int:
         try:
-            pfn = self._map.pop(vpn)
+            pfn = self.page_table.pop(vpn)
         except KeyError:
             raise MappingError(f"vpn {vpn:#x} not mapped") from None
         self._prot.pop(vpn, None)
@@ -361,8 +439,9 @@ class MemoryMapping:
         the chunk structure changes even though the frames do not.  All
         or nothing: a range with an unmapped page changes nothing.
         """
+        table = self.page_table
         vpns = range(vpn, vpn + pages)
-        missing = next((v for v in vpns if v not in self._map), None)
+        missing = next((v for v in vpns if v not in table), None)
         if missing is not None:
             raise MappingError(f"vpn {missing:#x} not mapped")
         if prot == DEFAULT_PROT:
@@ -381,26 +460,31 @@ class MemoryMapping:
 
     def translate(self, vpn: int) -> int:
         try:
-            return self._map[vpn]
+            return self.page_table[vpn]
         except KeyError:
             raise PageFaultError(f"vpn {vpn:#x} not mapped") from None
 
     def get(self, vpn: int) -> int | None:
-        return self._map.get(vpn)
+        return self.page_table.get(vpn)
 
     def __contains__(self, vpn: int) -> bool:
-        return vpn in self._map
+        return vpn in self.page_table
 
     def __len__(self) -> int:
+        if self._vpns is not None:
+            return self._vpns.shape[0]
         return len(self._map)
 
     @property
     def mapped_pages(self) -> int:
-        return len(self._map)
+        return len(self)
 
     def items(self):
         """Yield (vpn, pfn) in ascending VPN order."""
-        yield from sorted(self._map.items())
+        if self._vpns is not None:
+            yield from zip(self._vpns.tolist(), self._pfns.tolist())
+        else:
+            yield from sorted(self._map.items())
 
     def frozen(self) -> FrozenMapping:
         """The compiled view of the current version (cached, shared).
@@ -432,6 +516,26 @@ class MemoryMapping:
             if chunk.vpn <= vpn < chunk.end_vpn:
                 return chunk
         return None
+
+
+def _run_pages(
+    runs: Sequence[tuple[int, int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted page columns of ``(vpn, pfn, pages)`` runs; raises
+    :class:`MappingError` at the first VPN two runs share."""
+    table = np.array(runs, dtype=np.int64).reshape(-1, 3)
+    table = table[table[:, 2] > 0]
+    vpn, pfn, pages = table[np.argsort(table[:, 0], kind="stable")].T
+    if vpn.shape[0] > 1:
+        clash = np.flatnonzero(
+            vpn[1:] < np.maximum.accumulate(vpn + pages)[:-1])
+        if clash.size:
+            raise MappingError(f"vpn {int(vpn[clash[0] + 1]):#x} already mapped")
+    # Page i of the concatenated runs is ``i`` shifted by its run's
+    # ``vpn`` minus the pages before that run.
+    vpns = np.arange(pages.sum(), dtype=np.int64)
+    vpns += np.repeat(vpn - (np.cumsum(pages) - pages), pages)
+    return vpns, vpns + np.repeat(pfn - vpn, pages)
 
 
 def _runs(

@@ -54,7 +54,8 @@ def demand_paging(
     if faultaround_pages < 1 or faultaround_pages & (faultaround_pages - 1):
         raise ValueError("faultaround_pages must be a positive power of two")
     around_order = faultaround_pages.bit_length() - 1
-    mapping = MemoryMapping(vmas=list(vmas))
+    # Each fault maps one (vpn, pfn, pages) run, handed over at the end.
+    runs: list[tuple[int, int, int]] = []
     buddy = memory.buddy
     cursors = [vma.start_vpn for vma in vmas]
     active = list(range(len(vmas)))
@@ -75,13 +76,13 @@ def demand_paging(
             except OutOfMemoryError:
                 block = None
             if block is not None:
-                mapping.map_run(vpn, block)
+                runs.append((vpn, block.start, block.count))
                 faulted = HUGE_PAGE_PAGES
         if not faulted:
             # Fault-around: map a small aligned group from one block.
             group = min(faultaround_pages, vma.end_vpn - vpn)
             if vpn % faultaround_pages or group < faultaround_pages:
-                mapping.map_page(vpn, buddy.alloc_order(0).start)
+                runs.append((vpn, buddy.alloc_order(0).start, 1))
                 faulted = 1
             else:
                 try:
@@ -89,10 +90,10 @@ def demand_paging(
                 except OutOfMemoryError:
                     block = None
                 if block is not None:
-                    mapping.map_run(vpn, block)
+                    runs.append((vpn, block.start, block.count))
                     faulted = group
                 else:
-                    mapping.map_page(vpn, buddy.alloc_order(0).start)
+                    runs.append((vpn, buddy.alloc_order(0).start, 1))
                     faulted = 1
         cursors[index] = vpn + faulted
         if cursors[index] >= vma.end_vpn:
@@ -100,16 +101,20 @@ def demand_paging(
         elif len(active) > 1 and rng.random() < interleave:
             # Another thread's fault lands in a different region.
             position = int(rng.integers(len(active)))
+    mapping = MemoryMapping(vmas=list(vmas))
+    mapping.map_runs(runs)
     return mapping
 
 
 def eager_paging(vmas: list[VMA], memory: PhysicalMemory) -> MemoryMapping:
     """Allocate every VMA in full at request time via the buddy system."""
-    mapping = MemoryMapping(vmas=list(vmas))
+    runs: list[tuple[int, int, int]] = []
     for vma in vmas:
         blocks = memory.buddy.alloc_pages(vma.pages)
         vpn = vma.start_vpn
         for block in blocks:
-            mapping.map_run(vpn, block)
+            runs.append((vpn, block.start, block.count))
             vpn += block.count
+    mapping = MemoryMapping(vmas=list(vmas))
+    mapping.map_runs(runs)
     return mapping

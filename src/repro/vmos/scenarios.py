@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mem.frames import FrameRange
 from repro.mem.physmem import PhysicalMemory
 from repro.params import SCENARIO_ORDER, SCENARIO_RANGES
 from repro.util.rng import spawn_rng
@@ -48,14 +47,20 @@ def _chunk_phase(pages: int) -> int:
     return min(1 << order, 512)
 
 
-def _place_chunk(
-    mapping: MemoryMapping, vpn: int, pages: int, pfn_cursor: int
-) -> int:
-    """Map one chunk phase-aligned at/after ``pfn_cursor``; return new cursor."""
-    phase = _chunk_phase(pages)
-    pfn = pfn_cursor + ((vpn % phase) - (pfn_cursor % phase)) % phase
-    mapping.map_run(vpn, FrameRange(pfn, pages))
-    return pfn + pages + 1  # guard frame prevents accidental adjacency
+def _placed(
+    vmas: list[VMA], chunks: list[tuple[int, int]], pfn_cursor: int
+) -> MemoryMapping:
+    """Map the ``(vpn, pages)`` chunks in order, each phase-aligned at
+    or after the cursor, one guard frame apart."""
+    runs = []
+    for vpn, pages in chunks:
+        phase = _chunk_phase(pages)
+        pfn = pfn_cursor + ((vpn % phase) - (pfn_cursor % phase)) % phase
+        runs.append((vpn, pfn, pages))
+        pfn_cursor = pfn + pages + 1  # guard frame prevents accidental adjacency
+    mapping = MemoryMapping(vmas=list(vmas))
+    mapping.map_runs(runs)
+    return mapping
 
 
 def synthetic_mapping(
@@ -80,23 +85,16 @@ def synthetic_mapping(
             remaining -= size
     # Then scatter them in physical memory: random order, guard frames.
     order = rng.permutation(len(placements))
-    mapping = MemoryMapping(vmas=list(vmas))
     pfn_cursor = int(rng.integers(0, 1 << 10))  # random base
-    for position in order:
-        vpn, pages = placements[position]
-        pfn_cursor = _place_chunk(mapping, vpn, pages, pfn_cursor)
-    return mapping
+    return _placed(vmas, [placements[i] for i in order.tolist()], pfn_cursor)
 
 
 def max_contiguity_mapping(vmas: list[VMA], rng: np.random.Generator) -> MemoryMapping:
     """Every VMA is one fully contiguous physical chunk (ideal for RMM)."""
-    mapping = MemoryMapping(vmas=list(vmas))
     pfn_cursor = int(rng.integers(0, 1 << 10))
     order = rng.permutation(len(vmas))
-    for index in order:
-        vma = vmas[index]
-        pfn_cursor = _place_chunk(mapping, vma.start_vpn, vma.pages, pfn_cursor)
-    return mapping
+    return _placed(vmas, [(vmas[i].start_vpn, vmas[i].pages)
+                          for i in order.tolist()], pfn_cursor)
 
 
 def _physical_memory_for(

@@ -68,19 +68,23 @@ class TestAnchorLookup:
         assert hits == l2.array.ways + 4
         assert sets >= 12  # sanity: spreading was possible
 
-    def test_distance_change_flushes(self, l2):
+    def test_register_load_flushes_nothing(self, l2):
+        """A §3.1 register load keeps every entry: a tenant's entries
+        were made under the distance it loads.  The §3.3 flush after a
+        change is the scheme's own, under its ASID."""
         l2.fill_anchor(32, 4096, 16)
         l2.fill_small(5, 1)
-        l2.set_distance(64)
-        assert l2.lookup_small(5) is None
-        assert l2.lookup_anchor(32) is None
+        l2.restore_distance(64)
         assert l2.distance == 64
+        assert l2.lookup_small(5) == 1
+        l2.restore_distance(16)
+        assert l2.lookup_anchor(32) == 4096
 
     def test_invalid_distance(self, l2):
         with pytest.raises(ValueError):
-            l2.set_distance(3)
+            l2.restore_distance(3)
         with pytest.raises(ValueError):
-            l2.set_distance(0)
+            l2.restore_distance(0)
 
     def test_capacity_shared_between_kinds(self):
         l2 = AnchorL2TLB(DEFAULT_MACHINE, distance=2)

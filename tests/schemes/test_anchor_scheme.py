@@ -105,7 +105,7 @@ class TestDynamicDistance:
     def test_distance_change_flushes_and_logs(self, two_chunk_mapping):
         scheme = AnchorScheme(two_chunk_mapping)
         # Force a change by faking a different current distance.
-        scheme.l2.set_distance(2)
+        scheme.l2.restore_distance(2)
         scheme._build_directories()
         distance, changed = scheme.reselect_distance()
         assert changed

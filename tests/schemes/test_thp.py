@@ -8,6 +8,11 @@ from repro.schemes.thp import THPScheme
 from repro.vmos.mapping import MemoryMapping
 
 
+def _dicts(promote, mapping):
+    """A promotion's :class:`KeyIndex` plans as dicts."""
+    return tuple(index.table() for index in promote(mapping))
+
+
 @pytest.fixture
 def huge_friendly():
     """1024 pages, aligned and phase-matched: two promotable windows."""
@@ -18,28 +23,28 @@ def huge_friendly():
 
 class TestPromotion:
     def test_aligned_run_promotes(self, huge_friendly):
-        huge, small = promote_huge_pages(huge_friendly)
+        huge, small = _dicts(promote_huge_pages, huge_friendly)
         assert set(huge) == {512, 1024}
         assert not small
 
     def test_phase_mismatch_blocks_promotion(self):
         mapping = MemoryMapping()
         mapping.map_run(512, FrameRange(4099, 1024))
-        huge, small = promote_huge_pages(mapping)
+        huge, small = _dicts(promote_huge_pages, mapping)
         assert not huge
         assert len(small) == 1024
 
     def test_partial_window_not_promoted(self):
         mapping = MemoryMapping()
         mapping.map_run(512, FrameRange(4096, 600))
-        huge, small = promote_huge_pages(mapping)
+        huge, small = _dicts(promote_huge_pages, mapping)
         assert set(huge) == {512}
         assert len(small) == 600 - 512
 
     def test_unaligned_head_skipped(self):
         mapping = MemoryMapping()
         mapping.map_run(700, FrameRange(4096 + 188, 1024))
-        huge, _ = promote_huge_pages(mapping)
+        huge, _ = _dicts(promote_huge_pages, mapping)
         assert set(huge) == {1024}
 
 

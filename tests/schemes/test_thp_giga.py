@@ -11,6 +11,11 @@ from repro.sim.engine import run_trace
 from repro.vmos.mapping import MemoryMapping
 
 
+def _dicts(promote, mapping):
+    """A promotion's :class:`KeyIndex` plans as dicts."""
+    return tuple(index.table() for index in promote(mapping))
+
+
 @pytest.fixture(scope="module")
 def giga_friendly():
     """One aligned, phase-matched 1 GiB run plus a 2 MiB remainder."""
@@ -22,21 +27,21 @@ def giga_friendly():
 
 class TestGigaPromotion:
     def test_aligned_run_promotes(self, giga_friendly):
-        giga, rest = promote_giga_pages(giga_friendly)
+        giga, rest = _dicts(promote_giga_pages, giga_friendly)
         assert set(giga) == {GIGA_PAGE_PAGES}
         assert len(rest) == 512  # the 2 MiB tail stays
 
     def test_phase_mismatch_blocks(self):
         mapping = MemoryMapping()
         mapping.map_run(GIGA_PAGE_PAGES, FrameRange(7, GIGA_PAGE_PAGES))
-        giga, rest = promote_giga_pages(mapping)
+        giga, rest = _dicts(promote_giga_pages, mapping)
         assert not giga
         assert len(rest) == GIGA_PAGE_PAGES
 
     def test_sub_giga_run_not_promoted(self):
         mapping = MemoryMapping()
         mapping.map_run(0, FrameRange(0, GIGA_PAGE_PAGES // 2))
-        giga, _ = promote_giga_pages(mapping)
+        giga, _ = _dicts(promote_giga_pages, mapping)
         assert not giga
 
 

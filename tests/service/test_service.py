@@ -273,14 +273,18 @@ class TestFailureHandling:
         (b"null", "JSON object"),
         (b'"x"', "JSON object"),
         (b'{"op": "status", "pad": "' + b"x" * 200_000 + b'"}', "too long"),
+        # Over the limit, but short enough to arrive whole, newline and
+        # all, before the server reads it.
+        (b'{"op": "status", "pad": "' + b"x" * 70_000 + b'"}', "too long"),
         # Inside the line limit, but too deep for the JSON decoder.
         (b"[" * 30_000 + b"]" * 30_000, "malformed JSON"),
-    ], ids=["list", "number", "null", "string", "oversize", "deep-nesting"])
+    ], ids=["list", "number", "null", "string", "oversize", "oversize-70k",
+            "deep-nesting"])
     def test_bad_line_answered_not_dropped(self, line, error):
         """A line that does not parse to a JSON object keeps the
         connection serving; an oversize line is answered, then the server
-        hangs up.  Either way the service itself keeps serving new
-        connections."""
+        hangs up, whether or not its newline had arrived.  Either way the
+        service itself keeps serving new connections."""
         oversize = error == "too long"
         with ServiceThread() as service_thread:
             host, port = service_thread.host, service_thread.port
@@ -371,13 +375,16 @@ class TestProtocolFuzz:
         """Any run of bad lines on one connection: one ``error`` envelope
         per line, in order, then a ``status`` that still answers on that
         connection and on a fresh one, counting exactly the bad submits
-        as errors."""
+        as errors.  A stream may end in a line over the reader's limit,
+        sent whole: the earlier answers come in order, then ``request
+        line too long``, then the server hangs up."""
         with ServiceThread(workers=0) as service_thread:
             host, port = service_thread.host, service_thread.port
 
             @settings(max_examples=60, deadline=None)
-            @given(lines=st.lists(bad_lines(), min_size=1, max_size=8))
-            def check(lines):
+            @given(lines=st.lists(bad_lines(), min_size=1, max_size=8),
+                   oversize=st.none() | st.integers(64 * 1024 + 1, 200 * 1024))
+            def check(lines, oversize):
                 with socket.create_connection((host, port), timeout=30) \
                         as sock, sock.makefile("rwb") as stream:
                     # Pipelined: every line goes out before any answer
@@ -385,10 +392,15 @@ class TestProtocolFuzz:
                     stream.write(b'{"op": "status"}\n')
                     for line, _ in lines:
                         stream.write(line + b"\n")
-                    stream.write(b'{"op": "status"}\n')
+                    if oversize is None:
+                        stream.write(b'{"op": "status"}\n')
+                    else:
+                        stream.write(b"x" * oversize + b"\n")
                     stream.flush()
                     envelopes = [json.loads(stream.readline())
                                  for _ in range(len(lines) + 2)]
+                    if oversize is not None:
+                        assert stream.readline() == b""  # hung up
                 fresh = status(host, port)
                 leading, *answers, trailing = envelopes
                 for (line, expected), envelope in zip(lines, answers):
@@ -397,8 +409,13 @@ class TestProtocolFuzz:
                 bad_submits = sum(
                     expected == SUBMIT_ERROR for _, expected in lines)
                 errors = leading["metrics"]["errors"] + bad_submits
-                assert trailing["event"] == fresh["event"] == "status"
-                assert trailing["metrics"]["errors"] == errors
+                if oversize is None:
+                    assert trailing["event"] == "status"
+                    assert trailing["metrics"]["errors"] == errors
+                else:
+                    assert trailing == {
+                        "event": "error", "error": "request line too long"}
+                assert fresh["event"] == "status"
                 assert fresh["metrics"]["errors"] == errors
                 assert fresh["metrics"]["computed"] == 0
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageFaultError
@@ -636,13 +636,21 @@ ROUND_MACHINE = MachineConfig(
 )
 
 
+#: A one-page hole near the start of every round-fleet mapping, one
+#: frame missing from an otherwise contiguous run: mapping it back at
+#: ``HOLE_PFN`` merges the two halves.
+HOLE, HOLE_PFN = 12, (1 << 20) + 12
+
+
 def _fragmented_mapping(seed: int) -> MemoryMapping:
     """Two VMAs of different fragmentation (short runs, then long
     ones, so anchor-region picks two distances) plus one aligned 2 MiB
-    run for THP promotion."""
+    run for THP promotion.  The walks start beside :data:`HOLE`."""
     rng = np.random.default_rng(seed)
     mapping = MemoryMapping()
-    vpn, pfn = 0, 1 << 20
+    mapping.map_run(0, FrameRange(HOLE_PFN - HOLE, HOLE))
+    mapping.map_run(HOLE + 1, FrameRange(HOLE_PFN + 1, 12))
+    vpn, pfn = HOLE + 13, HOLE_PFN + 13
     for end, sizes in ((768, (1, 2, 3, 5)), (1536, (16, 40, 100))):
         while vpn < end:
             size = min(int(rng.choice(sizes)), end - vpn)
@@ -668,29 +676,50 @@ class _HookedCursor:
         return self._cursor.take(n)
 
 
-#: The round cuts the differential below injects.
-EVENTS = ("none", "remap", "unmapped", "drift")
+#: The round cuts and §3.3 updates the differential below injects.
+EVENTS = ("none", "remap", "unmapped", "unmap", "map", "protect")
+
+#: Each §3.3 update on a tenant's own scheme, at pages its walk never
+#: touches: truncating anchors, filling the hole (which merges two runs,
+#: so pages the walk left as resident 4 KiB entries become anchored),
+#: and a protection island.
+SECTION_33_UPDATES = {
+    "unmap": lambda scheme: scheme.unmap_page(1535),
+    "map": lambda scheme: scheme.map_page(HOLE, HOLE_PFN),
+    "protect": lambda scheme: scheme.protect_page(1525, 0b01),
+}
+
+
+def _scalar_loop():
+    """Patch ``AnchorScheme.access_block`` to the scalar ``access`` loop
+    (the base loop of a scheme outside any ASID table)."""
+    return mock.patch.object(
+        AnchorScheme, "access_block", TranslationScheme.access_block)
 
 
 def _run_round_fleet(name, pwc, tenants, quantum, storm, seed, event, at,
-                     variant):
+                     variant, target=0):
     """One tagged schedule of ``tenants`` anchor tenants on one shared
     hierarchy, replayed as ``variant``: ``"rounds"`` (the ASID table
     set, the scheme's own round replay), ``"base"`` (the table set,
-    rounds through the base loop) or ``"quanta"`` (no table: one
-    ``access_block`` per quantum).  Returns the page fault raised, if
-    any, and the stats and shared hardware state it ends in."""
+    rounds through the base loop), ``"quanta"`` (no table: one
+    ``access_block`` per quantum) or ``"scalar"`` (no table: the scalar
+    ``access`` loop, each tenant under its own ASID).  Each tenant is a
+    ``clone_fresh`` of its own prototype, so a §3.3 update privatises
+    the plans it shares.  Returns the page fault raised, if any, and
+    the stats and shared hardware state it ends in."""
     machine = dataclasses.replace(ROUND_MACHINE, pwc=pwc)
     rng = np.random.default_rng(seed)
-    schemes = [make_scheme(name, _fragmented_mapping(seed + i), machine)
-               for i in range(tenants)]
+    schemes = [
+        make_scheme(name, _fragmented_mapping(seed + i), machine).clone_fresh()
+        for i in range(tenants)]
     shared = schemes[0].structures()
     table = {}
     members = []
     for asid, scheme in enumerate(schemes, start=1):
         for attr, structure in scheme.structures().items():
             setattr(scheme, attr, structure.attach(shared[attr]))
-        if variant != "quanta":
+        if variant in ("rounds", "base"):
             scheme.tenants = table
             table[asid] = scheme
         # A local random walk over the mapped pages, but for the last
@@ -713,15 +742,20 @@ def _run_round_fleet(name, pwc, tenants, quantum, storm, seed, event, at,
             pfn = last.unmap_page(page)
             last.map_page(page, pfn + 7)
         members[-1].cursor = _HookedCursor(members[-1].cursor, at, remap)
-    elif event == "drift":
-        # The first tenant unmaps a page it never touches: an
-        # incremental shootdown, so its plan has drifted.
-        first = members[0].scheme
+    elif event in SECTION_33_UPDATES:
+        # A §3.3 update on the ``target`` tenant, running or not: an
+        # incremental shootdown under its own ASID, so its plan has
+        # drifted.  It lands before the first tenant's take, between
+        # two rounds, which are also two quanta.
+        victim = members[target % tenants].scheme
+        update = SECTION_33_UPDATES[event]
         members[0].cursor = _HookedCursor(
-            members[0].cursor, at, lambda: first.unmap_page(1535))
+            members[0].cursor, at, lambda: update(victim))
     storm_every, storm_quantum = storm
     fault = None
-    with _base_loop() if variant == "base" else contextlib.nullcontext():
+    patch = {"base": _base_loop, "scalar": _scalar_loop}.get(
+        variant, contextlib.nullcontext)
+    with patch():
         try:
             run_schedule(members, quantum=quantum, policy="tagged",
                          storm_every=storm_every, storm_quantum=storm_quantum,
@@ -799,19 +833,31 @@ class TestRoundReplay:
            quantum=st.integers(1, 80),
            storm=st.sampled_from([(0, 0), (2, 7), (3, 1)]),
            seed=st.integers(0, 1000), event=st.sampled_from(EVENTS),
-           at=st.integers(1, 4))
+           at=st.integers(1, 4), target=st.integers(0, 3))
+    # Filling the hole anchors pages the walk left as resident 4 KiB
+    # entries; each example fails a replay that batches a drifted
+    # tenant.  The target is not running in the first two, and is the
+    # tenant switched in when the update lands in the third.
+    @example(name="anchor-dyn", pwc=False, tenants=2, quantum=30,
+             storm=(0, 0), seed=4, event="map", at=2, target=0)
+    @example(name="anchor-region", pwc=True, tenants=2, quantum=30,
+             storm=(0, 0), seed=6, event="map", at=2, target=0)
+    @example(name="anchor-dyn", pwc=False, tenants=3, quantum=60,
+             storm=(0, 0), seed=0, event="map", at=2, target=2)
     def test_round_cuts_match_base_loop_and_quanta(
-            self, name, pwc, tenants, quantum, storm, seed, event, at):
-        """Round replay, the base loop and one block per quantum end in
-        the same stats and shared state — through a mapping remapped
-        between quanta (the round is cut before that tenant's sync), a
-        block with an unmapped page (the page fault, raised by the
-        scalar loop) and a tenant drifted by ``unmap_page`` (the round
-        runs the base loop)."""
+            self, name, pwc, tenants, quantum, storm, seed, event, at,
+            target):
+        """Round replay, the base loop, one block per quantum and the
+        scalar loop end in the same stats and shared state — through a
+        mapping remapped between quanta (the round is cut before that
+        tenant's sync), a block with an unmapped page (the page fault,
+        raised by the scalar loop) and a §3.3 ``unmap_page``,
+        ``map_page`` or ``protect_page`` on a drawn tenant, switched in
+        or not (its rounds run the base loop until its next flush)."""
         runs = [_run_round_fleet(name, pwc, tenants, quantum, storm, seed,
-                                 event, at, variant)
-                for variant in ("rounds", "base", "quanta")]
-        assert runs[0] == runs[1] == runs[2]
+                                 event, at, variant, target)
+                for variant in ("rounds", "base", "quanta", "scalar")]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
         if event == "unmapped":
             assert runs[0][0] is not None
 

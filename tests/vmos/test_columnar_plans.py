@@ -2,22 +2,27 @@
 
 Chunks, the ``FrozenMapping`` columns, huge/giga promotions and the
 anchor directories are all derived with numpy from the sorted page
-columns.  The per-page Python walks they replaced live on here, and
-only here, as the oracle: for any mapping hypothesis builds (phase-
-aligned and misaligned chunks at 2 MiB and 1 GiB, protection islands,
-unmaps, single-page holes, the empty mapping) every derived plan must
-match the oracle in content *and* dict insertion order, with Python
-``int`` keys and values.
+columns, and every plan is a :class:`KeyIndex`.  The per-page Python
+walks they replaced live on here, and only here, as the oracle.  Every
+mapping hypothesis draws (phase-aligned and misaligned chunks at 2 MiB
+and 1 GiB, protection islands, unmaps, single-page holes, the empty
+mapping) is built twice: one ``map_run`` per run, and all runs in one
+``map_runs`` call, which keeps the mapping as columns until an edit.
+For both, every derived plan and its dict view must match the oracle
+in content *and* dict order, with Python ``int`` keys and values.
 """
 
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MappingError
 from repro.mem.frames import FrameRange
 from repro.params import (
     ANCHOR_DISTANCES,
@@ -27,11 +32,14 @@ from repro.params import (
 )
 from repro.schemes.base import promote_giga_pages, promote_huge_pages
 from repro.schemes.region_anchor_scheme import RegionAnchorScheme
+from repro.schemes.registry import make_scheme, scheme_names
 from repro.schemes.thp import THPScheme
 from repro.sim.runner import mapping_digest
+from repro.sim.workloads import get_workload
 from repro.vmos.anchor import AnchorDirectory
-from repro.vmos.mapping import DEFAULT_PROT, Chunk, MemoryMapping
+from repro.vmos.mapping import DEFAULT_PROT, Chunk, KeyIndex, MemoryMapping
 from repro.vmos.regions import AnchorRegion
+from repro.vmos.scenarios import build_mapping
 
 PROTS = (0b01, 0b101, 0b11)
 
@@ -63,18 +71,18 @@ def _walk(pairs, prot_of):
 
 
 def oracle_chunks(mapping: MemoryMapping) -> list[Chunk]:
-    return _walk(sorted(mapping._map.items()), mapping.protection_of)
+    return _walk(list(mapping.items()), mapping.protection_of)
 
 
 def oracle_runs(mapping: MemoryMapping) -> list[Chunk]:
-    return _walk(sorted(mapping._map.items()), lambda vpn: DEFAULT_PROT)
+    return _walk(list(mapping.items()), lambda vpn: DEFAULT_PROT)
 
 
 def oracle_digest(mapping: MemoryMapping) -> str:
     sha = hashlib.sha256()
     for chunk in oracle_chunks(mapping):
         sha.update(f"{chunk.vpn}:{chunk.pfn}:{chunk.pages};".encode("ascii"))
-    sha.update(str(len(mapping._map)).encode("ascii"))
+    sha.update(str(len(list(mapping.items()))).encode("ascii"))
     return sha.hexdigest()
 
 
@@ -88,7 +96,7 @@ def oracle_promote(mapping: MemoryMapping, window: int):
         for base in range(lo, hi, window):
             promoted[base] = chunk.pfn + (base - chunk.vpn)
     rest = {
-        vpn: pfn for vpn, pfn in sorted(mapping._map.items())
+        vpn: pfn for vpn, pfn in list(mapping.items())
         if (vpn & ~(window - 1)) not in promoted
     }
     return promoted, rest
@@ -117,7 +125,7 @@ def oracle_directory(mapping: MemoryMapping, distance: int, enable_thp: bool):
                 huge[hvpn] = chunk.pfn + (hvpn - chunk.vpn)
     small: dict[int, int] = {}
     protections: dict[int, int] = {}
-    for vpn, pfn in sorted(mapping._map.items()):
+    for vpn, pfn in list(mapping.items()):
         if vpn // HUGE_PAGE_PAGES * HUGE_PAGE_PAGES not in huge:
             small[vpn] = pfn
             prot = mapping.protection_of(vpn)
@@ -137,7 +145,7 @@ def oracle_region_directories(mapping: MemoryMapping, regions):
     plans = []
     for region in regions:
         piece = MemoryMapping()
-        for vpn, pfn in sorted(mapping._map.items()):
+        for vpn, pfn in list(mapping.items()):
             if region.start_vpn <= vpn < region.end_vpn:
                 piece.map_page(vpn, pfn, mapping.protection_of(vpn))
         plans.append(oracle_directory(piece, region.distance, True))
@@ -153,7 +161,12 @@ def oracle_region_directories(mapping: MemoryMapping, regions):
 def mappings(draw, giga: bool = False):
     """Chunks phase-aligned or misaligned at 2 MiB (or, with ``giga``,
     1 GiB), VA- and PA-adjacent or not, then protection islands,
-    unmaps and single-page holes."""
+    unmaps and single-page holes.
+
+    Returns the mapping built by per-page mutations (one ``map_run``
+    per chunk) and its twin built from the same runs in one
+    ``map_runs`` call; the edits then land on both.
+    """
     mapping = MemoryMapping()
     small = st.sampled_from([1, 2, 7, 511, 512, 513, 1024, 1537]) | st.integers(1, 1200)
     if giga:
@@ -166,7 +179,7 @@ def mappings(draw, giga: bool = False):
         count = draw(st.integers(0, 6))
     vpn = draw(st.sampled_from([0, 1, window - 3, window, 3 * window + 100]))
     pfn = draw(st.integers(0, 3 * window))
-    spans = []
+    runs = []
     for index in range(count):
         pages = draw(big if giga and index == 0 else small)
         mode = draw(st.sampled_from(["aligned", "misaligned", "adjacent"]))
@@ -175,27 +188,37 @@ def mappings(draw, giga: bool = False):
         elif mode == "misaligned":
             pfn += (vpn - pfn) % window + draw(st.integers(1, window - 1))
         mapping.map_run(vpn, FrameRange(pfn, pages))
-        spans.append((vpn, pages))
+        runs.append((vpn, pfn, pages))
         pfn += pages + draw(st.sampled_from([0, 1, 9]))
         vpn += pages + draw(st.sampled_from([0, 0, 1, 5, 600]))
-    for _ in range(draw(st.integers(0, 4)) if spans else 0):
-        start, pages = draw(st.sampled_from(spans))
+    edits = []
+    for _ in range(draw(st.integers(0, 4)) if runs else 0):
+        start, _, pages = draw(st.sampled_from(runs))
         lo = start + draw(st.integers(0, pages - 1))
         hi = min(start + pages, lo + draw(st.sampled_from([1, 2, 40, 600])))
         action = draw(st.sampled_from(["protect", "unmap", "hole"]))
+        ops = []
         if action == "protect":
             # An island over the mapped pages from ``lo`` on.
             pages = 0
             while lo + pages < hi and lo + pages in mapping:
                 pages += 1
             if pages:
-                mapping.set_protection(lo, pages, draw(st.sampled_from(PROTS)))
+                ops.append(("set_protection",
+                            (lo, pages, draw(st.sampled_from(PROTS)))))
         elif lo in mapping:
-            pfn_gone = mapping.unmap_page(lo)
+            ops.append(("unmap_page", (lo,)))
             if action == "hole":
                 # Refill the hole out of phase: a single-page island.
-                mapping.map_page(lo, pfn_gone + (1 << 40))
-    return mapping
+                ops.append(("map_page", (lo, mapping.get(lo) + (1 << 40))))
+        for name, args in ops:
+            getattr(mapping, name)(*args)
+        edits += ops
+    twin = MemoryMapping()
+    twin.map_runs(runs)
+    for name, args in edits:
+        getattr(twin, name)(*args)
+    return mapping, twin
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +231,22 @@ def assert_same_dict(actual: dict, expected: dict) -> None:
     assert all(type(k) is int and type(v) is int for k, v in actual.items())
 
 
-def assert_table_ints(pages: dict, mapping: MemoryMapping) -> None:
-    """A page dict holds the page table's own int objects: a fresh int
-    per VPN and PFN would double what every plan costs in memory."""
-    own = {vpn: vpn for vpn in mapping._map}
-    assert all(own[vpn] is vpn and mapping._map[vpn] is pfn
-               for vpn, pfn in pages.items())
+def assert_same_index(index: KeyIndex, expected: dict) -> None:
+    """A plan's columns: sorted unique int64 keys and their values."""
+    assert index.keys.dtype == np.int64 and index.values.dtype == np.int64
+    assert index.keys.tolist() == list(expected)
+    assert index.values.tolist() == list(expected.values())
+    assert_same_dict(index.table(), expected)
 
 
-def assert_same_directory(directory: AnchorDirectory, expected, mapping) -> None:
+def assert_same_directory(directory: AnchorDirectory, expected) -> None:
     huge, anchors, small, protections = expected
+    for index, want in zip(directory.indexes(), (huge, small, anchors)):
+        assert_same_index(index, want)
     assert_same_dict(directory.huge, huge)
     assert_same_dict(directory.anchor_contiguity, anchors)
     assert_same_dict(directory.small, small)
     assert_same_dict(directory.protections, protections)
-    assert_table_ints(directory.small, mapping)
 
 
 def check_mapping_views(mapping: MemoryMapping) -> None:
@@ -230,7 +254,7 @@ def check_mapping_views(mapping: MemoryMapping) -> None:
     assert chunks == oracle_chunks(mapping)
     assert all(type(v) is int for c in chunks for v in (c.vpn, c.pfn, c.pages))
     frozen = mapping.frozen()
-    pages = sorted(mapping._map.items())
+    pages = list(mapping.items())
     runs = oracle_runs(mapping)
     expected = {
         "vpns": [v for v, _ in pages],
@@ -254,15 +278,27 @@ def check_promotions(mapping: MemoryMapping) -> None:
                             (promote_giga_pages, GIGA_PAGE_PAGES)):
         promoted, rest = promote(mapping)
         want_promoted, want_rest = oracle_promote(mapping, window)
-        assert_same_dict(promoted, want_promoted)
-        assert_same_dict(rest, want_rest)
-        assert_table_ints(rest, mapping)
+        assert_same_index(promoted, want_promoted)
+        assert_same_index(rest, want_rest)
     thp1g = THPScheme(mapping, use_giga=True)
     giga, huge, small = oracle_thp_promotions(mapping)
+    for index, want in zip(thp1g._memberships, (small, huge, giga)):
+        assert_same_index(index, want)
     assert_same_dict(thp1g._giga, giga)
     assert_same_dict(thp1g._huge, huge)
     assert_same_dict(thp1g._small, small)
-    assert_table_ints(thp1g._small, mapping)
+
+
+def check_twins(twins) -> None:
+    """Both builds are the same mapping and derive the same plans."""
+    mapping, twin = twins
+    assert twin == mapping and mapping == twin
+    assert list(twin.items()) == list(mapping.items())
+    assert len(twin) == len(mapping) == twin.mapped_pages
+    assert mapping_digest(twin) == mapping_digest(mapping)
+    for built in twins:
+        check_mapping_views(built)
+        check_promotions(built)
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +307,26 @@ def check_promotions(mapping: MemoryMapping) -> None:
 
 
 class TestColumnarPlans:
-    @given(mapping=mappings())
+    @given(twins=mappings())
     @settings(max_examples=60, deadline=None)
-    def test_mapping_views_and_promotions(self, mapping):
-        check_mapping_views(mapping)
-        check_promotions(mapping)
+    def test_mapping_views_and_promotions(self, twins):
+        check_twins(twins)
 
-    @given(mapping=mappings(), enable_thp=st.booleans())
+    @given(twins=mappings(), enable_thp=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_anchor_directory_every_distance(self, mapping, enable_thp):
-        for distance in ANCHOR_DISTANCES:
-            assert_same_directory(
-                AnchorDirectory.build(mapping, distance, enable_thp),
-                oracle_directory(mapping, distance, enable_thp), mapping)
+    def test_anchor_directory_every_distance(self, twins, enable_thp):
+        for mapping in twins:
+            for distance in ANCHOR_DISTANCES:
+                assert_same_directory(
+                    AnchorDirectory.build(mapping, distance, enable_thp),
+                    oracle_directory(mapping, distance, enable_thp))
 
-    @given(mapping=mappings(), data=st.data())
+    @given(twins=mappings(), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_region_anchor_directories(self, mapping, data):
-        if not len(mapping):
+    def test_region_anchor_directories(self, twins, data):
+        if not len(twins[0]):
             return
-        vpns = mapping.frozen().vpns
+        vpns = twins[0].frozen().vpns
         lo, hi = int(vpns[0]), int(vpns[-1]) + 1
         cuts = sorted(set(data.draw(
             st.lists(st.integers(lo, hi), min_size=0, max_size=7))) | {lo, hi})
@@ -298,36 +334,39 @@ class TestColumnarPlans:
             AnchorRegion(a, b, data.draw(st.sampled_from(ANCHOR_DISTANCES)))
             for a, b in zip(cuts, cuts[1:])
         ]
-        scheme = RegionAnchorScheme(mapping, regions=regions)
-        assert len(scheme._directories) == len(regions)
-        for directory, expected in zip(
-                scheme._directories, oracle_region_directories(mapping, regions)):
-            assert_same_directory(directory, expected, mapping)
-        # Without VMA metadata one region spans the whole mapping.
-        fallback = RegionAnchorScheme(mapping)
-        assert [(r.start_vpn, r.end_vpn) for r in fallback.regions] == [(lo, hi)]
-        assert_same_directory(
-            fallback._directories[0],
-            oracle_region_directories(mapping, fallback.regions)[0], mapping)
+        for mapping in twins:
+            scheme = RegionAnchorScheme(mapping, regions=regions)
+            assert len(scheme._directories) == len(regions)
+            for directory, expected in zip(
+                    scheme._directories,
+                    oracle_region_directories(mapping, regions)):
+                assert_same_directory(directory, expected)
+            # Without VMA metadata one region spans the whole mapping.
+            fallback = RegionAnchorScheme(mapping)
+            assert [(r.start_vpn, r.end_vpn) for r in fallback.regions] == [(lo, hi)]
+            assert_same_directory(
+                fallback._directories[0],
+                oracle_region_directories(mapping, fallback.regions)[0])
 
-    @given(mapping=mappings(giga=True), distance=st.sampled_from(ANCHOR_DISTANCES))
+    @given(twins=mappings(giga=True), distance=st.sampled_from(ANCHOR_DISTANCES))
     @settings(max_examples=3, deadline=None)
-    def test_gigabyte_layouts(self, mapping, distance):
-        check_mapping_views(mapping)
-        check_promotions(mapping)
-        assert_same_directory(
-            AnchorDirectory.build(mapping, distance),
-            oracle_directory(mapping, distance, True), mapping)
+    def test_gigabyte_layouts(self, twins, distance):
+        check_twins(twins)
+        for mapping in twins:
+            assert_same_directory(
+                AnchorDirectory.build(mapping, distance),
+                oracle_directory(mapping, distance, True))
 
     def test_empty_mapping(self):
-        mapping = MemoryMapping()
-        check_mapping_views(mapping)
-        check_promotions(mapping)
-        for distance in ANCHOR_DISTANCES:
-            for enable_thp in (True, False):
-                assert_same_directory(
-                    AnchorDirectory.build(mapping, distance, enable_thp),
-                    oracle_directory(mapping, distance, enable_thp), mapping)
+        twin = MemoryMapping()
+        twin.map_runs([])
+        check_twins((MemoryMapping(), twin))
+        for mapping in (MemoryMapping(), twin):
+            for distance in ANCHOR_DISTANCES:
+                for enable_thp in (True, False):
+                    assert_same_directory(
+                        AnchorDirectory.build(mapping, distance, enable_thp),
+                        oracle_directory(mapping, distance, enable_thp))
 
     @pytest.mark.parametrize("phase", [0, 1])
     def test_one_gigabyte_chunk_promotes_exactly_when_phase_matches(self, phase):
@@ -335,5 +374,78 @@ class TestColumnarPlans:
         mapping.map_run(GIGA_PAGE_PAGES - 5,
                         FrameRange(GIGA_PAGE_PAGES - 5 + phase, GIGA_PAGE_PAGES + 700))
         giga, _ = promote_giga_pages(mapping)
-        assert list(giga) == ([GIGA_PAGE_PAGES] if phase == 0 else [])
+        assert giga.keys.tolist() == ([GIGA_PAGE_PAGES] if phase == 0 else [])
         check_promotions(mapping)
+
+    def test_unpromoted_plans_reuse_the_page_index(self):
+        """Nothing promoted: the 4 KiB side is the page index itself."""
+        mapping = MemoryMapping()
+        mapping.map_runs([(0, 3, 600), (700, 9000, 5)])
+        index = mapping.frozen().index
+        assert promote_huge_pages(mapping)[1] is index
+        assert AnchorDirectory.build(mapping, 8, enable_thp=False).indexes()[1] is index
+
+
+class TestColumnBirth:
+    def test_overlapping_runs_map_nothing(self):
+        mapping = MemoryMapping()
+        with pytest.raises(MappingError, match="0xe already mapped"):
+            mapping.map_runs([(14, 0, 4), (10, 100, 8), (40, 500, 2)])
+        assert len(mapping) == 0 and mapping.version == 0
+        assert list(mapping.items()) == []
+        mapping.map_runs([(10, 100, 8), (40, 500, 2)])
+        frozen, version = mapping.frozen(), mapping.version
+        # Into a mapped page: all or nothing again, through the dict.
+        with pytest.raises(MappingError, match="0x29 already mapped"):
+            mapping.map_runs([(30, 900, 4), (41, 950, 3)])
+        assert mapping.version == version and mapping.frozen() is frozen
+        assert list(mapping.items()) == (
+            [(v, 100 + v - 10) for v in range(10, 18)] + [(40, 500), (41, 501)])
+
+    def test_column_born_equals_dict_born(self):
+        runs = [(512, 4096, 600), (0, 77, 300), (2000, 9000, 1)]
+        born = MemoryMapping()
+        born.map_runs(runs)
+        assert born._map is None
+        twin = MemoryMapping()
+        for vpn, pfn, pages in runs:
+            twin.map_run(vpn, FrameRange(pfn, pages))
+        assert born == twin and twin == born
+        assert born._map is None  # equality reads the columns
+        twin.unmap_page(2000)
+        assert born != twin
+        twin.map_page(2000, 9000)
+        assert born == twin
+        assert list(born.items()) == list(twin.items())
+        assert born.frozen().vpns is born._vpns  # adopted, not recompiled
+
+    @pytest.mark.parametrize("scenario", ["low", "medium", "max", "demand", "eager"])
+    def test_builders_hand_over_runs(self, scenario):
+        """No scenario builder maps page by page: each hands its runs
+        to the mapping in one call, and no page dict is built."""
+        vmas = get_workload("omnetpp").vmas()
+        with mock.patch.object(MemoryMapping, "map_run", side_effect=AssertionError), \
+                mock.patch.object(MemoryMapping, "map_page", side_effect=AssertionError):
+            mapping = build_mapping(vmas, scenario, seed=3)
+        assert mapping._map is None
+        assert len(mapping) == sum(vma.pages for vma in vmas)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in scheme_names(include_extras=True) if n != "prefetch"])
+    def test_batched_path_builds_no_page_dict(self, name):
+        """Construction, cloning and the block path read only columns;
+        a scalar read or a mutation then builds the page dict."""
+        for touch in ("read", "mutate"):
+            mapping = build_mapping(get_workload("omnetpp").vmas(), "medium", seed=5)
+            scheme = make_scheme(name, mapping)
+            clone = scheme.clone_fresh()
+            vpns = mapping.frozen().vpns
+            block = vpns[np.random.default_rng(1).integers(0, vpns.size, 4000)]
+            scheme.access_block(block)
+            clone.access_block(block)
+            assert mapping._map is None, name
+            if touch == "read":
+                assert mapping.get(int(vpns[0])) is not None
+            else:
+                mapping.unmap_page(int(vpns[0]))
+            assert mapping._map is not None

@@ -77,7 +77,7 @@ class TestCompact:
         compact(mapping, memory)
         from repro.schemes.base import promote_huge_pages
         huge, _ = promote_huge_pages(mapping)
-        assert len(huge) > 0
+        assert huge.keys.size > 0
 
     def test_distance_selection_reacts(self, fragmented_setup):
         mapping, memory, _ = fragmented_setup

@@ -1,5 +1,6 @@
 """Tests for MemoryMapping and its chunk extraction."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,11 +198,15 @@ class TestFrozenMapping:
 
     def test_page_table_is_live_reference(self):
         m = self._fragmented()
+        table = m.page_table
         frozen = m.frozen()
-        assert frozen.page_table is m._map
-        assert frozen.get(10) == 100
-        assert 10 in frozen and 9 not in frozen
+        assert frozen.mask(np.asarray([10, 9])).tolist() == [True, False]
         assert len(frozen) == m.mapped_pages
+        # Every mutation edits the same dict: a reference never goes stale.
+        m.unmap_page(10)
+        m.map_page(9, 7)
+        assert m.page_table is table
+        assert table.get(10) is None and table[9] == 7
 
     def test_empty_mapping(self):
         import numpy as np
