@@ -58,18 +58,17 @@ def quick_compare(
     """Compare schemes on one workload/scenario; returns (name, rel%) rows.
 
     Relative numbers are L2 TLB misses as a percentage of the 4 KiB
-    baseline, the paper's headline metric.
+    baseline, the paper's headline metric.  The baseline runs first,
+    so the rows do not depend on where ``schemes`` lists ``base``, or
+    whether it lists it at all.
     """
     app = get_workload(workload)
     mapping = build_mapping(app.vmas(), scenario, seed=seed)
     trace = app.make_trace(references, seed=seed)
-    names = schemes or scheme_names()
-    baseline = None
+    baseline = run_trace(make_scheme("base", mapping), trace)
     rows: list[tuple[str, float]] = []
-    for name in names:
-        result = run_trace(make_scheme(name, mapping), trace)
-        if name == "base":
-            baseline = result
-        relative = result.relative_misses(baseline) if baseline else 100.0
-        rows.append((name, relative))
+    for name in schemes or scheme_names():
+        result = (baseline if name == "base"
+                  else run_trace(make_scheme(name, mapping), trace))
+        rows.append((name, result.relative_misses(baseline)))
     return rows

@@ -8,8 +8,9 @@ then replaces the scheme's declared hardware and its stats, so every
 attribute *not* rebound by ``_reset_clone`` is shared by reference
 between the prototype and every clone.  A hardware structure is
 recognised the way the fleet relies on it: an ``__init__``-tree bind
-whose constructor class defines ``set_tag`` (a structure missing from
-the ``hardware`` declaration is a runtime test's job, not this rule's).
+whose constructor class answers ``set_tag``, as every ``Structure`` does
+(a structure missing from the ``hardware`` declaration is a runtime
+test's job, not this rule's).
 Two ways the discipline erodes:
 
 1. a ``_reset_clone`` override rebuilds mapping-derived state: it
@@ -91,7 +92,7 @@ _CHOKE_PREFIXES = ("rebuild", "_build", "_own")
 
 def _hardware_attrs(flow: ProjectDataflow, class_name: str) -> set[str]:
     """Attributes an ``__init__``-tree bind sets to a TLB structure: a
-    constructor whose class defines ``set_tag``."""
+    constructor whose class answers ``set_tag``."""
     owned: set[str] = set()
     for fn in flow.method_tree(class_name, "__init__"):
         for write in fn.attr_writes:

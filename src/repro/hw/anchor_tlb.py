@@ -40,6 +40,7 @@ class AnchorL2TLB(Structure):
     """The shared L2 TLB with regular, huge, and anchor entries."""
 
     __slots__ = ("array", "table")
+    arrays = ("array",)
 
     def __init__(self, config: MachineConfig, distance: int | RegionTable) -> None:
         """``distance`` loads the anchor-distance register, or a whole
@@ -66,27 +67,12 @@ class AnchorL2TLB(Structure):
         if distance != self.distance:
             self.table = RegionTable.spanning(distance)
 
-    def fresh(self) -> AnchorL2TLB:
-        """An empty, untagged array under the same region table."""
-        twin = AnchorL2TLB.__new__(AnchorL2TLB)
-        twin.array = self.array.fresh()
-        twin.table = self.table
-        return twin
-
     def attach(self, shared: Structure) -> AnchorL2TLB:
         """Keep this tenant's own distance register (its region table)
         around the ``shared`` L2's physical array."""
         assert isinstance(shared, AnchorL2TLB)
         self.array = shared.array
         return self
-
-    def set_tag(self, tag: int) -> None:
-        """Select the address-space tag on the shared array."""
-        self.array.set_tag(tag)
-
-    def flush_tag(self, tag: int) -> int:
-        """Drop every entry carrying ``tag`` (ASID recycling)."""
-        return self.array.flush_tag(tag)
 
     # -- regular entries ----------------------------------------------------
 
@@ -139,6 +125,3 @@ class AnchorL2TLB(Structure):
     def invalidate_anchor(self, avpn: int, tag: int = 0) -> bool:
         index = avpn >> self.table.shift_of(avpn)
         return self.array.invalidate(index, (avpn << 2) | KIND_ANCHOR, tag)
-
-    def flush(self) -> None:
-        self.array.flush()

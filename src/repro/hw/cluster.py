@@ -102,23 +102,10 @@ class ClusterTLB(Structure):
     """The clustered partition of the L2 (Table 3: 320 entries, 5-way)."""
 
     __slots__ = ("array",)
+    arrays = ("array",)
 
     def __init__(self, geometry: TLBGeometry) -> None:
         self.array = SetAssociativeTLB(geometry.entries, geometry.ways)
-
-    def fresh(self) -> ClusterTLB:
-        """An empty, untagged partition of the same geometry."""
-        twin = ClusterTLB.__new__(ClusterTLB)
-        twin.array = self.array.fresh()
-        return twin
-
-    def set_tag(self, tag: int) -> None:
-        """Select the address-space tag on the partition's array."""
-        self.array.set_tag(tag)
-
-    def flush_tag(self, tag: int) -> int:
-        """Drop every entry carrying ``tag`` (ASID recycling)."""
-        return self.array.flush_tag(tag)
 
     def lookup(self, vpn: int) -> int | None:
         """Translate via a cluster entry; None on miss/uncovered slot."""
@@ -130,6 +117,3 @@ class ClusterTLB(Structure):
 
     def insert(self, entry: ClusterEntry) -> None:
         self.array.insert(entry.vcluster, entry.vcluster, entry)
-
-    def flush(self) -> None:
-        self.array.flush()

@@ -16,19 +16,12 @@ class L1TLB(Structure):
     """Split 4 KiB / 2 MiB / 1 GiB first-level TLB."""
 
     __slots__ = ("small", "huge", "giga")
+    arrays = ("small", "huge", "giga")
 
     def __init__(self, config: MachineConfig) -> None:
         self.small = SetAssociativeTLB(config.l1_4k.entries, config.l1_4k.ways)
         self.huge = SetAssociativeTLB(config.l1_2m.entries, config.l1_2m.ways)
         self.giga = SetAssociativeTLB(config.l1_1g.entries, config.l1_1g.ways)
-
-    def fresh(self) -> L1TLB:
-        """Empty, untagged twins of all three arrays."""
-        twin = L1TLB.__new__(L1TLB)
-        twin.small = self.small.fresh()
-        twin.huge = self.huge.fresh()
-        twin.giga = self.giga.fresh()
-        return twin
 
     def lookup_small(self, vpn: int) -> object | None:
         return self.small.lookup(vpn, vpn)
@@ -47,34 +40,3 @@ class L1TLB(Structure):
 
     def fill_giga(self, gvpn: int, base_pfn: int) -> None:
         self.giga.insert(gvpn, gvpn, base_pfn)
-
-    def flush(self) -> None:
-        self.small.flush()
-        self.huge.flush()
-        self.giga.flush()
-
-    def set_tag(self, tag: int) -> None:
-        """Select the address-space tag on all three arrays."""
-        self.small.set_tag(tag)
-        self.huge.set_tag(tag)
-        self.giga.set_tag(tag)
-
-    def flush_tag(self, tag: int) -> int:
-        """Drop every entry carrying ``tag`` (ASID recycling)."""
-        return (
-            self.small.flush_tag(tag)
-            + self.huge.flush_tag(tag)
-            + self.giga.flush_tag(tag)
-        )
-
-    def state(self) -> dict[str, list]:
-        """Replacement state of all three arrays (LRU -> MRU per set).
-
-        Used by the parity suite to compare the batched engine's final
-        hardware state against the scalar engine's, entry for entry.
-        """
-        return {
-            "small": self.small.state(),
-            "huge": self.huge.state(),
-            "giga": self.giga.state(),
-        }

@@ -43,20 +43,24 @@ class PWCGeometry:
 class PageWalkCache(Structure):
     """Per-level MMU caches counting the memory accesses a walk needs."""
 
+    arrays = ("pml4", "pdpt", "pd")
+
     def __init__(self, geometry: PWCGeometry | None = None) -> None:
         geometry = geometry or PWCGeometry()
         self.geometry = geometry
-        self._pml4 = SetAssociativeTLB(
+        self.pml4 = SetAssociativeTLB(
             geometry.pml4_entries, geometry.pml4_entries)
-        self._pdpt = SetAssociativeTLB(
+        self.pdpt = SetAssociativeTLB(
             geometry.pdpt_entries, geometry.pdpt_entries)
-        self._pd = SetAssociativeTLB(geometry.pd_entries, geometry.pd_entries)
+        self.pd = SetAssociativeTLB(geometry.pd_entries, geometry.pd_entries)
         self.hits = 0
         self.probes = 0
 
     def fresh(self) -> PageWalkCache:
-        """Empty, untagged caches of the same geometry."""
-        return PageWalkCache(self.geometry)
+        """Empty, untagged caches of the same geometry, counters zeroed."""
+        twin = super().fresh()
+        twin.hits = twin.probes = 0
+        return twin
 
     def accesses_for(self, vpn: int, huge: bool = False) -> int:
         """Memory accesses the walk performs; fills the caches.
@@ -70,22 +74,22 @@ class PageWalkCache(Structure):
         pdpt_tag = vpn >> _L3_SHIFT
         pml4_tag = vpn >> _L4_SHIFT
 
-        if not huge and self._pd.lookup(pd_tag, pd_tag) is not None:
+        if not huge and self.pd.lookup(pd_tag, pd_tag) is not None:
             accesses = 1                       # leaf PTE only
             self.hits += 1
-        elif self._pdpt.lookup(pdpt_tag, pdpt_tag) is not None:
+        elif self.pdpt.lookup(pdpt_tag, pdpt_tag) is not None:
             accesses = 1 if huge else 2        # PD leaf (, PT leaf)
             self.hits += 1
-        elif self._pml4.lookup(pml4_tag, pml4_tag) is not None:
+        elif self.pml4.lookup(pml4_tag, pml4_tag) is not None:
             accesses = 2 if huge else 3        # PDPT, PD (, PT)
             self.hits += 1
         else:
             accesses = 3 if huge else 4        # full walk
         # Refill every level on the walk path.
-        self._pml4.insert(pml4_tag, pml4_tag, True)
-        self._pdpt.insert(pdpt_tag, pdpt_tag, True)
+        self.pml4.insert(pml4_tag, pml4_tag, True)
+        self.pdpt.insert(pdpt_tag, pdpt_tag, True)
         if not huge:
-            self._pd.insert(pd_tag, pd_tag, True)
+            self.pd.insert(pd_tag, pd_tag, True)
         return accesses
 
     def accesses_for_block(
@@ -120,17 +124,17 @@ class PageWalkCache(Structure):
         vpns = vpns & KEY_MASK
         pdpt = (vpns >> _L3_SHIFT) | tags
         pml4 = (vpns >> _L4_SHIFT) | tags
-        pdpt_hit = simulate_block(self._pdpt, pdpt, pdpt, filled)
-        pml4_hit = simulate_block(self._pml4, pml4, pml4, filled)
+        pdpt_hit = simulate_block(self.pdpt, pdpt, pdpt, filled)
+        pml4_hit = simulate_block(self.pml4, pml4, pml4, filled)
         pd_hit = np.zeros(n, dtype=bool)
         if huge is None:
             pd = (vpns >> _L2_SHIFT) | tags
-            pd_hit = simulate_block(self._pd, pd, pd, filled)
+            pd_hit = simulate_block(self.pd, pd, pd, filled)
             huge = np.zeros(n, dtype=bool)
         else:
             small = ~huge
             pd = (vpns[small] >> _L2_SHIFT) | tags[small]
-            pd_hit[small] = simulate_block(self._pd, pd, pd, filled[small])
+            pd_hit[small] = simulate_block(self.pd, pd, pd, filled[small])
         accesses = np.where(
             huge,
             np.where(pdpt_hit, 1, np.where(pml4_hit, 2, 3)),
@@ -140,34 +144,6 @@ class PageWalkCache(Structure):
         self.probes += n
         self.hits += int(np.count_nonzero(pd_hit | pdpt_hit | pml4_hit))
         return accesses
-
-    def state(self) -> dict[str, list]:
-        """Per-level ``(tag, value)`` pairs in LRU -> MRU order (the
-        parity suite compares batched against scalar with this)."""
-        return {
-            "pml4": self._pml4.state(),
-            "pdpt": self._pdpt.state(),
-            "pd": self._pd.state(),
-        }
-
-    def flush(self) -> None:
-        self._pml4.flush()
-        self._pdpt.flush()
-        self._pd.flush()
-
-    def set_tag(self, tag: int) -> None:
-        """Select the address-space tag on all three cache levels."""
-        self._pml4.set_tag(tag)
-        self._pdpt.set_tag(tag)
-        self._pd.set_tag(tag)
-
-    def flush_tag(self, tag: int) -> int:
-        """Drop every entry carrying ``tag`` (ASID recycling)."""
-        return (
-            self._pml4.flush_tag(tag)
-            + self._pdpt.flush_tag(tag)
-            + self._pd.flush_tag(tag)
-        )
 
     @property
     def hit_rate(self) -> float:

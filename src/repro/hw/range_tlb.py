@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.params import RANGE_TLB_ENTRIES
-from repro.hw.tlb import TAG_SHIFT, Structure, _check_tag
+from repro.hw.tlb import TAG_SHIFT, SetAssociativeTLB, Structure
 from repro.vmos.mapping import MemoryMapping
 
 
@@ -72,73 +72,42 @@ class RangeTable:
 class RangeTLB(Structure):
     """The 32-entry fully associative range TLB.
 
-    LRU over entries; a lookup is an associative search of all resident
-    ranges (here a linear scan over at most 32 entries, keyed for LRU by
-    range start).
-
-    Like the TLB arrays, the structure carries an ASID/PCID tag register
-    (:data:`repro.hw.tlb.TAG_SHIFT`): ``set_tag`` selects the running
-    tenant, entry keys pack the tag into their high bits, and a lookup
-    only matches same-tag ranges — but all tenants' ranges compete for
-    the same ``capacity`` slots, the shared-structure contention the
-    fleet model measures.  Tag 0 leaves keys (and behaviour) identical
-    to the untagged single-process case.
+    One set of ``capacity`` ways (a one-set :class:`SetAssociativeTLB`,
+    so LRU and the ASID/PCID tag register are the array's own), keyed
+    for LRU by tagged range start.  A lookup is an associative search
+    of the resident same-tag ranges (here a linear scan over at most 32
+    entries): all tenants' ranges compete for the same ``capacity``
+    ways, the shared-structure contention the fleet model measures, but
+    a lookup only matches the running tenant's.
     """
 
-    __slots__ = ("capacity", "_entries", "tag", "_tag_base")
+    __slots__ = ("array",)
+    arrays = ("array",)
 
     def __init__(self, capacity: int = RANGE_TLB_ENTRIES) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._entries: dict[int, RangeEntry] = {}
-        self.tag = 0
-        self._tag_base = 0
+        self.array = SetAssociativeTLB(capacity, capacity)
 
-    def fresh(self) -> RangeTLB:
-        """An empty, untagged range TLB of the same capacity."""
-        return RangeTLB(self.capacity)
-
-    def set_tag(self, tag: int) -> None:
-        """Select the address-space tag for subsequent accesses."""
-        self.tag = _check_tag(tag)
-        self._tag_base = tag << TAG_SHIFT
-
-    def flush_tag(self, tag: int) -> int:
-        """Drop every entry carrying ``tag``; return the count dropped."""
-        _check_tag(tag)
-        stale = [key for key in self._entries if key >> TAG_SHIFT == tag]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
+    @property
+    def capacity(self) -> int:
+        return self.array.ways
 
     def lookup(self, vpn: int) -> int | None:
         """Associatively translate ``vpn``; None on miss."""
-        tag = self.tag
-        for key, entry in self._entries.items():
-            if key >> TAG_SHIFT != tag:
-                continue
-            if entry.start_vpn <= vpn < entry.end_vpn:
-                del self._entries[key]
-                self._entries[key] = entry
+        array = self.array
+        tag = array.tag
+        ranges: dict[int, RangeEntry] = array._sets[0]  # type: ignore[assignment]
+        for key, entry in ranges.items():
+            if (key >> TAG_SHIFT == tag
+                    and entry.start_vpn <= vpn < entry.end_vpn):
+                array.lookup(0, entry.start_vpn)  # touch LRU
                 return entry.base_pfn + (vpn - entry.start_vpn)
         return None
 
     def insert(self, entry: RangeEntry) -> None:
-        key = entry.start_vpn | self._tag_base
-        if key in self._entries:
-            del self._entries[key]
-        elif len(self._entries) >= self.capacity:
-            del self._entries[next(iter(self._entries))]
-        self._entries[key] = entry
-
-    def flush(self) -> None:
-        """Drop the selected tag's entries (every entry when untagged)."""
-        if self.tag:
-            self.flush_tag(self.tag)
-        else:
-            self._entries.clear()
+        self.array.insert(0, entry.start_vpn, entry)
 
     @property
     def occupancy(self) -> int:
-        return len(self._entries)
+        return self.array.occupancy

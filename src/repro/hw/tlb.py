@@ -21,9 +21,19 @@ same-tag entries — but they do compete for the same sets and ways,
 which is exactly the shared-TLB contention the fleet model measures.
 Tag 0 (the default) leaves keys bit-identical to the untagged
 single-process behaviour, so every existing caller is unaffected.
+
+Every other TLB structure — the split L1, the anchor L2, cluster's
+partition, RMM's range TLB, the page-walk caches — is built from such
+arrays and names them in its ``arrays`` tuple; :class:`Structure`
+implements the tag, flush, clone and state protocol once over that
+declaration, so a wrapper keeps only its entry format and lookup
+algorithm.
 """
 
 from __future__ import annotations
+
+import copy
+from typing import TypeVar
 
 from repro.params import is_pow2
 
@@ -43,6 +53,9 @@ MAX_TAG = (1 << TAG_BITS) - 1
 KEY_MASK = (1 << TAG_SHIFT) - 1
 
 
+_S = TypeVar("_S", bound="Structure")
+
+
 def _check_tag(tag: int) -> int:
     if not 0 <= tag <= MAX_TAG:
         raise ValueError(f"tag must be in [0, {MAX_TAG}], got {tag}")
@@ -50,16 +63,53 @@ def _check_tag(tag: int) -> int:
 
 
 class Structure:
-    """The protocol every TLB structure answers.
+    """The protocol every TLB structure answers, written once.
 
-    A scheme names its structures in ``TranslationScheme.hardware`` and
-    drives each one through the same five methods: ``flush``;
-    ``set_tag`` and ``flush_tag`` for address-space tags; ``fresh()``,
-    an empty, untagged twin of the same geometry, for prototype
-    cloning; and :meth:`attach`, for tagged fleets.
+    A structure is built from :class:`SetAssociativeTLB` arrays, named
+    by attribute in the class-level :attr:`arrays` tuple; a subclass
+    adds only what hides an entry format or a lookup algorithm.  A
+    scheme names its structures in ``TranslationScheme.hardware`` and
+    drives each one through this protocol: ``flush``; ``set_tag`` and
+    ``flush_tag`` for address-space tags; ``fresh()``, an empty,
+    untagged twin for prototype cloning; ``state()``, the arrays'
+    replacement state; and :meth:`attach`, for tagged fleets.
+    ``SetAssociativeTLB`` is the leaf: it implements the same protocol
+    over its own sets.
     """
 
     __slots__ = ()
+
+    #: The attributes holding this structure's arrays.
+    arrays: tuple[str, ...] = ()
+
+    def fresh(self: _S) -> _S:
+        """A shallow copy with an empty, untagged twin of every array;
+        everything else (an anchor L2's region table) is kept."""
+        twin = copy.copy(self)
+        for name in self.arrays:
+            setattr(twin, name, getattr(self, name).fresh())
+        return twin
+
+    def set_tag(self, tag: int) -> None:
+        """Select the address-space tag on every array."""
+        for name in self.arrays:
+            getattr(self, name).set_tag(tag)
+
+    def flush_tag(self, tag: int) -> int:
+        """Drop every entry carrying ``tag`` (ASID recycling); return
+        the count dropped."""
+        return sum(getattr(self, name).flush_tag(tag) for name in self.arrays)
+
+    def flush(self) -> None:
+        """Drop the selected tag's entries (every entry when untagged)."""
+        for name in self.arrays:
+            getattr(self, name).flush()
+
+    def state(self) -> object:
+        """Each array's replacement state (LRU -> MRU per set), keyed by
+        its name: the parity suites compare batched against scalar with
+        this."""
+        return {name: getattr(self, name).state() for name in self.arrays}
 
     def attach(self, shared: Structure) -> Structure:
         """What a tenant of a tagged fleet holds in this structure's

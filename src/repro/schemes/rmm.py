@@ -127,9 +127,10 @@ class RMMScheme(TranslationScheme):
         per-reference lookups (page-size class, PFN, covering chunk)
         hoisted into numpy.  The range-TLB scan reduces to one dict
         probe: resident same-tag ranges are disjoint chunks of the
-        current mapping keyed by their (tagged) start VPN, so the only
-        entry that can cover a VPN is its own chunk's — foreign-tag
-        entries never match an associative lookup by construction.
+        current mapping keyed by their (tagged) start VPN in the range
+        TLB's one set, so the only entry that can cover a VPN is its own
+        chunk's — foreign-tag entries never match an associative lookup
+        by construction.
         """
         if vpns.shape[0] == 0:
             return
@@ -147,9 +148,10 @@ class RMMScheme(TranslationScheme):
         cid = frozen.chunk_of(mk)
         cstart = frozen.chunk_vpn[cid] if cid.size else cid
         ranges = self.range_table.ranges()
-        rentries = self.range_tlb._entries
-        rbase = self.range_tlb._tag_base
-        r_cap = self.range_tlb.capacity
+        rtlb = self.range_tlb.array
+        rentries = rtlb._sets[0]
+        rbase = rtlb._tag_base
+        r_cap = rtlb.ways
         ways = self.l2.ways
         imask = self.l2.index_mask
         buckets = self.l2._sets

@@ -152,8 +152,6 @@ def submit_main(argv: list[str] | None = None) -> int:
                         help="epoch length (default: engine default)")
     parser.add_argument("--kind", choices=["simulate", "distances", "fleet"],
                         default="simulate")
-    parser.add_argument("--engine", choices=["batched", "scalar"],
-                        default="batched")
     parser.add_argument("--tenants", type=int, default=None,
                         help="tenant count (switches kind to 'fleet')")
     parser.add_argument("--policy", default="tagged",
@@ -215,7 +213,6 @@ def submit_main(argv: list[str] | None = None) -> int:
             else args.epoch_references
         ),
         kind=kind,
-        engine=args.engine,
         tenancy=tenancy,
     )
     ended_ok = False

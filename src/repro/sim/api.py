@@ -17,10 +17,10 @@ service, the CLI — normalises to one frozen, declarative
 fields that determine the result — and nothing else — so equal
 requests always collide, any field perturbation changes the key, and
 the key is byte-for-byte identical however the request is executed
-(in-process, on the orchestrator's pool, or through the service).  New
-fields (``engine``, ``tenancy``) enter the hashed description only
-when they differ from their defaults, so every key minted before they
-existed remains valid: existing result caches carry over unchanged.
+(in-process, on the orchestrator's pool, or through the service).  The
+newer field ``tenancy`` enters the hashed description only when set,
+so every key minted before it existed remains valid: existing result
+caches carry over unchanged.
 
 :func:`execute_request` is the one picklable entry point; the
 orchestrator's workers and the service's process pool both call it.
@@ -203,8 +203,9 @@ class SimRequest:
     """One declarative simulation request.
 
     The request carries *everything* that determines the result;
-    execution knobs (worker count, timeouts, cache location) stay out,
-    so the content key is identical however the request runs.
+    execution knobs (worker count, timeouts, cache location, scalar or
+    batched engine) stay out, so the content key is identical however
+    the request runs.
     """
 
     workload: str
@@ -216,7 +217,6 @@ class SimRequest:
     ideal_subsample: int = 1
     machine: MachineConfig = DEFAULT_MACHINE
     kind: str = "simulate"  #: "simulate", "distances", "fleet", "fleet-shard"
-    engine: str = "batched"         #: "batched" or "scalar"
     tenancy: TenancyConfig | None = None
 
     def label(self) -> str:
@@ -233,9 +233,9 @@ class SimRequest:
     def describe(self) -> dict:
         """The canonical content of this request (what ``key`` hashes).
 
-        ``engine`` and ``tenancy`` are emitted only when non-default,
-        which keeps the hash byte-for-byte identical to the keys minted
-        before those fields existed — existing result caches stay valid.
+        ``tenancy`` is emitted only when set, which keeps the hash
+        byte-for-byte identical to the keys minted before that field
+        existed — existing result caches stay valid.
         """
         payload = {
             "format": CACHE_FORMAT,
@@ -249,8 +249,6 @@ class SimRequest:
             "ideal_subsample": self.ideal_subsample,
             "machine": machine_digest(self.machine),
         }
-        if self.engine != "batched":
-            payload["engine"] = self.engine
         if self.tenancy is not None:
             payload["tenancy"] = self.tenancy.describe()
         return payload
@@ -273,7 +271,6 @@ class SimRequest:
             "ideal_subsample": self.ideal_subsample,
             "machine": dataclasses.asdict(self.machine),
             "kind": self.kind,
-            "engine": self.engine,
         }
         if self.tenancy is not None:
             payload["tenancy"] = self.tenancy.to_dict()
@@ -297,7 +294,6 @@ class SimRequest:
                 if "machine" in data else DEFAULT_MACHINE
             ),
             kind=str(data.get("kind", "simulate")),
-            engine=str(data.get("engine", "batched")),
             tenancy=(
                 None if tenancy is None else TenancyConfig.from_dict(tenancy)
             ),

@@ -312,11 +312,7 @@ def simulate_spec(
             mapping, trace, spec.machine, subsample=spec.ideal_subsample
         )
     scheme = make_scheme(spec.scheme, mapping, spec.machine)
-    return run_trace(
-        scheme, trace,
-        epoch_references=spec.epoch_references,
-        engine=spec.engine,
-    )
+    return run_trace(scheme, trace, epoch_references=spec.epoch_references)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.errors import MappingError
 from repro.params import DEFAULT_MACHINE, SCENARIO_ORDER, MachineConfig
 from repro.hw.tlb import TAG_BITS, TAG_SHIFT
 from repro.sim.stats import COUNTER_FIELDS, TranslationStats
@@ -214,9 +215,14 @@ def run_schedule(
     Switch and distance-register bookkeeping still runs per quantum, in
     order, and a round is cut before any ``sync_mapping`` that adopts a
     new mapping version (its shootdown must land between the quanta it
-    separates).  A page fault surfaces when its round replays, after the
-    bookkeeping of the round's later quanta.  Otherwise every quantum is
-    its own ``access_block``.
+    separates).  A tenant that adopts a new version any other way while
+    a round is pending — a §3.3 ``unmap_page``/``map_page``/
+    ``protect_page``, which resyncs its scheme at once — would have its
+    plan edit and shootdown land before the round's earlier quanta
+    replay, so the round raises :class:`~repro.errors.MappingError`
+    naming it instead.  A page fault surfaces when its round replays,
+    after the bookkeeping of the round's later quanta.  Otherwise every
+    quantum is its own ``access_block``.
 
     Returns the last tenant that actually ran (feed it back in as
     ``previous`` to continue the timeline across waves).
@@ -226,11 +232,19 @@ def run_schedule(
         counters = ScheduleCounters()
 
     active = list(members)
+    everyone = tuple(active)
     batched = (policy == "tagged" and bool(active)
                and active[0].scheme.tenants is not None)
     pending: list[np.ndarray] = []
+    synced: list[int] = []  # each tenant's adopted version as a round opens
 
     def replay() -> None:
+        for member, version in zip(everyone, synced):
+            if member.scheme._synced_version != version:
+                raise MappingError(
+                    f"tenant {member.name!r} adopted a new mapping version "
+                    "while a scheduling round was pending: its §3.3 update "
+                    "would land before the round's earlier quanta replay")
         # Any tenant's scheme routes the round through the ASID table;
         # take the last one to run.
         previous.scheme.access_block(np.concatenate(pending))
@@ -267,6 +281,8 @@ def run_schedule(
                     _activate(member, registers)
             member.scheme.sync_mapping()
             if batched:
+                if not pending:
+                    synced[:] = [m.scheme._synced_version for m in everyone]
                 pending.append(block | np.int64(member.asid << TAG_SHIFT))
             else:
                 member.scheme.access_block(block)

@@ -133,14 +133,16 @@ def partition_regions(
     """
     if not vmas:
         return []
-    # Per-VMA histogram and best distance.
+    # Per-VMA histogram of the chunks wholly inside it.  Chunks are
+    # sorted and disjoint, so those starting inside a VMA are one slice.
+    frozen = mapping.frozen()
+    starts, pages = frozen.chunk_vpn, frozen.chunk_pages
+    ends = starts + pages
     per_vma: list[tuple[VMA, Histogram]] = []
     for vma in sorted(vmas, key=lambda v: v.start_vpn):
-        histogram = Histogram()
-        for chunk in mapping.chunks():
-            if chunk.vpn >= vma.start_vpn and chunk.end_vpn <= vma.end_vpn:
-                histogram.add(chunk.pages)
-        per_vma.append((vma, histogram))
+        lo, hi = np.searchsorted(starts, (vma.start_vpn, vma.end_vpn))
+        inside = pages[lo:hi][ends[lo:hi] <= vma.end_vpn]
+        per_vma.append((vma, Histogram(inside.tolist())))
 
     # Merge adjacent VMAs that agree on the selected distance.
     groups: list[tuple[int, int, Histogram]] = []  # (start, end, histogram)

@@ -32,6 +32,21 @@ class TestQuickCompare:
         )
         assert len(rows) == 2
 
+    def test_rows_do_not_depend_on_order(self):
+        """Every row is relative to the baseline, wherever ``base`` is
+        listed, and when it is not listed at all."""
+        knobs = dict(scenario="max", references=3000, seed=1)
+        first = quick_compare("gups", schemes=("base", "thp", "anchor-dyn"),
+                              **knobs)
+        last = quick_compare("gups", schemes=("thp", "anchor-dyn", "base"),
+                             **knobs)
+        absent = quick_compare("gups", schemes=("anchor-dyn", "thp"), **knobs)
+        assert dict(last) == dict(first)
+        assert dict(absent) == {name: value for name, value in first
+                                if name != "base"}
+        assert [name for name, _ in absent] == ["anchor-dyn", "thp"]
+        assert dict(first)["anchor-dyn"] < dict(first)["thp"] < 100.0
+
 
 class TestManualPipeline:
     def test_workload_to_result(self):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import sanitize
+from repro.hw.tlb import TAG_SHIFT, SetAssociativeTLB
 from repro.params import DEFAULT_MACHINE, SCENARIO_ORDER
 from repro.schemes.registry import make_scheme, scheme_names
 from repro.vmos.scenarios import build_mapping
@@ -191,3 +192,74 @@ class TestHardwareDeclaration:
         clone = scheme.clone_fresh()
         for attr in held:
             assert getattr(clone, attr) is not getattr(scheme, attr), attr
+
+
+#: Counters a structure's ``fresh()`` zeroes instead of keeping: the
+#: page-walk caches' hit and probe counts.
+ZEROED = {"hits", "probes"}
+
+
+def bound_attributes(structure) -> dict:
+    """Every attribute ``structure`` binds, from its slots and its
+    ``__dict__``, independent of its ``arrays`` declaration."""
+    bound = {
+        slot: getattr(structure, slot)
+        for klass in type(structure).__mro__
+        for slot in vars(klass).get("__slots__", ())
+        if hasattr(structure, slot)
+    }
+    bound.update(getattr(structure, "__dict__", {}))
+    return bound
+
+
+class TestStructureArrays:
+    """Every TLB structure is built from the LRU arrays its ``arrays``
+    tuple names, and ``repro.hw.tlb.Structure`` implements the tag,
+    flush, clone and state protocol once over that tuple: an array it
+    left out would keep its entries through flushes, serve the previous
+    tenant's tag, and be shared by every clone of a prototype."""
+
+    @pytest.mark.parametrize("pwc", [False, True], ids=["pwc-off", "pwc-on"])
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_arrays_name_every_array(self, vmas, scheme_name, pwc):
+        machine = PWC_MACHINE if pwc else DEFAULT_MACHINE
+        scheme = make_scheme(
+            scheme_name, build_mapping(vmas, "medium", seed=23), machine)
+        wrappers = {name: structure
+                    for name, structure in scheme.structures().items()
+                    if not isinstance(structure, SetAssociativeTLB)}
+        assert "l1" in wrappers and ("pwc" in wrappers) is pwc
+        for name, structure in wrappers.items():
+            bound = bound_attributes(structure)
+            arrays = {attr: value for attr, value in bound.items()
+                      if isinstance(value, SetAssociativeTLB)}
+            assert set(arrays) == set(structure.arrays), name
+            assert set(structure.state()) == set(arrays), name
+
+            # set_tag reaches every array; fill each under two tags.
+            for tag in (1, 2):
+                structure.set_tag(tag)
+                for attr, array in arrays.items():
+                    assert array.tag == tag, (name, attr)
+                    array.insert(0, 5, tag)
+            # flush_tag drops exactly that tag's entries.
+            assert structure.flush_tag(1) == len(arrays), name
+            for attr, array in arrays.items():
+                assert [key >> TAG_SHIFT for key in array.keys()] == [2], (
+                    name, attr)
+
+            # fresh: new, empty, untagged arrays; everything else kept.
+            twin = structure.fresh()
+            assert type(twin) is type(structure)
+            for attr, value in bound.items():
+                mine = getattr(twin, attr)
+                if attr in arrays:
+                    assert mine is not value, (name, attr)
+                    assert (mine.entries, mine.ways) == (
+                        value.entries, value.ways)
+                    assert mine.occupancy == 0 and mine.tag == 0
+                    assert value.occupancy == 1, (name, attr)
+                elif attr in ZEROED:
+                    assert mine == 0, (name, attr)
+                else:
+                    assert mine is value, (name, attr)

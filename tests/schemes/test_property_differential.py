@@ -66,22 +66,16 @@ def split_line_mapping():
 
 def hw_state(scheme) -> dict:
     """Stats and every stateful structure a scheme owns, LRU order and
-    all (anchor L2s dump their underlying array)."""
-    state: dict = {"stats": scheme.stats.snapshot(), "l1": scheme.l1.state()}
-    for attr in ("l2", "l2_giga", "regular"):
-        obj = getattr(scheme, attr, None)
-        if obj is not None:
-            state[attr] = getattr(obj, "array", obj).state()
-    if hasattr(scheme, "clustered"):
-        state["clustered"] = scheme.clustered.array.state()
-    if hasattr(scheme, "range_tlb"):
-        state["range"] = list(scheme.range_tlb._entries.items())
+    all: each declared structure's ``state()``, the page-walk caches'
+    counters and the prefetcher's bookkeeping."""
+    state: dict = {"stats": scheme.stats.snapshot()}
+    for name, structure in scheme.structures().items():
+        state[name] = structure.state()
     if hasattr(scheme, "_prefetched"):
         state["prefetched"] = sorted(scheme._prefetched)
         state["prefetch"] = (scheme.prefetches_issued, scheme.prefetch_hits)
     if scheme.pwc is not None:
-        state["pwc"] = (scheme.pwc.state(), scheme.pwc.hits,
-                        scheme.pwc.probes)
+        state["pwc_counters"] = (scheme.pwc.hits, scheme.pwc.probes)
     return state
 
 

@@ -64,30 +64,16 @@ def mapped_trace(mapping, references, seed):
     return Trace(picks, references * 3, "parity")
 
 
-def l2_state(scheme):
-    l2 = getattr(scheme, "l2", None)
-    if l2 is None:
-        return None
-    array = getattr(l2, "array", l2)
-    return array.state() if hasattr(array, "state") else None
-
-
 def hw_state(scheme):
-    """Every piece of stateful hardware a scheme owns, LRU order and all."""
-    state = {"l1": scheme.l1.state(), "l2": l2_state(scheme)}
-    if hasattr(scheme, "l2_giga"):
-        state["l2_giga"] = scheme.l2_giga.state()
-    if hasattr(scheme, "regular"):
-        state["regular"] = scheme.regular.state()
-    if hasattr(scheme, "clustered"):
-        state["clustered"] = scheme.clustered.array.state()
-    if hasattr(scheme, "range_tlb"):
-        state["range_tlb"] = list(scheme.range_tlb._entries.items())
+    """Every piece of stateful hardware a scheme owns, LRU order and
+    all: each declared structure's ``state()``, the page-walk caches'
+    counters and the prefetcher's bookkeeping."""
+    state = {name: structure.state()
+             for name, structure in scheme.structures().items()}
     if hasattr(scheme, "_prefetched"):
         state["prefetched"] = sorted(scheme._prefetched)
         state["prefetch"] = (scheme.prefetches_issued, scheme.prefetch_hits)
     if scheme.pwc is not None:
-        state["pwc"] = scheme.pwc.state()
         state["pwc_counters"] = (scheme.pwc.hits, scheme.pwc.probes)
     return state
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PageFaultError
+from repro.errors import MappingError, PageFaultError
 from repro.hw.tlb import TAG_BITS, TAG_SHIFT
 from repro.mem.frames import FrameRange
 from repro.params import DEFAULT_MACHINE, MachineConfig, TLBGeometry
@@ -228,7 +228,7 @@ class TestTaggedDifferential:
         if name in ("colt", "rmm", "prefetch"):
             assert scheme.l2.tag == 3
             if name == "rmm":
-                assert scheme.range_tlb.tag == 3
+                assert scheme.range_tlb.array.tag == 3
         else:
             assert scheme.regular.tag == 3
             assert scheme.clustered.array.tag == 3
@@ -698,7 +698,7 @@ def _scalar_loop():
 
 
 def _run_round_fleet(name, pwc, tenants, quantum, storm, seed, event, at,
-                     variant, target=0):
+                     variant, target=0, hooked=0):
     """One tagged schedule of ``tenants`` anchor tenants on one shared
     hierarchy, replayed as ``variant``: ``"rounds"`` (the ASID table
     set, the scheme's own round replay), ``"base"`` (the table set,
@@ -706,8 +706,10 @@ def _run_round_fleet(name, pwc, tenants, quantum, storm, seed, event, at,
     ``access_block`` per quantum) or ``"scalar"`` (no table: the scalar
     ``access`` loop, each tenant under its own ASID).  Each tenant is a
     ``clone_fresh`` of its own prototype, so a §3.3 update privatises
-    the plans it shares.  Returns the page fault raised, if any, and
-    the stats and shared hardware state it ends in."""
+    the plans it shares.  A §3.3 ``event`` lands on the ``target``
+    tenant just before the ``hooked`` tenant's ``at``-th take.  Returns
+    the page fault raised, if any, and the stats and shared hardware
+    state it ends in."""
     machine = dataclasses.replace(ROUND_MACHINE, pwc=pwc)
     rng = np.random.default_rng(seed)
     schemes = [
@@ -745,12 +747,13 @@ def _run_round_fleet(name, pwc, tenants, quantum, storm, seed, event, at,
     elif event in SECTION_33_UPDATES:
         # A §3.3 update on the ``target`` tenant, running or not: an
         # incremental shootdown under its own ASID, so its plan has
-        # drifted.  It lands before the first tenant's take, between
-        # two rounds, which are also two quanta.
+        # drifted.  Hooked on the first tenant's take (the default), it
+        # lands between two rounds, which are also two quanta; hooked on
+        # a later tenant's, inside a round.
         victim = members[target % tenants].scheme
         update = SECTION_33_UPDATES[event]
-        members[0].cursor = _HookedCursor(
-            members[0].cursor, at, lambda: update(victim))
+        members[hooked].cursor = _HookedCursor(
+            members[hooked].cursor, at, lambda: update(victim))
     storm_every, storm_quantum = storm
     fault = None
     patch = {"base": _base_loop, "scalar": _scalar_loop}.get(
@@ -860,6 +863,23 @@ class TestRoundReplay:
         assert runs[0] == runs[1] == runs[2] == runs[3]
         if event == "unmapped":
             assert runs[0][0] is not None
+
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    @pytest.mark.parametrize("event", sorted(SECTION_33_UPDATES))
+    def test_mid_round_update_raises(self, event, target):
+        """A §3.3 update between two quanta of one round (hooked on the
+        last tenant's second take) resyncs its scheme at once, so its
+        plan edit and shootdown would land before the round's earlier
+        quanta replay: the round raises, naming the tenant, instead of
+        replaying out of order.  One block per quantum runs it in
+        order."""
+        for seed in range(3):
+            args = ("anchor-dyn", False, 3, 30, (0, 0), seed, event, 2)
+            with pytest.raises(MappingError,
+                               match=f"tenant 't{target + 1}' adopted"):
+                _run_round_fleet(*args, "rounds", target, hooked=2)
+            fault, _ = _run_round_fleet(*args, "quanta", target, hooked=2)
+            assert fault is None
 
     def test_rounds_route_through_one_call(self):
         """Each round is one ``access_block`` call of tagged rows."""

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.mem.frames import FrameRange
+from repro.params import ANCHOR_DISTANCES, SCENARIO_ORDER
+from repro.sim.workloads import get_workload
+from repro.util.histogram import Histogram
+from repro.vmos.distance import select_distance
 from repro.vmos.mapping import MemoryMapping
 from repro.vmos.regions import AnchorRegion, RegionTable, partition_regions
-from repro.vmos.vma import AllocationSite, layout_vmas
+from repro.vmos.scenarios import build_mapping
+from repro.vmos.vma import VMA, AllocationSite, layout_vmas
 
 
 class TestRegionTable:
@@ -80,3 +85,72 @@ class TestPartition:
         # The six fragmented small VMAs agree on a small distance and
         # should not occupy six separate regions.
         assert len(regions) < len(vmas)
+
+
+def nested_loop_partition(mapping, vmas, capacity=8,
+                          candidates=ANCHOR_DISTANCES):
+    """The definition of :func:`partition_regions`: every VMA scans
+    every chunk for the ones wholly inside it."""
+    if not vmas:
+        return []
+    groups = []
+    for vma in sorted(vmas, key=lambda v: v.start_vpn):
+        histogram = Histogram()
+        for chunk in mapping.chunks():
+            if chunk.vpn >= vma.start_vpn and chunk.end_vpn <= vma.end_vpn:
+                histogram.add(chunk.pages)
+        distance = select_distance(histogram, candidates)
+        if groups and select_distance(groups[-1][2], candidates) == distance:
+            start, end, merged = groups[-1]
+            for key, freq in histogram.items():
+                merged.add(key, freq)
+            groups[-1] = (start, max(end, vma.end_vpn), merged)
+        else:
+            groups.append((vma.start_vpn, vma.end_vpn, histogram))
+    while len(groups) > capacity:
+        smallest = min(range(len(groups)),
+                       key=lambda i: groups[i][2].total_weight)
+        lo, hi = sorted((smallest, smallest - 1 if smallest else 1))
+        merged = groups[lo][2]
+        for key, freq in groups[hi][2].items():
+            merged.add(key, freq)
+        groups[lo:hi + 1] = [
+            (groups[lo][0], max(groups[lo][1], groups[hi][1]), merged)]
+    return [AnchorRegion(start, end, select_distance(histogram, candidates))
+            for start, end, histogram in groups]
+
+
+class TestPartitionMatchesDefinition:
+    """``partition_regions`` takes each VMA's chunks as one slice of the
+    sorted chunk columns; the nested loop above is what it computes."""
+
+    @pytest.mark.parametrize("scenario", SCENARIO_ORDER)
+    @pytest.mark.parametrize("workload", [
+        "GemsFDTD", "omnetpp", "soplex_pds", "sphinx3", "xalancbmk"])
+    def test_workload_mappings(self, workload, scenario):
+        vmas = get_workload(workload).vmas()
+        mapping = build_mapping(vmas, scenario, seed=1)
+        for capacity in (8, 2):
+            assert partition_regions(mapping, vmas, capacity) == (
+                nested_loop_partition(mapping, vmas, capacity))
+
+    def test_chunks_straddling_and_outside_vmas(self):
+        """A chunk across two VMAs, or past the last one, counts in no
+        VMA's histogram."""
+        mapping = MemoryMapping()
+        mapping.map_run(0, FrameRange(1000, 30))
+        mapping.map_run(50, FrameRange(5000, 100))   # straddles 100
+        mapping.map_run(160, FrameRange(9000, 8))
+        mapping.map_run(190, FrameRange(12000, 40))  # runs past 200
+        mapping.map_run(400, FrameRange(20000, 16))  # outside every VMA
+        vmas = [VMA(100, 100), VMA(0, 100)]
+        regions = partition_regions(mapping, vmas)
+        assert regions == nested_loop_partition(mapping, vmas)
+        assert partition_regions(mapping, vmas[:1]) == (
+            nested_loop_partition(mapping, vmas[:1]))
+
+    def test_bimodal(self):
+        mapping, vmas = bimodal_mapping()
+        for capacity in (8, 3, 1):
+            assert partition_regions(mapping, vmas, capacity) == (
+                nested_loop_partition(mapping, vmas, capacity))
