@@ -498,7 +498,7 @@ class ProjectDataflow:
             if owner is not None and leaf in owner.functions:
                 return owner.functions[leaf]
             return None
-        # `runner._trace_for(...)` through a module alias.
+        # `runner.trace_for(...)` through a module alias.
         target = imports.get(parts[0])
         if target is None:
             return None

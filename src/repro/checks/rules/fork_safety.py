@@ -20,8 +20,8 @@ per-file review:
    whose call tree *writes* it.  A pool built by a module-level
    function of the project (a pool factory such as ``runner.new_pool``)
    carries that function's initializers into every file calling it.
-   (Plain module-level caches mutated by item assignment —
-   ``_WORKER_MAPPINGS[key] = ...`` — are fine: they are per-process
+   (Module-level caches mutated in place — the process's
+   ``InputMemo`` in ``sim/runner.py`` — are fine: they are per-process
    memo state by design.)
 
 The rule leans on the project dataflow layer: submitted names resolve

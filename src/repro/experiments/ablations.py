@@ -24,7 +24,7 @@ G. Virtualization (§6): nested guest-on-host translation; composed
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentConfig, MatrixRunner
+from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import Report
 from repro.params import MachineConfig, TLBGeometry
 from repro.schemes import make_scheme
@@ -53,16 +53,17 @@ def distance_sensitivity(
     scenario: str = "medium",
     config: ExperimentConfig | None = None,
 ) -> Report:
-    runner = MatrixRunner(config)
-    mapping = runner.mapping(workload, scenario)
-    trace = runner.trace(workload)
+    config = config or ExperimentConfig()
+    app = get_workload(workload)
+    mapping = build_mapping(app.vmas(), scenario, seed=config.seed)
+    trace = app.make_trace(config.references, seed=config.seed)
     dynamic = select_distance(contiguity_histogram(mapping))
     report = Report(
         title=f"Ablation A: static distance sweep, {workload}/{scenario}",
         headers=["distance", "walks", "is dynamic pick"],
         precision=0,
     )
-    for point in distance_sweep(mapping, trace, runner.config.machine):
+    for point in distance_sweep(mapping, trace, config.machine):
         report.table.append([
             point.distance,
             point.walks,
@@ -195,7 +196,7 @@ def cost_weighting(
     config: ExperimentConfig | None = None,
 ) -> Report:
     """Compare the two Algorithm 1 readings against the simulated optimum."""
-    runner = MatrixRunner(config or ExperimentConfig(references=40_000))
+    config = config or ExperimentConfig(references=40_000)
     report = Report(
         title=f"Ablation D: cost-function variants, {scenario} contiguity",
         headers=["workload", "entry-count pick", "inv-coverage pick",
@@ -203,14 +204,15 @@ def cost_weighting(
         precision=0,
     )
     for workload in workloads:
-        mapping = runner.mapping(workload, scenario)
-        trace = runner.trace(workload)
+        app = get_workload(workload)
+        mapping = build_mapping(app.vmas(), scenario, seed=config.seed)
+        trace = app.make_trace(config.references, seed=config.seed)
         histogram = contiguity_histogram(mapping)
         pick_count = select_distance(histogram, cost_fn=distance_cost)
         pick_inv = select_distance(histogram, cost_fn=inverse_coverage_cost)
         points = {
             p.distance: p.walks
-            for p in distance_sweep(mapping, trace, runner.config.machine,
+            for p in distance_sweep(mapping, trace, config.machine,
                                     candidates=useful_distances(mapping),
                                     subsample=2)
         }

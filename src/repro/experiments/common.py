@@ -1,46 +1,40 @@
 """Shared experiment machinery: the (workload x scenario x scheme) matrix.
 
-Everything the figure drivers need: mapping/trace caching (mappings are
-deterministic in the seed, so every scheme sees the identical mapping
-and trace), baseline normalisation, and the static-ideal search wired in
-as a pseudo-scheme.
+Everything the figure drivers need: the matrix runner, baseline
+normalisation, and the static-ideal search wired in as a pseudo-scheme.
 
-Since PR 2 the runner sits on :mod:`repro.sim.runner`: every cell is a
-content-addressed :class:`~repro.sim.api.SimRequest`, cells can be
-prefetched in parallel across worker processes, completed cells persist
-in a :class:`~repro.sim.runner.ResultStore`, and a cell whose job
-crashes lands in a failure ledger and renders as a gap instead of
-killing the report.
+Every cell is a content-addressed :class:`~repro.sim.api.SimRequest`,
+and :class:`MatrixRunner` resolves each one — a simulation or an
+anchor-distance selection — through its one
+:class:`~repro.sim.runner.Orchestrator` and
+:func:`~repro.sim.api.execute_request`.  Cells can be prefetched in
+parallel across worker processes, completed cells persist in a
+:class:`~repro.sim.runner.ResultStore`, and a cell whose job crashes
+lands in a failure ledger and renders as a gap instead of killing the
+report.  Mappings and traces are deterministic in the seed, so every
+scheme sees the identical mapping and trace; in-process cells share
+them through the orchestrator's memo.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CellFailedError
 from repro.params import DEFAULT_MACHINE, MachineConfig
+from repro.sim.api import DISTANCE_SELECT, SimRequest
 from repro.sim.engine import DEFAULT_EPOCH_REFERENCES, SimulationResult
-from repro.sim.api import SimRequest, execute_request
 from repro.sim.runner import (
     STATIC_IDEAL,
     JobFailure,
     Orchestrator,
     ResultStore,
     RunSummary,
-    mapping_digest,
-    simulate_spec,
-    trace_digest,
 )
-from repro.sim.trace import Trace
-from repro.sim.trace_store import TraceStore
-from repro.sim.workloads import WORKLOAD_ORDER, get_workload
+from repro.sim.workloads import WORKLOAD_ORDER
 from repro.schemes.registry import SCHEME_ORDER
-from repro.vmos.contiguity import contiguity_histogram
-from repro.vmos.distance import select_distance
-from repro.vmos.mapping import MemoryMapping
-from repro.vmos.scenarios import build_mapping
 
 #: Default trace length for experiment reports.  Large enough that the
 #: TLB reaches steady state (compulsory misses < 10% of events for every
@@ -65,14 +59,17 @@ class ExperimentConfig:
 class MatrixRunner:
     """Runs and caches cells of the experiment matrix.
 
-    ``workers=0`` (the default) computes cells in-process exactly as
-    before; ``workers=N`` lets :meth:`prefetch` fan cache misses out to
-    ``N`` worker processes.  With a ``store`` (or ``cache_dir``),
-    completed cells persist as content-addressed JSON and later runs —
-    including runs of *other* experiments sharing cells — skip them.
-    A ``cache_dir`` also implies a :class:`TraceStore` under
-    ``<cache_dir>/traces``: each distinct (workload, references, seed)
-    trace is generated once, persisted, and memory-mapped by every
+    Every cell goes through one :class:`Orchestrator`, kept for the
+    runner's lifetime.  ``workers=0`` (the default) computes cells
+    in-process, sharing mappings and traces through the orchestrator's
+    memo; ``workers=N`` fans cache misses out to ``N`` worker processes.
+    A job that raises is retried ``retries`` times, then ledgered and
+    served as a gap.  With a ``store`` (or ``cache_dir``), completed
+    cells persist as content-addressed JSON and later runs — including
+    runs of *other* experiments sharing cells — skip them.  A
+    ``cache_dir`` also implies a :class:`~repro.sim.trace_store.TraceStore`
+    under ``<cache_dir>/traces``: each distinct (workload, references,
+    seed) trace is generated once, persisted, and memory-mapped by every
     scheme, worker, and later run that needs it.
     """
 
@@ -83,43 +80,36 @@ class MatrixRunner:
         workers: int = 0,
         store: ResultStore | None = None,
         cache_dir: str | Path | None = None,
-        trace_store: TraceStore | str | Path | None = None,
-        timeout: float | None = None,
         retries: int = 1,
         progress: Callable[[str], None] | None = None,
     ) -> None:
         self.config = config or ExperimentConfig()
         if store is None and cache_dir is not None:
             store = ResultStore(cache_dir)
-        if trace_store is None and cache_dir is not None:
-            # Traces share the result cache's directory so one
-            # ``--cache-dir`` flag persists both; the ``traces/``
-            # subtree never collides with result shards (keys shard
-            # into two-hex-character directories).
-            trace_store = Path(cache_dir) / "traces"
-        if trace_store is not None and not isinstance(trace_store, TraceStore):
-            trace_store = TraceStore(trace_store)
-        self.workers = workers
-        self.store = store
-        self.trace_store = trace_store
-        self.timeout = timeout
-        self.retries = retries
-        self.progress = progress
-        #: One entry per :meth:`prefetch` that actually ran jobs.
+        # Traces share the result cache's directory so one
+        # ``--cache-dir`` flag persists both; the ``traces/`` subtree
+        # never collides with result shards (keys shard into
+        # two-hex-character directories).
+        self.orchestrator = Orchestrator(
+            workers=workers,
+            store=store,
+            trace_store=None if cache_dir is None else Path(cache_dir) / "traces",
+            retries=retries,
+            progress=progress,
+        )
+        #: One entry per orchestrator run that actually ran jobs.
         self.summaries: list[RunSummary] = []
-        self._mappings: dict[tuple[str, str], MemoryMapping] = {}
-        self._mapping_digests: dict[tuple[str, str], str] = {}
-        self._traces: dict[str, Trace] = {}
-        self._trace_digests: dict[str, str] = {}
         self._results: dict[Cell, SimulationResult] = {}
         self._distances: dict[tuple[str, str], int] = {}
-        self._failures: dict[Cell, JobFailure] = {}
+        self._failures: dict[Hashable, JobFailure] = {}
 
     # ------------------------------------------------------------------
     # Specs
     # ------------------------------------------------------------------
 
-    def spec(self, workload: str, scenario: str, scheme: str) -> SimRequest:
+    def spec(
+        self, workload: str, scenario: str, scheme: str, kind: str = "simulate"
+    ) -> SimRequest:
         """The content-addressed job description of one cell."""
         return SimRequest(
             workload=workload,
@@ -130,142 +120,49 @@ class MatrixRunner:
             epoch_references=self.config.epoch_references,
             ideal_subsample=self.config.ideal_subsample,
             machine=self.config.machine,
-        )
-
-    def _distance_spec(self, workload: str, scenario: str) -> SimRequest:
-        return SimRequest(
-            workload=workload,
-            scenario=scenario,
-            scheme="-",
-            references=self.config.references,
-            seed=self.config.seed,
-            epoch_references=self.config.epoch_references,
-            ideal_subsample=self.config.ideal_subsample,
-            machine=self.config.machine,
-            kind="distances",
+            kind=kind,
         )
 
     # ------------------------------------------------------------------
-    # Mapping / trace caches (in-process, digest-guarded)
+    # Resolution: every cell goes through the orchestrator
     # ------------------------------------------------------------------
 
-    def mapping(self, workload: str, scenario: str) -> MemoryMapping:
-        key = (workload, scenario)
-        cached = self._mappings.get(key)
-        if cached is None:
-            vmas = get_workload(workload).vmas()
-            cached = build_mapping(vmas, scenario, seed=self.config.seed)
-            self._mappings[key] = cached
-            self._mapping_digests[key] = mapping_digest(cached)
-        elif mapping_digest(cached) != self._mapping_digests[key]:
-            raise CellFailedError(
-                f"mapping for {workload}/{scenario} was mutated since it "
-                "was built; refusing to serve the aliased copy"
-            )
-        return cached
+    def _resolve(
+        self,
+        specs: dict[Hashable, SimRequest],
+        into: dict,
+        decode: Callable[[dict], object],
+    ) -> RunSummary | None:
+        """Run the specs not yet resolved; file payloads or failures.
 
-    def trace(self, workload: str) -> Trace:
-        cached = self._traces.get(workload)
-        if cached is None:
-            if self.trace_store is not None:
-                # Shared streaming pipeline: generate at most once per
-                # store (across runners, workers, and past runs), then
-                # serve a read-only memory map.  The map cannot be
-                # mutated in place, so no digest guard is needed.
-                key = self.trace_store.key(
-                    workload, self.config.references, self.config.seed
-                )
-                cached = self.trace_store.get_or_create(
-                    key,
-                    lambda: get_workload(workload).trace_source(
-                        self.config.references, seed=self.config.seed
-                    ),
-                )
-            else:
-                cached = get_workload(workload).make_trace(
-                    self.config.references, seed=self.config.seed
-                )
-            self._traces[workload] = cached
-            self._trace_digests[workload] = trace_digest(cached)
-        elif trace_digest(cached) != self._trace_digests[workload]:
-            raise CellFailedError(
-                f"trace for {workload} was mutated since it was built; "
-                "refusing to serve the aliased copy"
-            )
-        return cached
-
-    # ------------------------------------------------------------------
-    # Cell execution
-    # ------------------------------------------------------------------
-
-    def _execute_spec(self, spec: SimRequest) -> dict:
-        """Serial job function: reuses this runner's in-process caches."""
-        if spec.kind == "distances":
-            mapping = self.mapping(spec.workload, spec.scenario)
-            return {"distance": int(select_distance(contiguity_histogram(mapping)))}
-        mapping = self.mapping(spec.workload, spec.scenario)
-        trace = self.trace(spec.workload)
-        return simulate_spec(spec, mapping, trace).to_dict()
-
-    def _orchestrator(self) -> Orchestrator:
-        return Orchestrator(
-            workers=self.workers,
-            store=self.store,
-            trace_store=self.trace_store,
-            timeout=self.timeout,
-            retries=self.retries,
-            job_fn=self._execute_spec if self.workers == 0 else execute_request,
-            progress=self.progress,
-        )
-
-    def _raise_failure(self, cell: Cell) -> None:
-        failure = self._failures.get(cell)
-        if failure is not None:
-            raise CellFailedError(
-                f"cell {failure.label} failed after {failure.attempts} "
-                f"attempts: {failure.error}"
-            )
-
-    def run(self, workload: str, scenario: str, scheme: str) -> SimulationResult:
-        """Simulate one cell (cached; raises if the cell is ledgered)."""
-        cell = (workload, scenario, scheme)
-        hit = self._results.get(cell)
-        if hit is not None:
-            return hit
-        self._raise_failure(cell)
-        spec = self.spec(*cell)
-        payload = self.store.get(spec.key()) if self.store else None
-        if payload is not None:
-            result = SimulationResult.from_dict(payload)
-        else:
-            mapping = self.mapping(workload, scenario)
-            trace = self.trace(workload)
-            try:
-                result = simulate_spec(spec, mapping, trace)
-            except Exception as exc:
-                self._failures[cell] = JobFailure(
-                    spec.key(), spec.label(), repr(exc), attempts=1
-                )
-                raise CellFailedError(
-                    f"cell {spec.label()} failed: {exc!r}"
-                ) from exc
-            if self.store is not None:
-                self.store.put(spec.key(), result.to_dict())
-        self._results[cell] = result
-        return result
-
-    def maybe_run(
-        self, workload: str, scenario: str, scheme: str
-    ) -> SimulationResult | None:
-        """Like :meth:`run`, but a failed cell yields ``None`` (a gap)."""
-        try:
-            return self.run(workload, scenario, scheme)
-        except CellFailedError:
+        Returns the run summary, or ``None`` when nothing was pending.
+        """
+        pending = {
+            name: spec for name, spec in specs.items()
+            if name not in into and name not in self._failures
+        }
+        if not pending:
             return None
+        results, summary = self.orchestrator.run(list(pending.values()))
+        by_key = {failure.key: failure for failure in summary.failures}
+        for name, spec in pending.items():
+            payload = results.get(spec.key())
+            if payload is not None:
+                into[name] = decode(payload)
+            elif spec.key() in by_key:
+                self._failures[name] = by_key[spec.key()]
+        self.summaries.append(summary)
+        return summary
 
-    # ------------------------------------------------------------------
-    # Parallel prefetch
-    # ------------------------------------------------------------------
+    def _get(self, name: Hashable, into: dict):
+        """The resolved value of ``name``; raises if it is ledgered."""
+        if name in into:
+            return into[name]
+        failure = self._failures[name]
+        raise CellFailedError(
+            f"cell {failure.label} failed after {failure.attempts} "
+            f"attempts: {failure.error}"
+        )
 
     def prefetch(
         self,
@@ -279,59 +176,43 @@ class MatrixRunner:
         ``workers > 0`` — and land in the in-memory result cache, so the
         drivers' row loops afterwards never simulate.  Failed cells go
         to the failure ledger and are served as gaps.  Returns the run
-        summary, or ``None`` when every cell was already in memory.
+        summary, or ``None`` when every cell was already resolved.
         """
-        cells = [
-            (w, s, k)
-            for w in workloads
-            for s in scenarios
-            for k in schemes
-            if (w, s, k) not in self._results and (w, s, k) not in self._failures
-        ]
-        if not cells:
-            return None
-        specs = {cell: self.spec(*cell) for cell in cells}
-        results, summary = self._orchestrator().run(list(specs.values()))
-        by_key = {failure.key: failure for failure in summary.failures}
-        for cell, spec in specs.items():
-            payload = results.get(spec.key())
-            if payload is not None:
-                self._results[cell] = SimulationResult.from_dict(payload)
-            elif spec.key() in by_key:
-                self._failures[cell] = by_key[spec.key()]
-        self.summaries.append(summary)
-        return summary
+        specs: dict[Hashable, SimRequest] = {
+            (w, s, k): self.spec(w, s, k)
+            for w in workloads for s in scenarios for k in schemes
+        }
+        return self._resolve(specs, self._results, SimulationResult.from_dict)
 
     def prefetch_distances(
         self, workloads: Iterable[str], scenarios: Iterable[str]
     ) -> RunSummary | None:
         """Resolve Algorithm 1's distance selection per (workload, scenario)."""
-        pairs = [
-            (w, s)
-            for w in workloads
-            for s in scenarios
-            if (w, s) not in self._distances
-        ]
-        if not pairs:
+        specs: dict[Hashable, SimRequest] = {
+            (w, s): self.spec(w, s, DISTANCE_SELECT, kind="distances")
+            for w in workloads for s in scenarios
+        }
+        return self._resolve(
+            specs, self._distances, lambda payload: int(payload["distance"]))
+
+    def run(self, workload: str, scenario: str, scheme: str) -> SimulationResult:
+        """Simulate one cell (cached; raises if the cell is ledgered)."""
+        self.prefetch((workload,), (scenario,), (scheme,))
+        return self._get((workload, scenario, scheme), self._results)
+
+    def maybe_run(
+        self, workload: str, scenario: str, scheme: str
+    ) -> SimulationResult | None:
+        """Like :meth:`run`, but a failed cell yields ``None`` (a gap)."""
+        try:
+            return self.run(workload, scenario, scheme)
+        except CellFailedError:
             return None
-        specs = {pair: self._distance_spec(*pair) for pair in pairs}
-        results, summary = self._orchestrator().run(list(specs.values()))
-        for pair, spec in specs.items():
-            payload = results.get(spec.key())
-            if payload is not None:
-                self._distances[pair] = int(payload["distance"])
-        self.summaries.append(summary)
-        return summary
 
     def selected_distance(self, workload: str, scenario: str) -> int:
         """The Algorithm 1 distance for one mapping (cached)."""
-        pair = (workload, scenario)
-        if pair not in self._distances:
-            mapping = self.mapping(workload, scenario)
-            self._distances[pair] = int(
-                select_distance(contiguity_histogram(mapping))
-            )
-        return self._distances[pair]
+        self.prefetch_distances((workload,), (scenario,))
+        return self._get((workload, scenario), self._distances)
 
     # ------------------------------------------------------------------
     # Report helpers

@@ -104,6 +104,7 @@ class SimService:
 
         self.store: ResultStore | None = None
         self.trace_store: TraceStore | None = None
+        self._previous_trace_store: TraceStore | None = None
         self.metrics: dict[str, int] = {
             "received": 0,
             "computed": 0,
@@ -134,8 +135,10 @@ class SimService:
             self.trace_store = TraceStore(self.cache_dir / "traces")
             # The serial path and fork-started workers read through the
             # parent's configured store; the pool initializer repeats
-            # this for spawn-started platforms.
-            configure_trace_store(self.trace_store.root)
+            # this for spawn-started platforms.  Drain restores the
+            # previous setting.
+            self._previous_trace_store = configure_trace_store(
+                self.trace_store)
         if self.workers > 0:
             self._pool = new_pool(self.workers, self.trace_store)
             # Fork every worker now: a trivial round-trip per worker
@@ -162,6 +165,8 @@ class SimService:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self.trace_store is not None:
+            configure_trace_store(self._previous_trace_store)
 
     async def drain(self) -> None:
         """Stop admitting work and wait for in-flight requests."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import OrchestrationError
 from repro.hw.tlb import TAG_BITS
@@ -47,8 +47,11 @@ from repro.params import (
     MachineConfig,
     TLBGeometry,
 )
-from repro.sim.engine import DEFAULT_EPOCH_REFERENCES
+from repro.sim.engine import DEFAULT_EPOCH_REFERENCES, run_trace
 from repro.sim.stats import canonical_json
+
+if TYPE_CHECKING:
+    from repro.sim.runner import InputMemo
 
 __all__ = [
     "CACHE_FORMAT",
@@ -97,7 +100,18 @@ def machine_digest(machine: MachineConfig) -> str:
     return digest_payload(dataclasses.asdict(machine))
 
 
+def _reject_unknown(data: dict, cls: type) -> None:
+    """Refuse wire keys that are not fields of ``cls``: a misspelt field
+    would otherwise run (and hash) as its default."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} field(s): {unknown}")
+
+
 def _machine_from_dict(data: dict) -> MachineConfig:
+    _reject_unknown(data, MachineConfig)
+    if not isinstance(data["pwc"], bool):
+        raise ValueError(f"pwc must be a boolean, got {data['pwc']!r}")
     return MachineConfig(
         l1_4k=TLBGeometry(**data["l1_4k"]),
         l1_2m=TLBGeometry(**data["l1_2m"]),
@@ -105,7 +119,7 @@ def _machine_from_dict(data: dict) -> MachineConfig:
         l2_1g=TLBGeometry(**data["l2_1g"]),
         l2=TLBGeometry(**data["l2"]),
         latency=LatencyModel(**data["latency"]),
-        pwc=bool(data["pwc"]),
+        pwc=data["pwc"],
     )
 
 
@@ -180,6 +194,7 @@ class TenancyConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenancyConfig":
+        _reject_unknown(data, cls)
         return cls(
             tenants=int(data["tenants"]),
             policy=str(data["policy"]),
@@ -278,6 +293,7 @@ class SimRequest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimRequest":
+        _reject_unknown(data, cls)
         tenancy = data.get("tenancy")
         epoch = data.get("epoch_references", DEFAULT_EPOCH_REFERENCES)
         seed = data.get("seed")
@@ -350,22 +366,27 @@ def fleet_for(request: SimRequest) -> "Any":
     )
 
 
-def execute_request(request: SimRequest) -> dict:
+def execute_request(request: SimRequest, memo: InputMemo | None = None) -> dict:
     """Compute one request's JSON payload (the universal entry point).
 
-    Picklable by reference: this is what the orchestrator's pool, the
-    service's warm workers, and the serial path all invoke.  Worker-side
-    memoisation (mappings, traces, the shared trace store) lives in
-    :mod:`repro.sim.runner`; the imports are deferred both for that and
-    because the scheme registry would otherwise import circularly.
+    Picklable by reference: this is what the orchestrator's pool and
+    serial path, and the service's warm workers, all invoke.  Mappings
+    and traces are read through ``memo`` (an
+    :class:`~repro.sim.runner.InputMemo`), or else through the process's
+    memo; the shared trace store is configured per process
+    (:func:`~repro.sim.runner.configure_trace_store`).  The imports are
+    deferred both for that and because the scheme registry would
+    otherwise import circularly.
     """
     from repro.sim import runner
 
+    if memo is None:
+        memo = runner._PROCESS_MEMO
     if request.kind == "distances":
         from repro.vmos.contiguity import contiguity_histogram
         from repro.vmos.distance import select_distance
 
-        mapping = runner._mapping_for(request)
+        mapping = runner.mapping_for(request, memo)
         distance = select_distance(contiguity_histogram(mapping))
         return {"distance": int(distance)}
     if request.kind in FLEET_KINDS:
@@ -409,9 +430,19 @@ def execute_request(request: SimRequest) -> dict:
         return result.to_dict()
     if request.kind != "simulate":
         raise OrchestrationError(f"unknown request kind {request.kind!r}")
-    result = runner.simulate_spec(
-        request, runner._mapping_for(request), runner._trace_for(request)
-    )
+    from repro.schemes import make_scheme
+    from repro.sim.sweep import static_ideal
+
+    mapping = runner.mapping_for(request, memo)
+    trace = runner.trace_for(request, memo)
+    if request.scheme == STATIC_IDEAL:
+        result = static_ideal(
+            mapping, trace, request.machine, subsample=request.ideal_subsample
+        )
+    else:
+        scheme = make_scheme(request.scheme, mapping, request.machine)
+        result = run_trace(
+            scheme, trace, epoch_references=request.epoch_references)
     return result.to_dict()
 
 

@@ -13,14 +13,20 @@ The moving parts:
 * :class:`ResultStore` — a directory of ``<key>.json`` files holding
   ``SimulationResult.to_dict()`` payloads.  Corrupted or truncated
   files are treated as misses, never as errors.
-* the worker side of :func:`~repro.sim.api.execute_request` — workers
-  memoise mappings and traces per (workload, scenario, seed) with a
-  digest guard, so the many schemes of one cell column share one
-  mapping build without risking cross-job aliasing.
+* :class:`InputMemo` — the digest-guarded memo that
+  :func:`~repro.sim.api.execute_request` reads mappings and traces
+  through (:func:`mapping_for`, :func:`trace_for`), so the many schemes
+  of one cell column share one mapping build without risking
+  cross-job aliasing.  Every memo has an owner: pool workers, the
+  service and direct ``execute_request`` calls share the process's
+  memo; an :class:`Orchestrator` owns one for its in-process jobs, so
+  what a serial run builds is freed with the orchestrator.
 * :class:`Orchestrator` — runs specs serially (``workers=0``) or on a
   process pool, returning payloads plus a :class:`RunSummary`
   (computed / cached / retried / failed counts and the ledger).  It is
-  the one batch executor: the sharded fleet
+  the one batch executor: the experiment matrix
+  (:class:`repro.experiments.common.MatrixRunner`) resolves every cell
+  through one, and the sharded fleet
   (:func:`repro.sim.tenants.simulate_fleet`) runs its shards on it as
   ``kind="fleet-shard"`` requests.
 
@@ -58,7 +64,6 @@ from repro.sim.api import (
     machine_digest,
     simulate_request,
 )
-from repro.sim.engine import SimulationResult, run_trace
 from repro.sim.stats import canonical_json
 from repro.sim.trace import Trace
 from repro.sim.trace_store import TraceStore
@@ -76,12 +81,14 @@ __all__ = [
     "simulate_request",
     "ResultStore",
     "TraceStore",
+    "InputMemo",
+    "mapping_for",
+    "trace_for",
     "configure_trace_store",
     "new_pool",
     "JobFailure",
     "RunSummary",
     "Orchestrator",
-    "simulate_spec",
     "combine_summaries",
     "digest_payload",
     "machine_digest",
@@ -204,31 +211,51 @@ class ResultStore:
 # Job execution (worker side)
 # ---------------------------------------------------------------------------
 
-#: Per-process memo caches: the schemes of one matrix column share one
-#: mapping/trace build.  Keys include the seed and trace length so two
-#: configs that differ only there can never alias; values carry the
-#: build-time digest, verified on every reuse.
-_WORKER_MAPPINGS: dict[tuple, tuple[MemoryMapping, str]] = {}
-_WORKER_TRACES: dict[tuple, tuple[Trace, str]] = {}
+class InputMemo:
+    """Built mappings and traces, memoised with a digest guard.
+
+    The schemes of one matrix column share one mapping/trace build.
+    Keys include the seed and trace length so two configs that differ
+    only there can never alias; values carry the build-time digest,
+    verified on every reuse.  Read it through :func:`mapping_for` and
+    :func:`trace_for`.
+    """
+
+    def __init__(self) -> None:
+        self.mappings: dict[tuple, tuple[MemoryMapping, str]] = {}
+        self.traces: dict[tuple, tuple[Trace, str]] = {}
+
+
+#: The memo of pool workers, the service and direct
+#: :func:`~repro.sim.api.execute_request` calls; an :class:`Orchestrator`
+#: hands its own to its in-process jobs instead.
+_PROCESS_MEMO = InputMemo()
 
 #: The shared trace store this process reads traces from, when the
 #: orchestrator configured one (see :func:`configure_trace_store`).
 _WORKER_TRACE_STORE: TraceStore | None = None
 
 
-def configure_trace_store(root: str | Path | None) -> TraceStore | None:
+def configure_trace_store(
+    root: TraceStore | str | Path | None,
+) -> TraceStore | None:
     """Point this process's job execution at a shared trace store.
 
     With a store configured, :func:`~repro.sim.api.execute_request`
     memory-maps traces the
     orchestrator generated instead of rebuilding them.  Called in the
-    parent by the orchestrator and in each pool worker via the executor
-    initializer (fork inherits the parent's setting, but spawned workers
-    would not).  ``None`` reverts to per-process generation.
+    parent by the orchestrator and the service, and in each pool worker
+    via the executor initializer (fork inherits the parent's setting,
+    but spawned workers would not).  ``None`` reverts to per-process
+    generation.  Returns the previous setting, so a caller that
+    configures a store for its own lifetime can restore it.
     """
     global _WORKER_TRACE_STORE
-    _WORKER_TRACE_STORE = None if root is None else TraceStore(root)
-    return _WORKER_TRACE_STORE
+    previous = _WORKER_TRACE_STORE
+    if isinstance(root, (str, Path)):
+        root = TraceStore(root)
+    _WORKER_TRACE_STORE = root
+    return previous
 
 
 def new_pool(
@@ -251,13 +278,14 @@ def new_pool(
     )
 
 
-def _mapping_for(spec: SimRequest) -> MemoryMapping:
+def mapping_for(spec: SimRequest, memo: InputMemo) -> MemoryMapping:
+    """The mapping ``spec`` names, built once per ``memo``."""
     key = (spec.workload, spec.scenario, spec.seed)
-    entry = _WORKER_MAPPINGS.get(key)
+    entry = memo.mappings.get(key)
     if entry is None:
         vmas = get_workload(spec.workload).vmas()
         mapping = build_mapping(vmas, spec.scenario, seed=spec.seed)
-        _WORKER_MAPPINGS[key] = (mapping, mapping_digest(mapping))
+        memo.mappings[key] = (mapping, mapping_digest(mapping))
         return mapping
     mapping, digest = entry
     if mapping_digest(mapping) != digest:
@@ -267,7 +295,9 @@ def _mapping_for(spec: SimRequest) -> MemoryMapping:
     return mapping
 
 
-def _trace_for(spec: SimRequest) -> Trace:
+def trace_for(spec: SimRequest, memo: InputMemo) -> Trace:
+    """The trace ``spec`` names: from the configured trace store, or
+    generated once per ``memo``."""
     store = _WORKER_TRACE_STORE
     if store is not None:
         # The orchestrator pre-generated every distinct trace; this is a
@@ -283,12 +313,12 @@ def _trace_for(spec: SimRequest) -> Trace:
             ),
         )
     key = (spec.workload, spec.seed, spec.references)
-    entry = _WORKER_TRACES.get(key)
+    entry = memo.traces.get(key)
     if entry is None:
         trace = get_workload(spec.workload).make_trace(
             spec.references, seed=spec.seed
         )
-        _WORKER_TRACES[key] = (trace, trace_digest(trace))
+        memo.traces[key] = (trace, trace_digest(trace))
         return trace
     trace, digest = entry
     if trace_digest(trace) != digest:
@@ -296,23 +326,6 @@ def _trace_for(spec: SimRequest) -> Trace:
             f"cached trace for {key} was mutated since it was built"
         )
     return trace
-
-
-def simulate_spec(
-    spec: SimRequest, mapping: MemoryMapping, trace: Trace
-) -> SimulationResult:
-    """Run one ``kind="simulate"`` request on prebuilt inputs."""
-    # Deferred: the schemes package imports repro.sim.stats, so a
-    # top-level import here would be circular via repro.sim.__init__.
-    from repro.schemes import make_scheme
-    from repro.sim.sweep import static_ideal
-
-    if spec.scheme == STATIC_IDEAL:
-        return static_ideal(
-            mapping, trace, spec.machine, subsample=spec.ideal_subsample
-        )
-    scheme = make_scheme(spec.scheme, mapping, spec.machine)
-    return run_trace(scheme, trace, epoch_references=spec.epoch_references)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +453,10 @@ class Orchestrator:
       exactly once into the store before dispatch, and every worker —
       serial or pooled — memory-maps the persisted file instead of
       rebuilding the trace.
+    * ``job_fn`` replaces :func:`~repro.sim.api.execute_request` as the
+      job (the fault-injection tests use it).  Without one, in-process
+      jobs read mappings and traces through this orchestrator's own
+      :class:`InputMemo`, freed with it; pool workers use theirs.
     """
 
     def __init__(
@@ -449,7 +466,7 @@ class Orchestrator:
         trace_store: TraceStore | str | Path | None = None,
         timeout: float | None = None,
         retries: int = 1,
-        job_fn: Callable[[SimRequest], dict] = execute_request,
+        job_fn: Callable[[SimRequest], dict] | None = None,
         progress: ProgressFn | None = None,
         mp_context=None,
     ) -> None:
@@ -467,6 +484,7 @@ class Orchestrator:
         self.timeout = timeout
         self.retries = retries
         self.job_fn = job_fn
+        self.memo = InputMemo()
         self.progress = progress
         if mp_context is None and workers > 0:
             # fork keeps job functions picklable by reference and is the
@@ -484,7 +502,6 @@ class Orchestrator:
         self, specs: Sequence[SimRequest]
     ) -> tuple[dict[str, dict], RunSummary]:
         """Execute ``specs``; return payloads by key plus the summary."""
-        global _WORKER_TRACE_STORE
         started = time.perf_counter()
         ordered: list[SimRequest] = []
         seen: set[str] = set()
@@ -519,7 +536,7 @@ class Orchestrator:
                 else:
                     self._run_pool(pending, results, summary)
         finally:
-            _WORKER_TRACE_STORE = previous_store
+            configure_trace_store(previous_store)
         summary.wall_seconds = time.perf_counter() - started
         summary.peak_rss_bytes = peak_rss_bytes()
         return results, summary
@@ -539,7 +556,7 @@ class Orchestrator:
         """
         store = self.trace_store
         assert store is not None
-        configure_trace_store(store.root)
+        configure_trace_store(store)
         generated_before = store.generated
         seconds_before = store.generation_seconds
         done: set[str] = set()
@@ -643,7 +660,10 @@ class Orchestrator:
             spec, attempts = queue.popleft()
             job_started = time.perf_counter()
             try:
-                payload = self.job_fn(spec)
+                if self.job_fn is None:
+                    payload = execute_request(spec, self.memo)
+                else:
+                    payload = self.job_fn(spec)
             except Exception as exc:  # noqa: BLE001 — ledger, don't crash
                 self._record_attempt_failure(
                     spec, attempts + 1, repr(exc), summary,
@@ -691,7 +711,8 @@ class Orchestrator:
             while queue or inflight:
                 while queue and len(inflight) < self.workers:
                     spec, attempts = queue.popleft()
-                    future = executor.submit(self.job_fn, spec)
+                    future = executor.submit(
+                        self.job_fn or execute_request, spec)
                     inflight[future] = (spec, attempts, time.monotonic())
 
                 wait_timeout = None

@@ -161,7 +161,9 @@ class TraceStore:
 
         The array is written chunk by chunk under a temporary name and
         atomically renamed; the metadata envelope lands last, so a
-        reader can never observe a partially written entry.
+        reader can never observe a partially written entry.  A failed
+        write or rename removes its temp file before the error
+        propagates.
         """
         references = source.references
         array_path = self.array_path(key)
@@ -197,8 +199,11 @@ class TraceStore:
         }
         meta_path = self.meta_path(key)
         tmp_meta = meta_path.parent / f"{key}.json.tmp{os.getpid()}"
-        tmp_meta.write_text(canonical_json(meta), encoding="utf-8")
-        os.replace(tmp_meta, meta_path)
+        try:
+            tmp_meta.write_text(canonical_json(meta), encoding="utf-8")
+            os.replace(tmp_meta, meta_path)
+        finally:
+            tmp_meta.unlink(missing_ok=True)
         return array_path
 
     def put(self, trace: Trace, key: str) -> Path:

@@ -1,5 +1,7 @@
 """Tests for the experiment matrix runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.common import (
@@ -8,6 +10,8 @@ from repro.experiments.common import (
     MatrixRunner,
     figure_schemes,
 )
+from repro.sim import runner as runner_module
+from repro.sim.runner import InputMemo, mapping_for, trace_for
 
 
 @pytest.fixture(scope="module")
@@ -17,13 +21,25 @@ def runner():
 
 
 class TestRunner:
-    def test_mapping_cached(self, runner):
-        a = runner.mapping("sphinx3", "medium")
-        b = runner.mapping("sphinx3", "medium")
-        assert a is b
+    """The memo the runner's cells read mappings and traces through."""
 
-    def test_trace_cached(self, runner):
-        assert runner.trace("sphinx3") is runner.trace("sphinx3")
+    def test_mapping_cached(self, runner):
+        memo = InputMemo()
+        request = runner.spec("sphinx3", "medium", "base")
+        mapping = mapping_for(request, memo)
+        assert mapping_for(request, memo) is mapping
+        # Every scheme of a column shares the build; a seed does not.
+        assert mapping_for(replace(request, scheme="thp"), memo) is mapping
+        assert mapping_for(replace(request, seed=3), memo) is not mapping
+
+    def test_trace_cached(self, runner, monkeypatch):
+        monkeypatch.setattr(runner_module, "_WORKER_TRACE_STORE", None)
+        memo = InputMemo()
+        request = runner.spec("sphinx3", "medium", "base")
+        trace = trace_for(request, memo)
+        assert trace_for(request, memo) is trace
+        assert trace_for(replace(request, seed=3), memo) is not trace
+        assert trace_for(replace(request, references=2000), memo) is not trace
 
     def test_run_cell_and_cache(self, runner):
         r1 = runner.run("sphinx3", "medium", "base")

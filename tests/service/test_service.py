@@ -10,6 +10,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import shutil
 import signal
 import socket
 import time
@@ -200,6 +201,21 @@ class TestPersistentCache:
         assert envelopes[-1]["cached"] is True
         assert metrics["computed"] == 0
 
+    def test_drain_restores_the_trace_store_setting(self, tmp_path):
+        """A drained service leaves the process pointed where it found
+        it, so a later in-process request never writes into the
+        service's (possibly deleted) cache directory."""
+        from repro.sim import runner
+
+        before = runner._WORKER_TRACE_STORE
+        cache_dir = tmp_path / "service"
+        with ServiceThread(workers=0, cache_dir=cache_dir):
+            assert runner._WORKER_TRACE_STORE is not before
+        assert runner._WORKER_TRACE_STORE is before
+        shutil.rmtree(cache_dir)
+        execute_request(request_of(references=2_000))
+        assert not cache_dir.exists()
+
 
 class TestFailureHandling:
     def test_bad_request_yields_error_envelope(self):
@@ -353,10 +369,18 @@ def bad_lines(draw):
         return json.dumps(message).encode(), "unknown op"
     broken = dict(VALID_REQUEST)
     how = draw(st.sampled_from(
-        ["missing-field", "references", "not-object", "no-request"]))
+        ["missing-field", "references", "not-object", "no-request",
+         "unknown-field", "pwc"]))
     if how == "missing-field":
         del broken[draw(st.sampled_from(
             ["workload", "scenario", "scheme", "references"]))]
+    elif how == "unknown-field":
+        name = draw(st.text(min_size=1, max_size=12).filter(
+            lambda name: name not in VALID_REQUEST))
+        broken[name] = draw(st.sampled_from([7, "scalar", None]))
+    elif how == "pwc":
+        broken["machine"] = dict(broken["machine"], pwc=draw(
+            st.sampled_from(["false", "true", 0, 1, None, [True]])))
     elif how == "references":
         broken["references"] = draw(st.sampled_from(
             ["many", "1.5", None, [1], {"n": 1}]))

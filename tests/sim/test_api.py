@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from repro.errors import OrchestrationError
+from repro.params import MachineConfig
 from repro.sim.api import (
     SimReply,
     SimRequest,
@@ -163,6 +164,47 @@ class TestWireForm:
     def test_reply_round_trip(self):
         reply = SimReply(key="ab" * 32, payload={"stats": {"walks": 3}})
         assert SimReply.from_dict(reply.to_dict()) == reply
+
+    @pytest.mark.parametrize("request_", [
+        request_of(),
+        fleet_request(),
+        fleet_request(kind="fleet-shard", tenancy=TenancyConfig(
+            tenants=4, quantum=200, active_pool=2, shards=4, shard=1)),
+        request_of(machine=MachineConfig(pwc=True)),
+    ], ids=["simulate", "fleet", "fleet-shard", "pwc-on"])
+    def test_round_trip_every_kind(self, request_):
+        assert SimRequest.from_dict(request_.to_dict()) == request_
+
+
+class TestWireFormRejects:
+    """``from_dict`` refuses what it cannot represent instead of running
+    a misspelt field at its default."""
+
+    @pytest.mark.parametrize("field", ["epoch_refrences", "engine"])
+    def test_unknown_request_field(self, field):
+        data = request_of().to_dict()
+        data[field] = 7 if field == "epoch_refrences" else "scalar"
+        with pytest.raises(ValueError, match=field):
+            SimRequest.from_dict(data)
+
+    def test_unknown_tenancy_field(self):
+        data = fleet_request().to_dict()
+        data["tenancy"]["sharsd"] = 3
+        with pytest.raises(ValueError, match="sharsd"):
+            SimRequest.from_dict(data)
+
+    def test_unknown_machine_field(self):
+        data = request_of().to_dict()
+        data["machine"]["l3"] = {"entries": 64, "ways": 4}
+        with pytest.raises(ValueError, match="l3"):
+            SimRequest.from_dict(data)
+
+    @pytest.mark.parametrize("pwc", ["false", "true", 0, 1, None])
+    def test_pwc_must_be_a_json_boolean(self, pwc):
+        data = request_of().to_dict()
+        data["machine"]["pwc"] = pwc
+        with pytest.raises(ValueError, match="pwc"):
+            SimRequest.from_dict(data)
 
 
 class TestExecuteRequest:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import gc
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CellFailedError, OrchestrationError
+from repro.errors import OrchestrationError
 from repro.params import DEFAULT_MACHINE, MachineConfig, TLBGeometry
 from repro.sim.api import SimRequest, execute_request
+from repro.sim import runner as runner_module
 from repro.sim.runner import (
     STATIC_IDEAL,
+    InputMemo,
     Orchestrator,
     ResultStore,
     combine_summaries,
     mapping_digest,
+    mapping_for,
     trace_digest,
+    trace_for,
 )
 from repro.sim.stats import canonical_json
 
@@ -292,29 +298,72 @@ class TestDigestGuards:
         assert trace_digest(make_trace([1, 2, 3, 5])) != before
 
     def test_runner_refuses_mutated_mapping(self):
-        from repro.experiments.common import ExperimentConfig, MatrixRunner
-
-        runner = MatrixRunner(ExperimentConfig(references=300, seed=5))
-        mapping = runner.mapping("sphinx3", "medium")
+        memo = InputMemo()
+        request = spec_of(references=300, seed=5)
+        mapping = mapping_for(request, memo)
         vpn = next(iter(mapping.items()))[0]
         mapping.unmap_page(vpn)
-        with pytest.raises(CellFailedError):
-            runner.mapping("sphinx3", "medium")
+        with pytest.raises(OrchestrationError):
+            mapping_for(request, memo)
 
-    def test_runner_refuses_mutated_trace(self):
-        from repro.experiments.common import ExperimentConfig, MatrixRunner
-
-        runner = MatrixRunner(ExperimentConfig(references=300, seed=5))
-        trace = runner.trace("sphinx3")
+    def test_runner_refuses_mutated_trace(self, monkeypatch):
+        # A configured trace store serves read-only maps; the guard
+        # covers the memoised, generated path.
+        monkeypatch.setattr(runner_module, "_WORKER_TRACE_STORE", None)
+        memo = InputMemo()
+        request = spec_of(references=300, seed=5)
+        trace = trace_for(request, memo)
         trace.vpns[0] += 1
-        with pytest.raises(CellFailedError):
-            runner.trace("sphinx3")
+        with pytest.raises(OrchestrationError):
+            trace_for(request, memo)
 
     def test_worker_caches_key_on_seed_and_references(self):
         """Two configs differing only in seed never alias a trace."""
         a = execute_request(spec_of(seed=1))
         b = execute_request(spec_of(seed=2))
         assert a["stats"] != b["stats"]
+
+
+# ---------------------------------------------------------------------------
+# Memo ownership: what a serial run builds is freed with its owner
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def built_mappings(monkeypatch):
+    """Weak references to every mapping the memo builds."""
+    refs: list[weakref.ref] = []
+    real = runner_module.build_mapping
+
+    def spy(*args, **kwargs):
+        mapping = real(*args, **kwargs)
+        refs.append(weakref.ref(mapping))
+        return mapping
+
+    monkeypatch.setattr(runner_module, "build_mapping", spy)
+    return refs
+
+
+class TestMemoLifetime:
+    def test_orchestrator_memo_dies_with_it(self, built_mappings):
+        orch = Orchestrator(workers=0)
+        orch.run([spec_of(seed=9101), spec_of(seed=9101, scheme="thp"),
+                  spec_of(seed=9101, kind="distances", scheme="-")])
+        assert len(built_mappings) == 1  # one build serves the column
+        del orch
+        gc.collect()
+        assert built_mappings[0]() is None
+
+    def test_matrix_runner_memo_dies_with_it(self, built_mappings):
+        from repro.experiments.common import ExperimentConfig, MatrixRunner
+
+        runner = MatrixRunner(ExperimentConfig(references=300, seed=9102))
+        runner.run("sphinx3", "medium", "base")
+        runner.selected_distance("sphinx3", "medium")
+        assert len(built_mappings) == 1
+        del runner
+        gc.collect()
+        assert built_mappings[0]() is None
 
 
 class TestCanonicalJson:

@@ -187,6 +187,25 @@ class TestReportRendersGaps:
         assert "not-a-scheme" in summary.failures[0].label
         _maybe_write_ledger(summary)
 
+    def test_unprefetched_run_follows_the_ledger(self):
+        """An un-prefetched ``run`` is retried, ledgered once and
+        summarised like any prefetched cell, and never re-attempted."""
+        from repro.errors import CellFailedError
+        from repro.experiments.common import ExperimentConfig, MatrixRunner
+
+        runner = MatrixRunner(ExperimentConfig(references=200, seed=4),
+                              retries=1)
+        with pytest.raises(CellFailedError, match="after 2 attempts"):
+            runner.run("sphinx3", "medium", "not-a-scheme")
+        assert len(runner.summaries) == 1
+        summary = runner.summaries[0]
+        assert (summary.retried, summary.failed) == (1, 1)
+        assert [f.attempts for f in summary.failures] == [2]
+        with pytest.raises(CellFailedError, match="after 2 attempts"):
+            runner.run("sphinx3", "medium", "not-a-scheme")
+        assert runner.maybe_run("sphinx3", "medium", "not-a-scheme") is None
+        assert len(runner.summaries) == 1  # no further attempt
+
     def test_ledger_artifact_roundtrip(self, tmp_path):
         import json
 

@@ -1,6 +1,8 @@
 """Tests for the content-addressed trace store."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -107,6 +109,31 @@ class TestCorruption:
         trace = store.get_or_create(key, lambda: make_trace(50, "c"))
         assert len(trace) == 50
         assert store.generated == 1
+
+
+class TestFailedPut:
+    def test_failed_meta_rename_leaves_no_temp_file(self, tmp_path,
+                                                    monkeypatch):
+        """ENOSPC on the metadata rename raises, leaves no temp file and
+        no readable entry, and a retry then stores the trace."""
+        store = TraceStore(tmp_path)
+        key = store.key("f", 40, 0)
+        real_replace = os.replace
+
+        def refuse_meta(src, dst):
+            if str(dst).endswith(".json"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_meta)
+        with pytest.raises(OSError):
+            store.put(make_trace(40, "f"), key)
+        monkeypatch.undo()
+        assert not list(tmp_path.rglob("*.tmp*"))
+        assert store.get(key) is None
+        store.put(make_trace(40, "f"), key)
+        np.testing.assert_array_equal(store.get(key).vpns,
+                                      make_trace(40, "f").vpns)
 
 
 class TestGetOrCreate:
