@@ -8,20 +8,31 @@ degree to which high orders survive is exactly the "memory contiguity"
 the paper studies, so this allocator is the root of every mapping
 scenario in the repository.
 
-The implementation keeps one free set per order for O(1) allocation and
-near-O(1) free-with-coalescing, and tracks allocated blocks so tests can
-check the invariants (no double allocation / free, natural alignment,
-frame conservation).
+Each order keeps a free set, the authority for membership, and beside
+it a min-heap of the same block starts, so allocation takes the lowest
+free block in O(log n) and free-with-coalescing is near O(1).  The heap
+drops entries lazily: a block that leaves the set stays in the heap
+until it reaches the top, and a heap more than twice its set's size is
+rebuilt from the set.  Allocated blocks are tracked so tests can check
+the invariants (no double allocation / free, natural alignment, frame
+conservation).
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
 from repro.errors import OutOfMemoryError, ReproError
 from repro.mem.frames import FrameRange
 from repro.params import is_pow2
+from repro.util.rng import BatchedDraws
 
+#: An order's heap is rebuilt from its free set once it holds more than
+#: ``2 * len(set) + HEAP_SLACK`` entries, which keeps its memory
+#: O(free blocks) under long alloc/free churn.
+HEAP_SLACK = 8
 
 def aligned_decompose(start: int, end: int, max_order: int) -> list[tuple[int, int]]:
     """Decompose ``[start, end)`` into naturally aligned buddy blocks.
@@ -57,8 +68,10 @@ class BuddyAllocator:
             raise ValueError("max_order out of range")
         self.total_frames = total_frames
         self.max_order = max_order
-        # Free blocks per order: order -> set of block start frames.
+        # Free blocks per order: order -> set of block start frames,
+        # with a min-heap holding (at least) the same starts.
         self._free: list[set[int]] = [set() for _ in range(max_order + 1)]
+        self._heaps: list[list[int]] = [[] for _ in range(max_order + 1)]
         # Allocated blocks: start frame -> order.
         self._allocated: dict[int, int] = {}
         # Running frame count of ``_allocated`` (kept in lock step at
@@ -67,7 +80,7 @@ class BuddyAllocator:
         # scenario builders poll them in tight churn loops.
         self._allocated_frames = 0
         for start in range(0, total_frames, 1 << max_order):
-            self._free[max_order].add(start)
+            self._add_free(start, max_order)
 
     # ------------------------------------------------------------------
     # Core operations
@@ -77,29 +90,14 @@ class BuddyAllocator:
         """Allocate one naturally aligned block of ``2**order`` frames."""
         if not 0 <= order <= self.max_order:
             raise ValueError(f"order {order} out of range 0..{self.max_order}")
-        source = order
-        while source <= self.max_order and not self._free[source]:
-            source += 1
-        if source > self.max_order:
-            raise OutOfMemoryError(f"no free block of order >= {order}")
-        start = min(self._free[source])
-        self._free[source].discard(start)
-        # Split down to the requested order, freeing the upper halves.
-        while source > order:
-            source -= 1
-            self._free[source].add(start + (1 << source))
-        self._allocated[start] = order
-        self._allocated_frames += 1 << order
-        return FrameRange(start, 1 << order)
+        return FrameRange(self._alloc(order), 1 << order)
 
     def free(self, block: FrameRange) -> None:
         """Free a previously allocated block, coalescing with buddies."""
         order = self._allocated.get(block.start)
         if order is None or (1 << order) != block.count:
             raise ReproError(f"free of unallocated or mismatched block {block}")
-        del self._allocated[block.start]
-        self._allocated_frames -= 1 << order
-        self._insert_free(block.start, order)
+        self._release(block.start, order)
 
     # ------------------------------------------------------------------
     # Compound operations used by the OS layer
@@ -161,11 +159,8 @@ class BuddyAllocator:
 
     def free_run(self, run: FrameRange) -> None:
         """Free a contiguous run previously produced by this allocator."""
-        blocks = self._blocks_within(run)
-        for start, order in blocks:
-            del self._allocated[start]
-            self._allocated_frames -= 1 << order
-            self._insert_free(start, order)
+        for start, order in self._blocks_within(run):
+            self._release(start, order)
 
     def reserve_free_in_range(self, start: int, end: int) -> list[FrameRange]:
         """Claim every currently *free* frame inside ``[start, end)``.
@@ -186,7 +181,7 @@ class BuddyAllocator:
                 if block < end and block + size > start
             ]
             for block in overlapping:
-                self._free[order].discard(block)
+                self._drop_free(block, order)
                 inside_lo = max(block, start)
                 inside_hi = min(block + size, end)
                 for sub_start, sub_order in aligned_decompose(
@@ -315,6 +310,11 @@ class BuddyAllocator:
                 f"allocated-frame counter drifted: counter says "
                 f"{self._allocated_frames}, block table sums to {actual}"
             )
+        for order, (blocks, heap) in enumerate(zip(self._free, self._heaps)):
+            if not blocks <= set(heap):
+                raise ReproError(f"order-{order} heap misses free blocks")
+            if len(heap) > 2 * len(blocks) + HEAP_SLACK:
+                raise ReproError(f"order-{order} heap past its rebuild bound")
 
     # ------------------------------------------------------------------
     # Fragmentation injection
@@ -338,25 +338,75 @@ class BuddyAllocator:
             raise ValueError("hold_fraction must be in [0, 1)")
         lo, hi = order_range
         target = int(self.total_frames * hold_fraction)
-        held: list[FrameRange] = []
+        if target and not 0 <= lo <= hi <= self.max_order:
+            raise ValueError(
+                f"order range {order_range} outside 0..{self.max_order}")
+        held: list[tuple[int, int]] = []  # (start, order)
         held_frames = 0
-        while held_frames < target:
-            order = int(rng.integers(lo, hi + 1))
-            try:
-                block = self.alloc_order(order)
-            except OutOfMemoryError:
-                break
-            held.append(block)
-            held_frames += block.count
-        order_permutation = rng.permutation(len(held))
-        keep = [held[i] for i in order_permutation[: len(held) // 2]]
-        for i in order_permutation[len(held) // 2 :]:
-            self.free(held[i])
-        return keep
+        with BatchedDraws(rng, "integers", lo, hi + 1) as next_order:
+            while held_frames < target:
+                order = next_order()
+                try:
+                    start = self._alloc(order)
+                except OutOfMemoryError:
+                    break
+                held.append((start, order))
+                held_frames += 1 << order
+        order_permutation = rng.permutation(len(held)).tolist()
+        half = len(held) // 2
+        keep = [held[i] for i in order_permutation[:half]]
+        for i in order_permutation[half:]:
+            self._release(*held[i])
+        return [FrameRange(start, 1 << order) for start, order in keep]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _alloc(self, order: int) -> int:
+        """Allocate a block of a valid ``order``; return its start frame.
+
+        Takes the lowest free block of the smallest order that has one
+        and splits it down, freeing the upper halves.
+        """
+        free, source = self._free, order
+        while source <= self.max_order and not free[source]:
+            source += 1
+        if source > self.max_order:
+            raise OutOfMemoryError(f"no free block of order >= {order}")
+        blocks, heap = free[source], self._heaps[source]
+        while heap[0] not in blocks:
+            heapq.heappop(heap)
+        start = heapq.heappop(heap)
+        self._drop_free(start, source)
+        while source > order:
+            source -= 1
+            self._add_free(start + (1 << source), source)
+        self._allocated[start] = order
+        self._allocated_frames += 1 << order
+        return start
+
+    def _release(self, start: int, order: int) -> None:
+        """Free the allocated block ``(start, order)``, coalescing."""
+        del self._allocated[start]
+        self._allocated_frames -= 1 << order
+        self._insert_free(start, order)
+
+    def _add_free(self, start: int, order: int) -> None:
+        """Add a block to an order's free set and push it on its heap."""
+        blocks, heap = self._free[order], self._heaps[order]
+        blocks.add(start)
+        heapq.heappush(heap, start)
+        if len(heap) > 2 * len(blocks) + HEAP_SLACK:
+            self._heaps[order] = sorted(blocks)
+
+    def _drop_free(self, start: int, order: int) -> None:
+        """Remove a block from an order's free set; its heap entry goes
+        stale and is dropped when it reaches the top or at a rebuild."""
+        blocks = self._free[order]
+        blocks.discard(start)
+        if len(self._heaps[order]) > 2 * len(blocks) + HEAP_SLACK:
+            self._heaps[order] = sorted(blocks)
 
     def _insert_free(self, start: int, order: int) -> None:
         """Insert a block into the free lists, coalescing with buddies."""
@@ -364,10 +414,10 @@ class BuddyAllocator:
             buddy = start ^ (1 << order)
             if buddy not in self._free[order]:
                 break
-            self._free[order].discard(buddy)
+            self._drop_free(buddy, order)
             start = min(start, buddy)
             order += 1
-        self._free[order].add(start)
+        self._add_free(start, order)
 
     def _has_free_at_least(self, order: int) -> bool:
         return any(self._free[o] for o in range(order, self.max_order + 1))

@@ -30,7 +30,11 @@ the single-call stream.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
+
+from repro.util.rng import BatchedDraws
 
 
 class PatternState:
@@ -253,6 +257,15 @@ class MixtureState(PatternState):
     stream without keeping it in memory.  A block split by a chunk
     boundary resumes in the next chunk, so chunking never perturbs the
     block structure.
+
+    A chunk is planned before any component runs: one uniform draw per
+    block picks its component (served in batches by
+    :class:`~repro.util.rng.BatchedDraws`, so ``rng`` must be the
+    mixture's alone — components draw from their own generators), and
+    the pending-block and recycle bookkeeping runs on Python ints.  Then
+    each component makes one ``take`` per recycle epoch in the chunk and
+    the results are gathered into block order, which chunk invariance
+    makes equal to taking block by block.
     """
 
     BLOCK = 64
@@ -279,7 +292,7 @@ class MixtureState(PatternState):
         cdf = weights.cumsum()
         cdf /= cdf[-1]
         self._rng = rng
-        self._cdf = cdf
+        self._cdf = cdf.tolist()
         self._length = length
         self._factories = [make_state for _, make_state, _ in components]
         self._lengths = [stream_length for _, _, stream_length in components]
@@ -289,47 +302,74 @@ class MixtureState(PatternState):
         #: chunk boundary cut short.
         self._pending: tuple[int, int] | None = None
 
-    def _component_take(self, choice: int, count: int) -> np.ndarray:
-        state = self._states[choice]
-        if state is None:
-            state = self._factories[choice]()
-            self._states[choice] = state
-        taken = state.take(count)
-        self._consumed[choice] += count
-        return taken
-
     def _emit(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
+        block, length, lengths = self.BLOCK, self._length, self._lengths
+        consumed = self._consumed
+        # One take per (component, recycle epoch): [component, recycled
+        # first, references].  ``current`` maps a component to its open
+        # take; each block records its take and its offset inside it.
+        takes: list[list] = []
+        current: dict[int, int] = {}
+        block_take: list[int] = []
+        block_offset: list[int] = []
+        block_count: list[int] = []
         filled = 0
         position = self.position
-        while filled < n:
-            if self._pending is not None:
-                choice, owed = self._pending
-                self._pending = None
-            else:
-                choice = int(self._cdf.searchsorted(self._rng.random(), "right"))
-                remaining = self._lengths[choice] - self._consumed[choice]
-                owed = min(
-                    self.BLOCK, self._length - position, remaining
-                )
-                if owed <= 0:
-                    # Component exhausted; recycle it from the start.
-                    # The fresh block must still fit inside the stream —
-                    # short streams (tiny traces) hold fewer than
-                    # ``BLOCK`` entries.
-                    self._states[choice] = None
-                    self._consumed[choice] = 0
-                    owed = min(
-                        self.BLOCK, self._length - position,
-                        self._lengths[choice],
-                    )
-            emit = min(owed, n - filled)
-            out[filled : filled + emit] = self._component_take(choice, emit)
-            filled += emit
-            position += emit
-            if emit < owed:
-                self._pending = (choice, owed - emit)
-        return out
+        pending, self._pending = self._pending, None
+        with BatchedDraws(self._rng, "random") as uniform:
+            while filled < n:
+                recycled = False
+                if pending is not None:
+                    choice, owed = pending
+                    pending = None
+                else:
+                    choice = bisect_right(self._cdf, uniform())
+                    owed = min(block, length - position,
+                               lengths[choice] - consumed[choice])
+                    if owed <= 0:
+                        # Component exhausted; recycle it from the start.
+                        # The fresh block must still fit inside the
+                        # stream — short streams (tiny traces) hold fewer
+                        # than ``BLOCK`` entries.
+                        recycled = True
+                        consumed[choice] = 0
+                        owed = min(block, length - position, lengths[choice])
+                emit = min(owed, n - filled)
+                if emit <= 0:
+                    raise ValueError("mixture taken past its length")
+                index = current.get(choice)
+                if index is None or recycled:
+                    index = current[choice] = len(takes)
+                    takes.append([choice, recycled, 0])
+                block_take.append(index)
+                block_offset.append(takes[index][2])
+                block_count.append(emit)
+                takes[index][2] += emit
+                consumed[choice] += emit
+                filled += emit
+                position += emit
+                if emit < owed:
+                    pending = (choice, owed - emit)
+        self._pending = pending
+
+        taken = []
+        states = self._states
+        for choice, recycled, count in takes:
+            # Drop an exhausted state before building its successor, so
+            # the two are never alive at once.
+            if recycled:
+                states[choice] = None
+            if states[choice] is None:
+                states[choice] = self._factories[choice]()
+            taken.append(states[choice].take(count))
+        starts = np.cumsum([0] + [count for _, _, count in takes[:-1]])
+        counts = np.array(block_count, dtype=np.int64)
+        # Block j's references sit at its take's start plus its offset
+        # in the pooled takes, and at the running block total in ``out``.
+        source = starts[block_take] + np.array(block_offset, dtype=np.int64)
+        shift = source - (np.cumsum(counts) - counts)
+        gather = np.arange(n, dtype=np.int64) + np.repeat(shift, counts)
+        return np.concatenate(taken)[gather]
 
 
 # ---------------------------------------------------------------------------

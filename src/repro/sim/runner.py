@@ -777,5 +777,8 @@ class Orchestrator:
                     self._kill_executor(executor)
                     executor = new_pool(
                         self.workers, self.trace_store, self._mp_context)
-        finally:
+        except BaseException:
             self._kill_executor(executor)
+            raise
+        # Drained: every worker is idle, so let them exit on their own.
+        executor.shutdown(wait=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.mem.physmem import PhysicalMemory
 from repro.params import SCENARIO_ORDER, SCENARIO_RANGES
-from repro.util.rng import spawn_rng
+from repro.util.rng import BatchedDraws, spawn_rng
 from repro.vmos.mapping import MemoryMapping
 from repro.vmos.paging_policy import demand_paging, eager_paging
 from repro.vmos.vma import VMA
@@ -74,15 +74,15 @@ def synthetic_mapping(
         raise ValueError("invalid chunk range")
     # First decide chunk sizes per VMA (clamped to what remains).
     placements: list[tuple[int, int]] = []  # (vpn, pages)
-    for vma in vmas:
-        remaining = vma.pages
-        vpn = vma.start_vpn
-        while remaining:
-            size = int(rng.integers(min_pages, max_pages + 1))
-            size = min(size, remaining)
-            placements.append((vpn, size))
-            vpn += size
-            remaining -= size
+    with BatchedDraws(rng, "integers", min_pages, max_pages + 1) as chunk_size:
+        for vma in vmas:
+            remaining = vma.pages
+            vpn = vma.start_vpn
+            while remaining:
+                size = min(chunk_size(), remaining)
+                placements.append((vpn, size))
+                vpn += size
+                remaining -= size
     # Then scatter them in physical memory: random order, guard frames.
     order = rng.permutation(len(placements))
     pfn_cursor = int(rng.integers(0, 1 << 10))  # random base

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import patterns
 from repro.util.rng import make_rng
@@ -100,3 +102,106 @@ class TestPrimitives:
         a = patterns.uniform(make_rng(5), FOOTPRINT, 100)
         b = patterns.uniform(make_rng(5), FOOTPRINT, 100)
         assert (a == b).all()
+
+
+class PerBlockMixture(patterns.MixtureState):
+    """Reference mixture: one draw, one ``searchsorted`` and one
+    component ``take`` per block, as the mixture ran before it planned
+    its chunks."""
+
+    def _component_take(self, choice, count):
+        state = self._states[choice]
+        if state is None:
+            state = self._factories[choice]()
+            self._states[choice] = state
+        taken = state.take(count)
+        self._consumed[choice] += count
+        return taken
+
+    def _emit(self, n):
+        out = np.empty(n, dtype=np.int64)
+        filled = 0
+        position = self.position
+        while filled < n:
+            if self._pending is not None:
+                choice, owed = self._pending
+                self._pending = None
+            else:
+                choice = int(np.searchsorted(
+                    self._cdf, self._rng.random(), "right"))
+                remaining = self._lengths[choice] - self._consumed[choice]
+                owed = min(self.BLOCK, self._length - position, remaining)
+                if owed <= 0:
+                    self._states[choice] = None
+                    self._consumed[choice] = 0
+                    owed = min(self.BLOCK, self._length - position,
+                               self._lengths[choice])
+            emit = min(owed, n - filled)
+            out[filled:filled + emit] = self._component_take(choice, emit)
+            filled += emit
+            position += emit
+            if emit < owed:
+                self._pending = (choice, owed - emit)
+        return out
+
+
+def _components(weights, stream_lengths, seed):
+    """Mixture components on their own generators: uniform, sequential
+    and pointer-chase streams in turn."""
+    kinds = [
+        lambda rng: patterns.UniformState(rng, FOOTPRINT),
+        lambda rng: patterns.SequentialState(rng, FOOTPRINT, 2, 1, 3),
+        lambda rng: patterns.PointerChaseState(rng, FOOTPRINT, 100),
+    ]
+    return [
+        (weight,
+         lambda i=i: kinds[i % len(kinds)](make_rng(seed * 16 + i)),
+         stream_length)
+        for i, (weight, stream_length) in enumerate(
+            zip(weights, stream_lengths))
+    ]
+
+
+@st.composite
+def mixtures(draw):
+    count = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.05, 20.0), min_size=count,
+                            max_size=count))
+    # Some streams shorter than a block, so components recycle.
+    stream_lengths = draw(st.lists(st.integers(1, 400), min_size=count,
+                                   max_size=count))
+    length = draw(st.integers(1, 3000))
+    chunks = []
+    left = length
+    while left:
+        chunk = min(left, draw(st.integers(1, 700)))
+        chunks.append(chunk)
+        left -= chunk
+    return weights, stream_lengths, length, chunks, draw(st.integers(0, 99))
+
+
+class TestMixturePlan:
+    @given(mixtures())
+    @settings(max_examples=120, deadline=None)
+    def test_planned_chunks_match_the_per_block_mixture(self, case):
+        weights, stream_lengths, length, chunks, seed = case
+        planned = patterns.MixtureState(
+            make_rng(seed), FOOTPRINT, length,
+            _components(weights, stream_lengths, seed))
+        reference = PerBlockMixture(
+            make_rng(seed), FOOTPRINT, length,
+            _components(weights, stream_lengths, seed))
+        for chunk in chunks:
+            assert planned.take(chunk).tolist() == (
+                reference.take(chunk).tolist())
+            assert (planned._rng.bit_generator.state
+                    == reference._rng.bit_generator.state)
+            assert planned._pending == reference._pending
+            assert planned._consumed == reference._consumed
+
+    def test_taking_past_the_length_raises(self):
+        state = patterns.MixtureState(
+            make_rng(1), FOOTPRINT, 10, _components([1.0], [50], 1))
+        state.take(10)
+        with pytest.raises(ValueError):
+            state.take(1)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim import runner
 from repro.sim.api import SimRequest
 from repro.sim.runner import Orchestrator, ResultStore
 
@@ -145,6 +146,42 @@ class TestPoolFaults:
         assert summary.computed == 1 and summary.failed == 1
         assert [p["ok"] for p in results.values()] == ["good"]
         assert store.get(spec_of("good").key()) == {"ok": "good"}
+
+
+class TestPoolShutdown:
+    def test_clean_run_lets_idle_workers_exit(self, monkeypatch):
+        """A drained pool is shut down, not killed: every worker exits 0."""
+        workers = {}
+        kills = []
+        make_pool = runner.new_pool
+        kill = Orchestrator._kill_executor
+
+        def recording_pool(*args, **kwargs):
+            executor = make_pool(*args, **kwargs)
+            submit = executor.submit
+
+            def recording_submit(*submit_args, **submit_kwargs):
+                future = submit(*submit_args, **submit_kwargs)
+                workers.update(executor._processes)
+                return future
+
+            executor.submit = recording_submit
+            return executor
+
+        def recording_kill(executor):
+            kills.append(executor)
+            kill(executor)
+
+        monkeypatch.setattr(runner, "new_pool", recording_pool)
+        monkeypatch.setattr(
+            Orchestrator, "_kill_executor", staticmethod(recording_kill))
+        orch = Orchestrator(workers=2, retries=0, job_fn=_ok_job)
+        results, summary = orch.run(
+            [spec_of("a"), spec_of("b"), spec_of("c")])
+        assert summary.computed == 3 and summary.failed == 0
+        assert kills == []
+        assert len(workers) == 2
+        assert [p.exitcode for p in workers.values()] == [0, 0]
 
 
 # Pool job functions must be module-level for pickling; the closures in
