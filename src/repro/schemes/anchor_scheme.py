@@ -28,6 +28,8 @@ is the multi-row case.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.errors import PageFaultError
@@ -246,10 +248,15 @@ class AnchorScheme(TranslationScheme):
         their huge key, anchored rows their anchor key, the rest their
         small key — Table 2), so the main stream batches through
         :func:`simulate_block`; the residual coupling — weak anchor
-        promotions by unanchored misses — is confined to the few sets
-        it can touch, which replay exactly in trace order.  Each row
-        carries its region's shift (``dlog``) into every anchor key and
-        set it builds.
+        promotions by unanchored misses — is confined to the sets it
+        can touch, which replay exactly in trace order.  Those sets are
+        not few: on perfbench's engine-churn input they hold 44% of the
+        rows that reach anchor-dyn's L2 and 49% of anchor-region's.
+        Touches reach most sets, and cutting them into rounds
+        (:func:`~repro.sim.lru.simulate_touched`, as the cluster schemes
+        do) would take 300–3,600 rounds a block there, so the replay
+        stays (docs/api_tour.md §15).  Each row carries its region's
+        shift (``dlog``) into every anchor key and set it builds.
 
         A fleet round's rows carry their tenants' tags (see
         :meth:`TranslationScheme.access_block`).  Each tenant's run is
@@ -276,7 +283,7 @@ class AnchorScheme(TranslationScheme):
         # Each run's plan; each tenant's anchors numbered from its own
         # offset, one id space for every anchor the block can touch.
         stage_runs = []
-        numbered: dict[AnchorScheme, tuple[int, KeyIndex, int]] = {}
+        numbered: dict[AnchorScheme, tuple[int, KeyIndex]] = {}
         anchor_ids = 0
         for tenant, tag, _, stop in runs:
             if tenant._drifted:
@@ -284,11 +291,10 @@ class AnchorScheme(TranslationScheme):
             hg, sm, an, ok = tenant._directory_arrays()
             if not ok:
                 return TranslationScheme.access_block(self, vpns)
-            tag_base = tag << TAG_SHIFT
             if tenant not in numbered:
-                numbered[tenant] = (anchor_ids, an, tag_base)
+                numbered[tenant] = (anchor_ids, an)
                 anchor_ids += an.keys.size
-            stage_runs.append((tag_base, stop, sm, hg))
+            stage_runs.append((tag << TAG_SHIFT, stop, sm, hg))
         stage = self._l1_stage(rows, stage_runs)
         if stage is None:
             return TranslationScheme.access_block(self, vpns)
@@ -318,7 +324,7 @@ class AnchorScheme(TranslationScheme):
         start = 0
         stops = np.cumsum(misses).tolist()
         for (tenant, *_), (_, _, sm, *_), stop in zip(runs, stage_runs, stops):
-            offset, an, _ = numbered[tenant]
+            offset, an = numbered[tenant]
             table = tenant.l2.table
             seg = mk[start:stop]
             d = table.dlogs[table.rows_of(seg)]
@@ -348,34 +354,24 @@ class AnchorScheme(TranslationScheme):
             m_huge, (mk >> _HUGE_SHIFT) & imask,
             np.where(anchored, aidx, mk & imask))
 
-        # Anchor residency at block start, by direct probe: a block
-        # touches few distinct anchors, so probing their buckets beats
-        # snapshotting the whole array.  The same anchor VPN indexes a
-        # different set under a different shift, so probe once per
-        # distinct shift in the tenants' tables.
-        probe = (aid >= 0) & small_m
-        resident = np.zeros(m, dtype=bool)
-        shifts = {s for tenant in numbered for s in tenant.l2.table.shifts}
-        for shift in sorted(shifts):
-            at = probe & (dlog == shift)
-            touched = np.zeros(anchor_ids + 1, dtype=bool)
-            touched[aid[at]] = True
-            found = np.zeros(anchor_ids + 1, dtype=bool)
-            for offset, an, tag_base in numbered.values():
-                ids = np.flatnonzero(touched[offset:offset + an.keys.size])
-                found[ids + offset] = [
-                    (((av << 2) | KIND_ANCHOR) | tag_base)
-                    in buckets[(av >> shift) & imask]
-                    for av in an.keys[ids].tolist()]
-            resident |= at & found[aid]
-
         # Candidate weak touches: an unanchored miss probes its anchor
         # key and promotes it if resident — possible only if that key
         # was resident at block start or an in-block anchored row
-        # inserts it.  Their sets replay exactly.
+        # inserts it.  Their sets replay exactly.  Residency at block
+        # start comes from one sorted snapshot of the L2's keys: a
+        # tagged anchor key sits only in the set its own region's shift
+        # picks, so membership anywhere is membership there — except
+        # for a row that reaches, off its region's alignment, an anchor
+        # of a neighbouring region, where the snapshot only adds a
+        # candidate for the replay to resolve.
+        touching = np.flatnonzero(unanch & (aid >= 0))
+        snapshot = np.fromiter(chain.from_iterable(buckets), dtype=np.int64)
+        snapshot.sort()
         inblk = np.zeros(anchor_ids + 1, dtype=bool)
         inblk[aid[anchored]] = True
-        cand = unanch & (resident | (probe & inblk[aid]))
+        cand = np.zeros(m, dtype=bool)
+        cand[touching] = (isin_sorted(snapshot, pak[touching])
+                          | inblk[aid[touching]])
         bad_sets = np.unique(aidx[cand])
         if bad_sets.size:
             row_bad = isin_sorted(bad_sets, main_sets)

@@ -29,10 +29,10 @@ from repro.params import (
     MachineConfig,
 )
 from repro.hw.cluster import ClusterEntry, ClusterTLB, build_cluster_entry
-from repro.hw.tlb import KEY_MASK, SetAssociativeTLB, TAG_SHIFT
+from repro.hw.tlb import SetAssociativeTLB, TAG_SHIFT
 from repro.schemes.base import TranslationScheme, drop_views, promote_huge_pages
-from repro.sim.lru import isin_sorted, previous_occurrence, simulate_block
-from repro.vmos.mapping import MemoryMapping, cluster_slot_offsets, empty_index
+from repro.sim.lru import previous_occurrence, simulate_block, simulate_touched
+from repro.vmos.mapping import MemoryMapping, cluster_slot_table, empty_index
 
 _HUGE_SHIFT = 9
 _KIND_SMALL = 0
@@ -70,11 +70,22 @@ class ClusterScheme(TranslationScheme):
             # the mapping's own page index serves it.
             huge, small = empty_index(), self.mapping.frozen().index
         self._arrays = (small, huge)
-        drop_views(self, "_small", "_huge")
+        drop_views(self, "_small", "_huge", "_slots")
 
     def _on_mapping_update(self, frozen) -> None:
         self._build_promotions()
         self.flush()
+
+    def _prepare_share(self) -> None:
+        super()._prepare_share()
+        self._slots  # built once here, shared by every clone
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The small side's :func:`cluster_slot_table`, built by the
+        first block of each mapping version rather than at construction:
+        the scalar loop never reads it."""
+        return cluster_slot_table(self._arrays[0], shift=_CLUSTER_SHIFT)
 
     # The plans' dict views, for the scalar loop.
     @cached_property
@@ -138,9 +149,10 @@ class ClusterScheme(TranslationScheme):
         stream (a walk fills the clustered side only when the built
         entry clusters, the regular side otherwise), but the fill
         decision is static per mapping version: a 4 KiB miss walks into
-        the clustered side iff its :func:`cluster_slot_offsets` coverage
-        exceeds one.  Splitting the misses by that bit yields two
-        streams that *are* tractable:
+        the clustered side iff its line's coverage in the
+        :func:`cluster_slot_table` exceeds one.  Splitting the misses by
+        that bit (one gather per block, from a table built once per
+        mapping version) yields two streams that *are* tractable:
 
         * **R-class** (coverage == 1) pages and 2 MiB pages only ever
           fill — and therefore only ever hit — the regular side, and a
@@ -156,19 +168,19 @@ class ClusterScheme(TranslationScheme):
           > 1).  After any C-class access the resident entry equals the
           entry its own walk would build — a covered hit implies the
           same physical cluster and hence a value-equal entry — so
-          residency resolves with :func:`simulate_block` and coverage
-          reduces to physical-cluster identity with the previous
-          same-vcluster access (:func:`previous_occurrence`), with at
-          most one pre-block snapshot check per resident vcluster.
+          coverage reduces to physical-cluster identity with the
+          previous same-vcluster C-class access
+          (:func:`previous_occurrence`), or to the block-start entry.
 
         The one interaction between the streams: an R-class page that
         misses the regular side *touches* its vcluster's LRU position
         in the clustered array (the probe promotes even on an uncovered
-        slot) without ever inserting.  A touch whose vcluster cannot be
-        resident — not in the pre-block snapshot nor C-class-accessed
-        in the block — is a no-op and is dropped; the few sets that
-        receive a candidate touch replay their accesses exactly in
-        Python (sets are independent, so the per-set split is exact).
+        slot) without ever inserting.  :func:`simulate_touched` resolves
+        the clustered array with those weak touches in place: it drops
+        the touches certain to miss, turns those certain to hit into
+        ordinary rows, and cuts each set's stream only at the rest, one
+        :func:`simulate_block` call per round of cuts (a block without
+        uncertain touches, like every engine-gups block, is one call).
         """
         if vpns.shape[0] == 0:
             return
@@ -184,16 +196,13 @@ class ClusterScheme(TranslationScheme):
         mk = heads[miss]
         m_huge = is_huge[miss]
         pfn = pfn_heads[miss]
-        sm_rows = np.flatnonzero(~m_huge)
-        sv = mk[sm_rows]
-        coverage, offsets = cluster_slot_offsets(
-            small_index, sv, pfn[sm_rows], shift=_CLUSTER_SHIFT)
-        c_class = coverage > 1
+        coverage, offsets = self._slots
+        page = small_index.rows_of(mk)      # -1 on 2 MiB rows
+        c_class = page >= 0
+        c_class[c_class] = coverage[page[c_class]] > 1
 
         # --- regular side: huge + R-class stream, promote-or-insert ---
-        reg_sel = np.ones(mk.shape[0], dtype=bool)
-        reg_sel[sm_rows[c_class]] = False
-        reg_rows = np.flatnonzero(reg_sel)
+        reg_rows = np.flatnonzero(~c_class)
         rk = mk[reg_rows]
         reg_huge = m_huge[reg_rows]
         reg_sets = np.where(reg_huge, rk >> _HUGE_SHIFT, rk)
@@ -208,125 +217,44 @@ class ClusterScheme(TranslationScheme):
         walk_mask = np.zeros(mk.shape[0], dtype=bool)
         walk_mask[reg_rows[~hit2]] = True  # every regular miss walks
 
-        # --- clustered side -------------------------------------------
+        # --- clustered side: C-class rows and the weak touches of the
+        # R-class regular misses, in trace order ------------------------
         carr = self.clustered.array
-        c_setmask = carr.index_mask
         tag_base = carr.tag << TAG_SHIFT
-        snapshot = {
-            key: entry
-            for bucket in carr._sets
-            for key, entry in bucket.items()
-        }
-        strong_rows = sm_rows[c_class]
-        strong_v = mk[strong_rows]
-        strong_vc = strong_v >> _CLUSTER_SHIFT
-        strong_pc = pfn[strong_rows] >> _CLUSTER_SHIFT
-        strong_offs = offsets[c_class]
-        strong_pk = strong_vc | np.int64(tag_base)
-
-        # Candidate weak touches: R-class regular misses whose vcluster
-        # could be resident when probed.
-        weak_rows = reg_rows[~hit2 & ~reg_huge]
-        weak_vc = mk[weak_rows] >> _CLUSTER_SHIFT
-        if weak_vc.size and (snapshot or strong_pk.size):
-            universe = np.concatenate([
-                np.fromiter(snapshot, dtype=np.int64, count=len(snapshot)),
-                strong_pk,
-            ])
-            universe.sort()
-            weak_cand = isin_sorted(universe, weak_vc | np.int64(tag_base))
-        else:
-            weak_cand = np.zeros(weak_vc.shape, dtype=bool)
-        bad_sets = np.unique(weak_vc[weak_cand] & c_setmask)
-        if bad_sets.size:
-            strong_bad = isin_sorted(bad_sets, strong_vc & c_setmask)
-        else:
-            strong_bad = np.zeros(strong_vc.shape, dtype=bool)
-        clean = ~strong_bad
-
-        # Clean sets: one simulate_block over the C-class stream.
-        cvc = strong_vc[clean]
-        cpc = strong_pc[clean]
-        c_offs = strong_offs[clean]
+        weak = np.zeros(mk.shape[0], dtype=bool)
+        weak[reg_rows[~hit2 & ~reg_huge]] = True
+        stream = np.flatnonzero(c_class | weak)
+        touch = weak[stream]
+        vc = mk[stream] >> _CLUSTER_SHIFT
 
         def entries(rows: np.ndarray) -> list[ClusterEntry]:
             # Each row builds what its walk would; the kernel keeps the
             # last build per vcluster, and only for survivors.
+            at = stream[rows]
             return [
-                ClusterEntry(vc, pc << _CLUSTER_SHIFT,
+                ClusterEntry(v, p << _CLUSTER_SHIFT,
                              tuple(o if o >= 0 else None for o in offs))
-                for vc, pc, offs in zip(cvc[rows].tolist(),
-                                        cpc[rows].tolist(),
-                                        c_offs[rows].tolist())]
+                for v, p, offs in zip(vc[rows].tolist(),
+                                      (pfn[at] >> _CLUSTER_SHIFT).tolist(),
+                                      offsets[page[at]].tolist())]
 
-        array_hit = simulate_block(carr, cvc, cvc, entries)
+        array_hit, before = simulate_touched(
+            carr, vc, vc | tag_base, touch, entries)
+        strong = np.flatnonzero(~touch)
+        cvc = vc[strong]
+        cpc = pfn[stream[strong]] >> _CLUSTER_SHIFT
         prev = previous_occurrence(cvc)
         has_prev = prev >= 0
         covered = np.zeros(cvc.shape[0], dtype=bool)
         covered[has_prev] = cpc[prev[has_prev]] == cpc[has_prev]
-        cv = strong_v[clean]
-        for i in np.flatnonzero(array_hit & ~has_prev).tolist():
-            entry = snapshot.get(int(cvc[i]) | tag_base)
-            covered[i] = (
-                entry is not None
-                and entry.offsets[int(cv[i]) & _CLUSTER_MASK] is not None)
-        trans_hit = array_hit & covered
-        coalesced = int(np.count_nonzero(trans_hit))
-        walk_mask[strong_rows[clean][~trans_hit]] = True
-
-        # Contaminated sets: exact Python replay, in trace order.
-        if bad_sets.size:
-            c_ways = carr.ways
-            c_sets = carr._sets
-            n_strong = int(np.count_nonzero(strong_bad))
-            rep_pos = np.concatenate(
-                [strong_rows[strong_bad], weak_rows[weak_cand]])
-            rep_vc = np.concatenate(
-                [strong_vc[strong_bad], weak_vc[weak_cand]])
-            order = np.argsort(rep_pos)
-            slot_b = (strong_v[strong_bad] & _CLUSTER_MASK).tolist()
-            pcb_b = ((strong_pc[strong_bad]) << _CLUSTER_SHIFT).tolist()
-            offs_b = strong_offs[strong_bad].tolist()
-            o_vc = rep_vc[order]
-            rows = zip(
-                rep_pos[order].tolist(),
-                order.tolist(),
-                (o_vc | np.int64(tag_base)).tolist(),
-                (o_vc & c_setmask).tolist(),
-            )
-            # Walks at the same (vcluster, pcluster) build value-equal
-            # entries (the decomposition is static per mapping version),
-            # so one materialisation serves every rebuild.
-            entry_cache: dict[tuple[int, int], ClusterEntry] = {}
-            for pos, j, pk, sidx in rows:
-                bucket = c_sets[sidx]
-                entry = bucket.get(pk)
-                if j >= n_strong:
-                    # Weak touch: the R-class probe promotes a resident
-                    # entry even though its slot is never covered.
-                    if entry is not None:
-                        del bucket[pk]
-                        bucket[pk] = entry
-                    continue
-                if entry is not None:
-                    del bucket[pk]
-                    bucket[pk] = entry
-                    if entry.offsets[slot_b[j]] is not None:
-                        coalesced += 1
-                        continue
-                walk_mask[pos] = True
-                pcb = pcb_b[j]
-                new = entry_cache.get((pk, pcb))
-                if new is None:
-                    new = ClusterEntry(
-                        pk & KEY_MASK, pcb,
-                        tuple(o if o >= 0 else None for o in offs_b[j]))
-                    entry_cache[(pk, pcb)] = new
-                if pk in bucket:
-                    del bucket[pk]
-                elif len(bucket) >= c_ways:
-                    del bucket[next(iter(bucket))]
-                bucket[pk] = new
+        first_hits = np.flatnonzero(array_hit[strong] & ~has_prev)
+        covered[first_hits] = [
+            before[key].offsets[slot] is not None
+            for key, slot in zip((cvc[first_hits] | tag_base).tolist(),
+                                 (mk[stream[strong[first_hits]]]
+                                  & _CLUSTER_MASK).tolist())]
+        trans_hit = array_hit[strong] & covered
+        walk_mask[stream[strong[~trans_hit]]] = True
 
         walk_vpns = mk[walk_mask]
         walk_pt = self._block_walk_accesses(walk_vpns, m_huge[walk_mask])
@@ -335,7 +263,7 @@ class ClusterScheme(TranslationScheme):
             l1_hits=n - heads.shape[0] + int(np.count_nonzero(hit1)),
             l2_small_hits=l2_small,
             l2_huge_hits=l2_huge,
-            coalesced_hits=coalesced,
+            coalesced_hits=int(np.count_nonzero(trans_hit)),
             walks=int(np.count_nonzero(walk_mask)),
             walk_pt_accesses=walk_pt,
         )

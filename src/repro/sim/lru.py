@@ -41,6 +41,11 @@ accesses with numpy instead of one Python call per reference:
 A call therefore costs its block plus the resident entries of the sets
 it touches; sets the block never touches are neither read nor written.
 
+:func:`simulate_touched` drives a stream that also holds *weak
+touches* — probes that promote a resident key but never insert — through
+rounds of :func:`simulate_block` calls, cut only at the touches whose
+outcome cannot be certified.
+
 Row tags.  A key packs its address-space tag (ASID) above
 :data:`~repro.hw.tlb.TAG_SHIFT`, where no VPN reaches.  A row whose tag
 field is empty takes the array's tag register, as the scalar methods
@@ -83,6 +88,7 @@ __all__ = [
     "isin_sorted",
     "previous_occurrence",
     "simulate_block",
+    "simulate_touched",
 ]
 
 
@@ -372,3 +378,184 @@ def simulate_block(tlb, set_indices: np.ndarray, keys: np.ndarray, values):
                                  fills):
         buckets[index][key] = value
     return hits
+
+
+def _distinct_reaches(
+    links: np.ndarray, lo: np.ndarray, hi: np.ndarray, count: int
+) -> np.ndarray:
+    """Whether each window ``[lo[q], hi[q])`` of a linked stream holds at
+    least ``count`` distinct keys.
+
+    ``links[j]`` is the position of the previous occurrence of position
+    ``j``'s key (-1 if none), as :func:`previous_occurrence` gives it; a
+    position that must not count links to itself.  A position is its
+    key's first in a window iff its link falls before the window, so a
+    count is a gather and a compare: the exact resolver of
+    :func:`simulate_block`, over trailing windows that widen until each
+    query is decided.
+    """
+    reaches = np.zeros(lo.shape[0], dtype=bool)
+    open_ = np.arange(lo.shape[0], dtype=np.int64)
+    length = 2 * count
+    while open_.size:
+        stop = hi[open_]
+        span = stop - lo[open_]
+        take = np.minimum(span, length)
+        if length > (1 << 16):
+            # Degenerate windows: one exact scan per straggler.
+            for q, start, end in zip(open_.tolist(), lo[open_].tolist(),
+                                     stop.tolist()):
+                reaches[q] = (links[start:end] < start).sum() >= count
+            break
+        offs = np.arange(1, length + 1, dtype=np.int64)
+        pos = stop[:, None] - offs[None, :]
+        first = ((links[np.maximum(pos, 0)] < (stop - take)[:, None])
+                 & (offs[None, :] <= take[:, None]))
+        found = first.sum(axis=1) >= count
+        reaches[open_[found]] = True
+        open_ = open_[~found & (take < span)]
+        length *= 8
+    return reaches
+
+
+def simulate_touched(tlb, set_indices: np.ndarray, keys: np.ndarray,
+                     touch: np.ndarray, values):
+    """:func:`simulate_block` over a stream that also holds weak touches.
+
+    A row flagged in ``touch`` promotes its key to MRU when the key is
+    resident and does nothing otherwise: a probe that can hit but never
+    fills, like the cluster TLB's regular-side probe of its clustered
+    array.  Every other row is promote-or-insert, with ``values`` read
+    as :func:`simulate_block` reads them.  A touch is not
+    promote-or-insert, so each is certified against its set's stream,
+    in trace order, from what the block start and the earlier rows
+    guarantee:
+
+    * a **certain no-op** is dropped: its key was not resident at block
+      start and no earlier ordinary row inserted it, or at least
+      ``ways`` distinct keys took ordinary rows since the key's last
+      possible access (an ordinary row or touch of it, or block start);
+    * a **certain hit** becomes an ordinary row that keeps the key's
+      value (its last ordinary row's, else its block-start value): fewer
+      than ``ways`` rows of the set lie between the key's last ordinary
+      row and the touch, or the key has no ordinary row yet and its
+      block-start LRU depth (1 at MRU) plus the set's earlier rows is at
+      most ``ways``;
+    * any other touch is **uncertain** and cuts its set's stream.
+
+    Round ``r`` is one :func:`simulate_block` call over every set's rows
+    past its first ``r`` cuts and before the next; then each set's next
+    cut promotes its key if the set's dict holds it.  A block without
+    cuts is one call.  The certificates are conservative: a touch left
+    uncertain costs a round, never a wrong answer.
+
+    Returns ``(hits, before)``: per row whether it found its key
+    resident, and the block-start value of every key the block reaches
+    that was resident then — what a hit finds when no ordinary row of
+    its key came earlier in the block.  Keys take the array's tag as in
+    :func:`simulate_block`.
+    """
+    n = keys.shape[0]
+    buckets = tlb._sets
+    ways = tlb.ways
+    tag = getattr(tlb, "tag", 0)
+    if tag:
+        keys = np.where(keys > KEY_MASK, keys, keys | np.int64(tag << TAG_SHIFT))
+    fill = values if callable(values) else (lambda rows: values[rows].tolist())
+
+    # Block-start residency, sorted by key, with each key's set and LRU
+    # depth (1 at MRU); a sentinel row past every key ends the columns.
+    sizes = [len(bucket) for bucket in buckets]
+    flat = np.fromiter(chain.from_iterable(buckets), dtype=np.int64,
+                       count=sum(sizes))
+    order = np.append(np.argsort(flat), flat.shape[0])
+    resident = np.append(flat, np.iinfo(np.int64).max)[order]
+    depth = (np.append(np.repeat(np.cumsum(sizes), sizes), 0)
+             - np.arange(order.shape[0], dtype=np.int64))[order]
+    sets = np.arange(len(buckets), dtype=np.int64)
+    home = np.append(np.repeat(sets, sizes), 0)[order]
+    at = np.searchsorted(resident, keys)
+    was = resident[at] == keys
+
+    # A touch whose key is neither resident nor inserted by some
+    # ordinary row of the block is a no-op wherever it falls.
+    live = ~touch
+    if touch.any():
+        live[touch] = was[touch] | isin_sorted(np.unique(keys[~touch]),
+                                               keys[touch])
+    reached = np.unique(at[was & live])
+    before = {key: buckets[index][key] for key, index in zip(
+        resident[reached].tolist(), home[reached].tolist())}
+    hits = np.zeros(n, dtype=bool)
+    if not (live & touch).any():
+        rows = np.flatnonzero(~touch)
+        hits[rows] = simulate_block(tlb, set_indices[rows], keys[rows],
+                                    lambda r: fill(rows[r]))
+        return hits, before
+
+    # Each set's stream in trace order: ordinary rows and live touches.
+    live = np.flatnonzero(live)
+    g_sets, g = _sort_with_positions(set_indices[live] & tlb.index_mask,
+                                     tlb.index_mask)
+    g = live[g]
+    g_keys, g_touch = keys[g], touch[g]
+    size = g.shape[0]
+    idx = np.arange(size, dtype=np.int64)
+    head = np.ones(size, dtype=bool)
+    np.not_equal(g_sets[1:], g_sets[:-1], out=head[1:])
+    seg_start = np.maximum.accumulate(np.where(head, idx, 0))
+    prev = previous_occurrence(g_keys)
+    ordinary = np.flatnonzero(~g_touch)
+    links = idx.copy()              # a touch never counts as a new key
+    op = previous_occurrence(g_keys[ordinary])
+    links[ordinary] = np.where(op >= 0, ordinary[op], -1)
+
+    t = np.flatnonzero(g_touch)
+    last = prev[t]                  # the key's last ordinary row, or -1
+    while True:
+        via = np.flatnonzero(last >= 0)
+        via = via[g_touch[last[via]]]
+        if not via.size:
+            break
+        last[via] = prev[last[via]]
+    since = np.where(prev[t] >= 0, prev[t] + 1, seg_start[t])
+    t_at, t_was = at[g[t]], was[g[t]]
+    noop = (~t_was & (last < 0)) | _distinct_reaches(links, since, t, ways)
+    sure = ~noop & np.where(
+        last >= 0, t - last <= ways,
+        t_was & (depth[t_at] + t - seg_start[t] <= ways))
+
+    kernel = ~g_touch
+    kernel[t[sure]] = True
+    cut = np.zeros(size, dtype=bool)
+    cut[t[~noop & ~sure]] = True
+    # A sure hit keeps its key's value: its last ordinary row's (-1:
+    # the block-start value).
+    source = np.where(g_touch, -1, idx)
+    source[t[sure]] = last[sure]
+    before_cut = np.cumsum(cut) - cut
+    rnd = before_cut - before_cut[seg_start]
+    rounds = int(rnd.max()) + 1
+    by_round = np.argsort(rnd, kind="stable")
+    bounds = np.searchsorted(rnd[by_round], np.arange(rounds + 1, dtype=np.int64))
+    g_hits = np.zeros(size, dtype=bool)
+    for r in range(rounds):
+        part = by_round[bounds[r]:bounds[r + 1]]
+        sel = part[kernel[part]]
+        if sel.size:
+            def fills(rows: np.ndarray, sel: np.ndarray = sel) -> list:
+                src = source[sel[rows]]
+                own = src >= 0
+                taken = iter(fill(g[src[own]]))
+                return [next(taken) if mine else before[key] for mine, key in
+                        zip(own.tolist(), g_keys[sel[rows]].tolist())]
+
+            g_hits[sel] = simulate_block(tlb, g_sets[sel], g_keys[sel], fills)
+        for u in part[cut[part]].tolist():
+            bucket = buckets[g_sets[u]]
+            key = int(g_keys[u])
+            if key in bucket:
+                bucket[key] = bucket.pop(key)
+                g_hits[u] = True
+    hits[g] = g_hits
+    return hits, before

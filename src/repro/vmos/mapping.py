@@ -582,52 +582,44 @@ def promotion_windows(
     return bases, bases + (pfn - vpn)[owner], head, tail
 
 
-def cluster_slot_offsets(
-    pages: KeyIndex,
-    vpns: np.ndarray,
-    pfns: np.ndarray,
-    shift: int = 3,
+def cluster_slot_table(
+    pages: KeyIndex, shift: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cluster entry a walk at each ``vpns[i]`` would build.
+    """The cluster entry a walk at each page of ``pages`` would build.
 
     The cluster-TLB fill logic (Fig. 2's HW-coalescing baseline)
-    inspects the missing page's PTE cache line — the ``2**shift``
-    pages sharing its virtual cluster — and records which of those
-    slots translate into the *same physical cluster* as the missing
-    page itself.  Returns ``(coverage, offsets)``: ``coverage[i]`` is
-    the number of covered slots (always >= 1, the missing page counts),
-    and ``offsets[i, j]`` is slot ``j``'s offset within the physical
-    cluster, or -1 when the slot is unmapped or lands elsewhere.
+    inspects the missing page's PTE cache line — the ``2**shift`` pages
+    sharing its virtual cluster — and records which of those slots
+    translate into the *same physical cluster* as the missing page
+    itself.  Returns int8 columns aligned with ``pages.keys``, 9 bytes a
+    page: ``coverage[i]``, the number of covered slots of page ``i``'s
+    line (at least 1, the page itself), and ``offsets[i, j]``, slot
+    ``j``'s offset within the physical cluster, or -1 when the slot is
+    unmapped or lands elsewhere.
 
-    The decomposition is static per mapping version — it depends only
-    on the page table, never on TLB state — which is what lets the
-    batched cluster fast path classify every miss up front: a page with
-    ``coverage == 1`` can only ever fill (and hit) the regular side,
-    one with ``coverage > 1`` only the clustered side.
+    The table is static per mapping version — it depends only on the
+    page table, never on TLB state — which is what lets the batched
+    cluster fast path classify every miss up front with one gather: a
+    page with ``coverage == 1`` can only ever fill (and hit) the
+    regular side, one with ``coverage > 1`` only the clustered side.
 
     ``pages`` indexes the page table (``FrozenMapping.index``, or the
-    promotion split's small-page view); ``pfns[i]`` must be
-    ``vpns[i]``'s translation.
+    promotion split's small-page view).  Its keys are sorted and
+    unique, so a line's pages are adjacent rows and a page's mates lie
+    fewer than ``2**shift`` rows away: one compare per row distance
+    finds them all.
     """
+    vpns, pfns = pages.keys, pages.values
     factor = 1 << shift
-    slot_mask = factor - 1
-    # The decomposition is a pure function of the probed VPN, so
-    # repeated probes (temporal locality in the miss stream) collapse
-    # to one slot-scan each and scatter back through the inverse.
-    unique_vpns, first, inverse = np.unique(
-        vpns, return_index=True, return_inverse=True)
-    if unique_vpns.shape[0] < vpns.shape[0]:
-        coverage, offsets = cluster_slot_offsets(
-            pages, unique_vpns, pfns[first], shift=shift)
-        return coverage[inverse], offsets[inverse]
-    pcluster = pfns >> shift
-    slot_vpns = (
-        ((vpns >> shift) << shift)[:, None]
-        + np.arange(factor, dtype=np.int64)
-    )
-    slot_pfns, found = pages.lookup(slot_vpns.ravel())
-    slot_pfns = slot_pfns.reshape(-1, factor)
-    valid = found.reshape(-1, factor) & ((slot_pfns >> shift) == pcluster[:, None])
-    coverage = valid.sum(axis=1)
-    offsets = np.where(valid, slot_pfns & slot_mask, np.int64(-1))
-    return coverage, offsets
+    offsets = np.full((vpns.shape[0], factor), -1, dtype=np.int8)
+    slot = vpns & (factor - 1)
+    offset = (pfns & (factor - 1)).astype(np.int8)
+    offsets[np.arange(vpns.shape[0], dtype=np.int64), slot] = offset
+    line, cluster = vpns >> shift, pfns >> shift
+    for distance in range(1, factor):
+        lo = np.flatnonzero((line[distance:] == line[:-distance])
+                            & (cluster[distance:] == cluster[:-distance]))
+        hi = lo + distance
+        offsets[lo, slot[hi]] = offset[hi]
+        offsets[hi, slot[lo]] = offset[lo]
+    return (offsets >= 0).sum(axis=1, dtype=np.int8), offsets

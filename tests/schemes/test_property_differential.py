@@ -88,6 +88,45 @@ def mapping_and_trace(draw):
     return mapping, [vpns[i] for i in indices]
 
 
+def promotable_mapping():
+    """Two promotable 2 MiB windows, a tail of small pages, a line split
+    across two physical clusters and a far chunk past every table
+    bound: the page index and cluster2mb's small view differ."""
+    mapping = MemoryMapping()
+    mapping.map_run(0, FrameRange(4096, 1030))
+    mapping.map_run(1040, FrameRange(9000, 3))
+    mapping.map_run(1043, FrameRange(9100, 4))
+    mapping.map_run(1 << 28, FrameRange(20_000, 20))
+    return mapping
+
+
+class TestClusterSlotTable:
+    @given(mapping=random_mapping(), use_thp=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    @example(mapping=promotable_mapping(), use_thp=True)
+    @example(mapping=promotable_mapping(), use_thp=False)
+    @example(mapping=split_line_mapping(), use_thp=False)
+    def test_matches_per_page_entries(self, mapping, use_thp):
+        """Each page's coverage and slot offsets are the entry the fill
+        logic forms from the page dict (``build_cluster_entry``), over
+        the page index and over cluster2mb's small view."""
+        from repro.hw.cluster import build_cluster_entry
+        from repro.schemes.base import promote_huge_pages
+        from repro.vmos.mapping import cluster_slot_table
+
+        pages = (promote_huge_pages(mapping)[1] if use_thp
+                 else mapping.frozen().index)
+        coverage, offsets = cluster_slot_table(pages)
+        assert coverage.dtype == offsets.dtype == np.int8
+        assert offsets.shape == (pages.keys.shape[0], 8)
+        table = pages.table()
+        for row, vpn in enumerate(pages.keys.tolist()):
+            entry = build_cluster_entry(table, vpn)
+            assert offsets[row].tolist() == [
+                -1 if offset is None else offset for offset in entry.offsets]
+            assert coverage[row] == entry.coverage
+
+
 class TestRandomMappingDifferential:
     @pytest.mark.parametrize("scheme_name", scheme_names(include_extras=True))
     @given(data=mapping_and_trace())

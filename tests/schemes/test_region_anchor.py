@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PageFaultError
+from repro.hw.anchor_tlb import KIND_ANCHOR
 from repro.mem.frames import FrameRange
 from repro.schemes.anchor_scheme import AnchorScheme
 from repro.schemes.region_anchor_scheme import RegionAnchorScheme
@@ -81,3 +82,36 @@ class TestRegionScheme:
         scheme.access(0)
         scheme.flush()
         assert scheme.access(0) == scheme.config.latency.page_walk
+
+
+class TestOffAlignmentProbe:
+    @pytest.mark.parametrize("start", [5, 17], ids=["same-set", "other-set"])
+    def test_neighbour_anchor_probe_matches_scalar(self, tiny_machine, start):
+        """Region 2 starts off its 16-page alignment, so its first rows'
+        anchor VPN is an anchor of region 1 (distance 4), resident once
+        region 1 fills it.  Their probe indexes the set region 2's shift
+        picks: the anchor's own set when ``start`` is 5, another set
+        when it is 17.  The block path sees the key resident somewhere
+        and must still end bit-identical to the scalar loop."""
+        mapping = MemoryMapping()
+        mapping.map_run(0, FrameRange(4096, 64))
+        regions = [AnchorRegion(0, start, 4), AnchorRegion(start, 64, 16)]
+        anchor = start // 16 * 16
+        anchor_key = (anchor << 2) | KIND_ANCHOR
+        rng = np.random.default_rng(start)
+        blocks = [
+            np.array([anchor + 1 if start == 5 else anchor], dtype=np.int64),
+            rng.integers(start, 32, size=40),
+            np.concatenate([[anchor], rng.integers(0, 64, size=80)]),
+        ]
+        scalar = RegionAnchorScheme(mapping, tiny_machine, regions=regions)
+        batched = RegionAnchorScheme(mapping, tiny_machine, regions=regions)
+        for number, block in enumerate(blocks):
+            if number == 1:
+                assert anchor_key in batched.l2.array.keys()
+            for vpn in block.tolist():
+                scalar.access(vpn)
+            batched.access_block(block)
+            assert batched.stats.snapshot() == scalar.stats.snapshot()
+            for name, structure in scalar.structures().items():
+                assert batched.structures()[name].state() == structure.state()

@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.tlb import KEY_MASK, TAG_SHIFT, SetAssociativeTLB
-from repro.sim.lru import collapse_runs, isin_sorted, simulate_block
+from repro.sim import lru
+from repro.sim.lru import (
+    collapse_runs,
+    isin_sorted,
+    simulate_block,
+    simulate_touched,
+)
 from repro.vmos.mapping import KeyIndex, sorted_arrays
 
 
@@ -243,6 +249,127 @@ class TestSimulateBlock:
         stored = [value for bucket in tlb.state() for _, value in bucket]
         assert stored
         assert all(type(value) is kind for value in stored)
+
+
+def touched_reference(tlb: SetAssociativeTLB, rows) -> list[bool]:
+    """The scalar flow :func:`simulate_touched` batches: a touch row
+    promotes its key if resident; any other row promotes or inserts,
+    and leaves its own value (the last row's value wins)."""
+    found = []
+    for key, touch, value in rows:
+        found.append(tlb.lookup(key, key) is not None)
+        if not touch:
+            tlb.insert(key, key, value)
+    return found
+
+
+def run_touched(entries, ways, rows, seeded=(), tag=0):
+    """``rows`` of ``(key, touch)`` through the reference and through
+    :func:`simulate_touched`, from the same ``seeded`` state; returns
+    the batched side's ``before`` dict after asserting equal hits and
+    state."""
+    scalar = SetAssociativeTLB(entries, ways)
+    batched = SetAssociativeTLB(entries, ways)
+    for tlb in (scalar, batched):
+        tlb.set_tag(tag)
+        for key in seeded:
+            tlb.insert(key, key, ("seeded", key))
+    valued = [(key, touch, ("row", i)) for i, (key, touch) in enumerate(rows)]
+    expected = touched_reference(scalar, valued)
+    keys = np.asarray([key for key, _ in rows], dtype=np.int64)
+    touches = np.asarray([flag for _, flag in rows], dtype=bool)
+
+    def fills(picked):
+        assert not touches[picked].any()    # a touch never fills
+        return [("row", i) for i in picked.tolist()]
+
+    hits, before = simulate_touched(batched, keys, keys, touches, fills)
+    assert hits.tolist() == expected
+    assert batched.state() == scalar.state()
+    return before
+
+
+#: Seven keys of set 0 in a 5-way, two-set array, and the block-start
+#: content A..E (A at LRU).
+A, B, C, D, E, F, G = range(0, 14, 2)
+
+
+def touch(key):
+    return (key, True)
+
+
+def row(key):
+    return (key, False)
+
+
+def alternate(*keys):
+    """Five ordinary rows over two keys: five rows, two distinct."""
+    first, second = keys
+    return [row(first), row(second), row(first), row(second), row(first)]
+
+
+#: One set's stream with every certificate.  Row 0's touch is a sure hit
+#: by depth (A at LRU, nothing before it), row 1's a no-op (F absent and
+#: not yet inserted); four touches follow five rows over two keys after
+#: their key's ordinary row (uncertain: cut); G's touch two rows after
+#: its ordinary row is a sure hit; A's last touch follows five distinct
+#: keys (a sure no-op).  Set 1 interleaves a few rows of its own.
+DESIGNED = [
+    touch(A), touch(F),
+    row(A), *alternate(B, C), touch(A),
+    row(D), (1, False), *alternate(B, C), touch(D),
+    row(E), *alternate(B, C), touch(E), (3, True),
+    row(F), *alternate(B, C), touch(F),
+    row(G), row(B), touch(G),
+    row(A), row(B), row(C), row(D), row(E), row(F), touch(A),
+    row(G), (1, True),
+]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The keys of every :func:`simulate_block` call, one list each."""
+    calls = []
+    kernel = lru.simulate_block
+
+    def spy(tlb, sets, keys, values):
+        calls.append(keys.tolist())
+        return kernel(tlb, sets, keys, values)
+
+    monkeypatch.setattr(lru, "simulate_block", spy)
+    return calls
+
+
+class TestSimulateTouched:
+    def test_designed_stream_takes_one_round_per_cut(self, kernel_calls):
+        """Exactly the four uncertain touches cut: five kernel calls,
+        carrying every ordinary row plus the two sure hits of set 0 and
+        set 1's touch of a key it just accessed, and nothing else."""
+        before = run_touched(10, 5, DESIGNED, seeded=(A, B, C, D, E, 1))
+        ordinary = sum(1 for _, flag in DESIGNED if not flag)
+        assert len(kernel_calls) == 5
+        assert sum(map(len, kernel_calls)) == ordinary + 3
+        assert before == {key: ("seeded", key) for key in (A, B, C, D, E, 1)}
+
+    def test_dead_touches_leave_one_call(self, kernel_calls):
+        """A touch whose key is neither resident nor inserted anywhere
+        in the block is dropped: no cut, one call."""
+        run_touched(10, 5, [row(key) for key in (A, B, A, 1, C)] + [touch(G)],
+                    seeded=(B,))
+        assert len(kernel_calls) == 1
+
+    @pytest.mark.parametrize("entries,ways", GEOMETRIES)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 13), st.booleans()),
+                      min_size=1, max_size=150),
+        seeded=st.lists(st.integers(0, 13), max_size=16),
+        tag=st.integers(0, 3),
+    )
+    @example(rows=DESIGNED, seeded=[A, B, C, D, E], tag=0)
+    def test_property_matches_scalar_flow(self, entries, ways, rows, seeded,
+                                          tag):
+        run_touched(entries, ways, rows, seeded, tag)
 
 
 @st.composite
